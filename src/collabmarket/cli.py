@@ -46,6 +46,7 @@ from .indicators import (
     sds_weights,
     sector_correspondence,
     sector_flows,
+    snapshot_diff,
 )
 from .ingest import (
     LoadReport,
@@ -75,7 +76,6 @@ from .report import (
     sector_flows_table,
 )
 from .resolve import Resolver, attribute_authors, resolution_report_rows, resolve_publication
-from .indicators import snapshot_diff
 
 MAX_DIAGNOSTICS = 20
 
@@ -110,7 +110,8 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
     )
     publications = load_publications(config.publications, config.window, diagnostics)
     resolver = Resolver.build(registry)
-    resolutions = {pub.pub_id: resolve_publication(pub, resolver) for pub in publications}
+    seen: dict[str, AffiliationResolution] = {}
+    resolutions = {pub.pub_id: resolve_publication(pub, resolver, seen) for pub in publications}
     attributions = {
         pub.pub_id: attribute_authors(pub, resolutions[pub.pub_id], resolver, config.ambiguity)
         for pub in publications
@@ -202,9 +203,9 @@ def cmd_validate(config: RunConfig) -> int:
 def _full_correspondence(
     result: PipelineResult,
     grouped: Mapping[str, Sequence[SDSCollaboration]],
+    headcounts: Mapping[str, Mapping[str, float]],
 ) -> dict[str, list[SectorCorrespondenceRow]]:
     """Correspondence rows for every taxonomy sector, active or not."""
-    headcounts = all_headcounts(result.registry)
     config = result.config
     return {
         sds: sector_correspondence(
@@ -232,8 +233,8 @@ def cmd_analyze(config: RunConfig) -> int:
 
     grouped = events_by_sds(result.sds_events)
     active = sorted(grouped)
-    full_corr = _full_correspondence(result, grouped)
     headcounts = all_headcounts(result.registry)
+    full_corr = _full_correspondence(result, grouped, headcounts)
     flows_by_sds: dict[str, list[SectorFlowsRow]] = {}
     for sds in active:
         flows = sector_flows(sds, headcounts[sds], grouped[sds], config.regions)
@@ -314,7 +315,7 @@ def cmd_region(config: RunConfig, name: str) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grouped = events_by_sds(result.sds_events)
-    full_corr = _full_correspondence(result, grouped)
+    full_corr = _full_correspondence(result, grouped, all_headcounts(result.registry))
     rows = {sds: row for sds, table in full_corr.items() for row in table if row.region == name}
     stats = region_sector_stats(name, rows)
     _write_table(out_dir, region_stats_table(stats))

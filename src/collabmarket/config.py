@@ -85,12 +85,14 @@ class RunConfig:
                 raise UsageError(f"capacity multiplier for {sds!r} must be positive")
 
     def require_inputs(self) -> None:
-        missing = [
-            key for key in ("publications", "organizations", "roster", "taxonomy")
-            if getattr(self, key) is None
-        ]
+        keys = ("publications", "organizations", "roster", "taxonomy")
+        missing = [key for key in keys if getattr(self, key) is None]
         if missing:
             raise UsageError(f"missing input paths: {', '.join(missing)} (config file or flags)")
+        for key in keys:
+            path = getattr(self, key)
+            if not Path(path).is_file():
+                raise UsageError(f"{key} input {path} does not exist or is not a file")
 
 
 def _parse_window(value: str) -> tuple[int, int]:

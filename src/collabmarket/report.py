@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import lru_cache
+from json.encoder import encode_basestring
 from typing import Sequence
 
 from .errors import UsageError
@@ -38,6 +41,7 @@ PCT0 = "pct0"  # share rendered as integer percent
 PCT2 = "pct2"  # share rendered as percent, 2 decimals
 PCT3 = "pct3"  # share rendered as percent, 3 decimals
 RANK = "rank"
+_NUMERIC_KINDS = frozenset((NUM2, NUM3, NUM6, PCT0, PCT2, PCT3))
 
 FORMATS = ("csv", "jsonl")
 
@@ -80,6 +84,15 @@ def format_cell(value, kind: str) -> str:
         return str(value)
     if kind in (INT, RANK):
         return str(int(value))
+    if kind in _NUMERIC_KINDS:
+        return _format_number(float(value), kind)
+    raise UsageError(f"unknown column kind {kind!r}")
+
+
+# A numeric cell depends only on float(value), and tables repeat few distinct
+# values many times over, so each (value, kind) is rounded once.
+@lru_cache(maxsize=1 << 14)
+def _format_number(value: float, kind: str) -> str:
     if kind == NUM2:
         return _decimal_string(value, 2)
     if kind == NUM3:
@@ -90,17 +103,27 @@ def format_cell(value, kind: str) -> str:
         return str(round_half_away(value * 100.0, 0))
     if kind == PCT2:
         return _decimal_string(value * 100.0, 2)
-    if kind == PCT3:
-        return _decimal_string(value * 100.0, 3)
-    raise UsageError(f"unknown column kind {kind!r}")
+    return _decimal_string(value * 100.0, 3)
 
 
-def _jsonl_value(value, kind: str):
-    if value is None or kind == TEXT:
-        return value
+def _json_cell(value, kind: str) -> str:
+    """JSON text of one JSONL cell, exactly as ``json.dumps`` writes it.
+
+    Encoded per cell because one ``json.dumps`` call per row costs more than
+    the values it encodes: JSON scalars need no context, only the object
+    framing around them, which ``render_table`` adds.
+    """
+    if value is None:
+        return "null"
+    if kind == TEXT:
+        if isinstance(value, str):
+            return encode_basestring(value)
+        return json.dumps(value, ensure_ascii=False)
     if kind in (INT, RANK):
-        return int(value)
-    return float(value)
+        return int.__repr__(int(value))
+    number = float(value)
+    # json writes finite floats with float.__repr__ and spells out the rest.
+    return float.__repr__(number) if math.isfinite(number) else json.dumps(number)
 
 
 def render_table(table: RenderedTable, fmt: str) -> str:
@@ -113,10 +136,12 @@ def render_table(table: RenderedTable, fmt: str) -> str:
             writer.writerow([format_cell(v, c.kind) for v, c in zip(row, table.columns)])
         return buffer.getvalue()
     if fmt == "jsonl":
-        lines = []
-        for row in table.rows:
-            obj = {c.name: _jsonl_value(v, c.kind) for v, c in zip(row, table.columns)}
-            lines.append(json.dumps(obj, ensure_ascii=False))
+        # json.dumps's default separators: ", " between items, ": " after keys.
+        keys = [(encode_basestring(c.name) + ": ", c.kind) for c in table.columns]
+        lines = [
+            "{" + ", ".join([key + _json_cell(v, kind) for (key, kind), v in zip(keys, row)]) + "}"
+            for row in table.rows
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
     raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
 
@@ -306,6 +331,16 @@ def sanitize_code(code: str) -> str:
     return cleaned.strip("-") or "blank"
 
 
+def _xml_text(text: str) -> str:
+    """Escape a name for SVG character data.
+
+    Written out rather than taken from ``xml.sax.saxutils.escape``, whose
+    import pulls in ``urllib.request``; every run would pay for that in
+    start-up time and memory.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
 _MARGIN_LEFT = 64
@@ -351,11 +386,11 @@ def emit_quadrant_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" font-family="sans-serif" font-size="11">',
-        f'<title>{sds}: capacity surplus vs regional market share</title>',
+        f'<title>{_xml_text(sds)}: capacity surplus vs regional market share</title>',
         f'<rect class="frame" x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#444444" stroke-width="1"/>',
         f'<text x="{_MARGIN_LEFT}" y="{_MARGIN_TOP - 18}" font-size="14">'
-        f"{sds}: who satisfies regional demand</text>",
+        f"{_xml_text(sds)}: who satisfies regional demand</text>",
         # The two quadrant dividers: capacity balance and the share threshold.
         f'<line class="divider" x1="{divider_x:.2f}" y1="{_MARGIN_TOP}" '
         f'x2="{divider_x:.2f}" y2="{bottom}" stroke="#888888" stroke-dasharray="4 3"/>',
@@ -389,7 +424,7 @@ def emit_quadrant_svg(
             f'<circle class="point" cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#1f5fa8"/>'
         )
         parts.append(
-            f'<text class="label" x="{cx + 6:.2f}" y="{cy - 5:.2f}">{p.region}</text>'
+            f'<text class="label" x="{cx + 6:.2f}" y="{cy - 5:.2f}">{_xml_text(p.region)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

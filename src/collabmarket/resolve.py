@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -32,6 +33,15 @@ AMBIGUOUS_ALL = "ambiguous_all"
 AMBIGUITY_POLICIES = ("strict", "all")
 
 
+# Distinct non-ASCII names and initials per run are a few thousand.
+_UNICODE_CACHE_SIZE = 1 << 14
+
+# On ASCII input NFKD is the identity, nothing is a combining mark and
+# casefold() equals lower(), so one translate does the whole per-character pass.
+_ASCII_NON_ALNUM_TO_SPACE = {c: " " for c in range(128) if not chr(c).isalnum()}
+_ASCII_NON_ALPHA = {c: None for c in range(128) if not chr(c).isalpha()}
+
+
 def _normalize_once(raw: str) -> str:
     # NFKD first so that accented letters split into base + combining mark and
     # compatibility characters (ligatures, fullwidth forms) flatten out.
@@ -44,16 +54,9 @@ def _normalize_once(raw: str) -> str:
     return " ".join("".join(kept).casefold().split())
 
 
-def normalize_name(raw: str) -> str:
-    """Return the canonical matching form of a name.
-
-    Compatibility-decompose, strip diacritics, casefold, replace punctuation
-    with spaces, collapse whitespace. The result is idempotent: normalizing an
-    already-normalized string changes nothing.
-
-    >>> normalize_name("Università  di ROMA “Tor Vergata”")
-    'universita di roma tor vergata'
-    """
+@lru_cache(maxsize=_UNICODE_CACHE_SIZE)
+def _normalize_unicode(raw: str) -> str:
+    """The general normalization path, correct for any input."""
     text = _normalize_once(raw)
     # casefold can introduce characters that decompose again (rare); iterate
     # to a fixpoint so idempotence holds for arbitrary input.
@@ -65,11 +68,41 @@ def normalize_name(raw: str) -> str:
     return text
 
 
-def normalize_initials(raw: str) -> str:
-    """Uppercase the letters of an initials string, dropping punctuation."""
+def normalize_name(raw: str) -> str:
+    """Return the canonical matching form of a name.
+
+    Compatibility-decompose, strip diacritics, casefold, replace punctuation
+    with spaces, collapse whitespace. The result is idempotent: normalizing an
+    already-normalized string changes nothing.
+
+    ASCII input takes a single ``translate`` pass; every other input takes the
+    general per-character path. On ASCII input both give the same string, so
+    which path ran never shows in the result.
+
+    >>> normalize_name("Università  di ROMA “Tor Vergata”")
+    'universita di roma tor vergata'
+    """
+    if raw.isascii():
+        return " ".join(raw.translate(_ASCII_NON_ALNUM_TO_SPACE).lower().split())
+    return _normalize_unicode(raw)
+
+
+@lru_cache(maxsize=_UNICODE_CACHE_SIZE)
+def _initials_unicode(raw: str) -> str:
     decomposed = unicodedata.normalize("NFKD", raw)
     letters = [c for c in decomposed if c.isalpha() and not unicodedata.combining(c)]
     return "".join(letters).upper()
+
+
+def normalize_initials(raw: str) -> str:
+    """Uppercase the letters of an initials string, dropping punctuation.
+
+    Like ``normalize_name``, ASCII input takes a ``translate`` fast path that
+    gives the same result as the general path.
+    """
+    if raw.isascii():
+        return raw.translate(_ASCII_NON_ALPHA).upper()
+    return _initials_unicode(raw)
 
 
 @dataclass(frozen=True)
@@ -132,9 +165,26 @@ def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:
     return AffiliationResolution(raw, None, UNRESOLVED)
 
 
-def resolve_publication(pub: PublicationRecord, resolver: Resolver) -> tuple[AffiliationResolution, ...]:
-    """Resolve every affiliation of a publication, preserving input order."""
-    return tuple(resolve_affiliation(raw, resolver) for raw in pub.affiliations)
+def resolve_publication(
+    pub: PublicationRecord,
+    resolver: Resolver,
+    seen: dict[str, AffiliationResolution] | None = None,
+) -> tuple[AffiliationResolution, ...]:
+    """Resolve every affiliation of a publication, preserving input order.
+
+    ``seen`` maps raw strings already resolved against the same resolver to
+    their resolution; a run passes one dict for all its publications so that
+    each distinct string is resolved once. Resolutions are immutable, so
+    mentions of one string share one object.
+    """
+    if seen is None:
+        seen = {}
+    resolutions = []
+    for raw in pub.affiliations:
+        if raw not in seen:
+            seen[raw] = resolve_affiliation(raw, resolver)
+        resolutions.append(seen[raw])
+    return tuple(resolutions)
 
 
 def resolved_org_ids(

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from collabmarket.cli import main
-from collabmarket.demo import write_demo_corpus
+from collabmarket.cli import main, run_pipeline
+from collabmarket.config import load_config, with_overrides
+from collabmarket.demo import demo_corpus, write_demo_corpus
+from collabmarket.ingest import write_publications
+from collabmarket.resolve import resolution_report_rows, resolve_publication
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,16 @@ class TestValidate:
         rc = main(["validate", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--publications", "--roster"])
+    def test_nonexistent_input_file_is_usage_error(self, corpus, tmp_path, capsys, flag):
+        absent = tmp_path / "absent.dat"
+        rc = main(["analyze", "--config", str(corpus["config"]), flag, str(absent),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert flag.lstrip("-") in err and str(absent) in err
+        assert "Traceback" not in err
 
 
 class TestAnalyze:
@@ -219,3 +233,22 @@ class TestDiff:
                    "--out", str(tmp_path / "delta")])
         assert rc == 1
         assert "region" in capsys.readouterr().err.lower()
+
+
+class TestPipeline:
+    def test_repeated_affiliations_resolve_as_if_one_by_one(self, corpus, tmp_path):
+        publications = demo_corpus()[0]
+        repeated = publications + [
+            replace(pub, pub_id=f"{pub.pub_id}-copy", affiliations=pub.affiliations * 2)
+            for pub in publications
+        ]
+        path = tmp_path / "repeated.jsonl"
+        write_publications(repeated, path)
+        config = with_overrides(load_config(corpus["config"]), publications=str(path))
+        result = run_pipeline(config)
+        one_by_one = {
+            pub.pub_id: resolve_publication(pub, result.resolver) for pub in result.publications
+        }
+        assert resolution_report_rows(
+            result.publications, result.resolutions, result.attributions
+        ) == resolution_report_rows(result.publications, one_by_one, result.attributions)

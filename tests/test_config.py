@@ -52,7 +52,12 @@ class TestDefaultsAndValidation:
             roster=tmp_path / "r.csv",
             taxonomy=tmp_path / "t.csv",
         )
+        for name in ("p.jsonl", "o.csv", "r.csv", "t.csv"):
+            (tmp_path / name).write_text("", encoding="utf-8")
         complete.require_inputs()
+        (tmp_path / "r.csv").unlink()
+        with pytest.raises(UsageError, match="roster"):
+            complete.require_inputs()
 
 
 class TestConfigFile:

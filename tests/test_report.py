@@ -7,6 +7,7 @@ import io
 import json
 import re
 from decimal import Decimal
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given
@@ -23,9 +24,11 @@ from collabmarket.indicators import (
 from collabmarket.report import (
     INT,
     NUM2,
+    NUM3,
     NUM6,
     PCT0,
     PCT2,
+    PCT3,
     RANK,
     TEXT,
     Column,
@@ -38,6 +41,7 @@ from collabmarket.report import (
     round_half_away,
     sanitize_code,
     sector_correspondence_table,
+    _format_number,
 )
 
 
@@ -87,6 +91,20 @@ class TestFormatCell:
     def test_rank(self):
         assert format_cell(4, RANK) == "4"
 
+    def test_numeric_cache_matches_uncached_rounding(self):
+        for kind in (NUM2, NUM3, NUM6, PCT0, PCT2, PCT3):
+            for value in (1, 1.0, True, -0.0, 0.565, 2.675):
+                expected = _format_number.__wrapped__(float(value), kind)
+                assert format_cell(value, kind) == expected
+                assert format_cell(value, kind) == expected
+        assert format_cell(0.565, NUM2) == "0.57"
+        assert format_cell(2.675, NUM2) == "2.68"
+        assert format_cell(-0.0, NUM2) == "0.00"
+
+    def test_text_cells_are_not_shared_across_types(self):
+        assert format_cell(1, TEXT) != format_cell(1.0, TEXT)
+        assert format_cell(True, TEXT) == "True"
+
 
 SAMPLE = RenderedTable(
     "sample",
@@ -108,6 +126,23 @@ class TestRenderTable:
         assert first == {"region": "Lazio", "share": 0.41772, "count": 4}
         second = json.loads(lines[1])
         assert second["share"] is None
+
+    @given(st.lists(st.tuples(
+        st.none() | st.text() | st.integers(),
+        st.none() | st.integers() | st.booleans() | st.floats(-1e15, 1e15),
+        st.none() | st.floats() | st.integers(-10**15, 10**15) | st.booleans(),
+    ), max_size=4))
+    def test_jsonl_matches_json_dumps(self, rows):
+        columns = (Column('name "é"\n', TEXT), Column("n", RANK), Column("x", PCT2))
+        expected = "".join(
+            json.dumps({
+                'name "é"\n': text,
+                "n": None if n is None else int(n),
+                "x": None if x is None else float(x),
+            }, ensure_ascii=False) + "\n"
+            for text, n, x in rows
+        )
+        assert render_table(RenderedTable("t", columns, tuple(rows)), "jsonl") == expected
 
     def test_unknown_format(self):
         with pytest.raises(UsageError):
@@ -200,6 +235,21 @@ class TestQuadrantSvg:
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):
             emit_quadrant_svg([], "S1")
+
+    def test_markup_in_names_is_escaped(self):
+        positions = [
+            QuadrantPosition("Trentino & Alto", "A&B<1>", 1.0, 0.75, "II"),
+            QuadrantPosition("<Lazio>", "A&B<1>", -1.0, 0.25, "IV"),
+        ]
+        document = minidom.parseString(emit_quadrant_svg(positions, "A&B<1>"))
+        labels = [
+            node.firstChild.data
+            for node in document.getElementsByTagName("text")
+            if node.getAttribute("class") == "label"
+        ]
+        assert labels == ["<Lazio>", "Trentino & Alto"]
+        title = document.getElementsByTagName("title")[0].firstChild.data
+        assert title.startswith("A&B<1>: ")
 
     def test_threshold_label_present(self):
         svg = emit_quadrant_svg(self.POSITIONS, "S1", share_threshold=0.5)

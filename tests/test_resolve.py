@@ -22,9 +22,15 @@ from collabmarket.resolve import (
     resolve_affiliation,
     resolve_publication,
     resolved_org_ids,
+    _initials_unicode,
+    _normalize_unicode,
 )
 
 from conftest import make_org, make_pub, make_roster
+
+# Every ASCII character, controls included: str.split() treats \x1c-\x1f as
+# whitespace, which the translate fast path must match.
+ASCII = "".join(chr(c) for c in range(128))
 
 
 class TestNormalizeName:
@@ -54,6 +60,10 @@ class TestNormalizeName:
         assert "  " not in result
         assert result == result.casefold()
 
+    @given(st.text(max_size=60) | st.text(alphabet=ASCII, max_size=60))
+    def test_matches_general_path(self, raw):
+        assert normalize_name(raw) == _normalize_unicode.__wrapped__(raw)
+
 
 class TestNormalizeInitials:
     def test_strips_dots_and_upcases(self):
@@ -62,6 +72,10 @@ class TestNormalizeInitials:
 
     def test_letters_only(self):
         assert normalize_initials("J-P") == "JP"
+
+    @given(st.text(max_size=20) | st.text(alphabet=ASCII, max_size=20))
+    def test_matches_general_path(self, raw):
+        assert normalize_initials(raw) == _initials_unicode.__wrapped__(raw)
 
 
 class TestResolver:
@@ -116,6 +130,17 @@ class TestResolveAffiliation:
         pub = make_pub("P1", ["Borg", "Nowhere", "Univ. Roma"])
         resolutions = resolve_publication(pub, resolver)
         assert [r.org_id for r in resolutions] == ["E2", None, "U1"]
+
+    def test_shared_seen_resolves_each_string_once(self, registry):
+        resolver = Resolver.build(registry)
+        pub = make_pub("P1", ["Borg", "Univ. Roma", "Borg"])
+        seen = {}
+        first = resolve_publication(pub, resolver, seen)
+        second = resolve_publication(make_pub("P2", ["Univ. Roma"]), resolver, seen)
+        assert first == resolve_publication(pub, resolver)
+        assert first[0] is first[2]
+        assert second[0] is first[1]
+        assert sorted(seen) == ["Borg", "Univ. Roma"]
 
     def test_resolved_org_ids_dedup_and_kind(self, registry):
         resolver = Resolver.build(registry)
