@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .collab import (
     corpus_totals,
@@ -68,6 +68,7 @@ from .report import (
     aggregate_table,
     delta_table,
     emit_quadrant_svg,
+    output_stems,
     region_stats_table,
     regional_summary_table,
     render_table,
@@ -75,7 +76,13 @@ from .report import (
     sector_correspondence_table,
     sector_flows_table,
 )
-from .resolve import Resolver, attribute_authors, resolution_report_rows, resolve_publication
+from .resolve import (
+    AMBIGUITY_POLICIES,
+    Resolver,
+    attribute_authors,
+    resolution_report_rows,
+    resolve_publication,
+)
 
 MAX_DIAGNOSTICS = 20
 
@@ -219,8 +226,18 @@ def _full_correspondence(
     }
 
 
+def _check_output_names(sectors: Iterable[str], regions: Iterable[str]) -> dict[str, str]:
+    """Each sector's file-name stem, after checking that no two sectors and
+    no two regions would write files of the same name."""
+    output_stems(regions, "regions")
+    return output_stems(sectors, "sectors")
+
+
 def cmd_analyze(config: RunConfig) -> int:
     result = run_pipeline(config)
+    grouped = events_by_sds(result.sds_events)
+    active = sorted(grouped)
+    stems = _check_output_names(active, config.regions)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
@@ -231,8 +248,6 @@ def cmd_analyze(config: RunConfig) -> int:
     summary = regional_summary(result.ue_events, config.regions)
     _write_table(out_dir, regional_summary_table(summary))
 
-    grouped = events_by_sds(result.sds_events)
-    active = sorted(grouped)
     headcounts = all_headcounts(result.registry)
     full_corr = _full_correspondence(result, grouped, headcounts)
     flows_by_sds: dict[str, list[SectorFlowsRow]] = {}
@@ -271,7 +286,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "regions": sorted(config.regions),
         "window": list(config.window) if config.window is not None else None,
         "taxonomy": dict(sorted(result.registry.taxonomy.parent_uda.items())),
-        "active_sds": {sds: sanitize_code(sds) for sds in active},
+        "active_sds": stems,
         "totals": {
             "ue_events": totals.ue_events,
             "sds_events": totals.sds_events,
@@ -291,6 +306,7 @@ def cmd_sector(config: RunConfig, sds: str) -> int:
     result = run_pipeline(config)
     if sds not in result.registry.taxonomy:
         raise UsageError(f"sds {sds!r} is not in the taxonomy")
+    _check_output_names({sds, *(ev.sds for ev in result.sds_events)}, config.regions)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     events = [ev for ev in result.sds_events if ev.sds == sds]
@@ -312,9 +328,10 @@ def cmd_region(config: RunConfig, name: str) -> int:
     if name not in config.regions:
         raise UsageError(f"region {name!r} is not in the configured region set")
     result = run_pipeline(config)
+    grouped = events_by_sds(result.sds_events)
+    _check_output_names(grouped, config.regions)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grouped = events_by_sds(result.sds_events)
     full_corr = _full_correspondence(result, grouped, all_headcounts(result.registry))
     rows = {sds: row for sds, table in full_corr.items() for row in table if row.region == name}
     stats = region_sector_stats(name, rows)
@@ -322,20 +339,75 @@ def cmd_region(config: RunConfig, name: str) -> int:
     return 0
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+# json's C scanner; json.loads wraps each call to it in two Python-level
+# calls and two regular expression matches.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str) -> object:
+    """The value on one non-blank line, exactly as ``json.loads`` reads it."""
+    try:
+        value, end = _scan_json(line, 0)
+        if line[end:] in ("\n", ""):
+            return value
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    # Surrounding whitespace, extra data and errors take json's own path.
+    return json.loads(line)
+
+
+def _read_rows(path: Path, row_type: type) -> tuple:
+    """Records of one table from its JSONL twin, in one pass over the file.
+
+    Each non-blank line must hold an object whose keys are the record's
+    fields in order, as ``render_table`` writes them.
+    """
+    fields = row_type._fields
+    make = row_type._make
     rows = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+    try:
+        with path.open(encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = _json_line(line)
+                except json.JSONDecodeError as exc:
+                    raise DiffError(f"{path}:{line_no}: bad JSON: {exc.msg}") from None
+                if not isinstance(obj, dict) or tuple(obj) != fields:
+                    raise DiffError(
+                        f"{path}:{line_no}: expected an object with the keys "
+                        f"{', '.join(fields)}"
+                    )
+                rows.append(make(obj.values()))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiffError(f"{path}: cannot read: {exc}") from None
+    return tuple(rows)
+
+
+def _read_manifest(path: Path) -> dict:
+    if not path.exists():
+        raise DiffError(f"{path} is missing; not a complete analyze output")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DiffError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiffError(f"{path}: cannot read: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DiffError(f"{path}: expected a JSON object")
+    regions = manifest.get("regions")
+    if not isinstance(regions, list) or not all(isinstance(r, str) for r in regions):
+        raise DiffError(f"{path}: 'regions' is missing or not an array of strings")
+    for key in ("taxonomy", "active_sds"):
+        value = manifest.get(key)
+        if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+            raise DiffError(f"{path}: {key!r} is missing or not an object of strings")
+    return manifest
 
 
 def _read_snapshot(directory: Path) -> IndicatorSnapshot:
-    manifest_path = directory / "snapshot.json"
-    if not manifest_path.exists():
-        raise DiffError(f"{manifest_path} is missing; not a complete analyze output")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(directory / "snapshot.json")
     correspondence: dict[str, tuple[SectorCorrespondenceRow, ...]] = {}
     flows: dict[str, tuple[SectorFlowsRow, ...]] = {}
     for sds, stem in sorted(manifest["active_sds"].items()):
@@ -344,10 +416,8 @@ def _read_snapshot(directory: Path) -> IndicatorSnapshot:
         for path in (corr_path, flow_path):
             if not path.exists():
                 raise DiffError(f"{path} is missing; snapshot {directory} is incomplete")
-        correspondence[sds] = tuple(
-            SectorCorrespondenceRow(**obj) for obj in _read_jsonl(corr_path)
-        )
-        flows[sds] = tuple(SectorFlowsRow(**obj) for obj in _read_jsonl(flow_path))
+        correspondence[sds] = _read_rows(corr_path, SectorCorrespondenceRow)
+        flows[sds] = _read_rows(flow_path, SectorFlowsRow)
     return IndicatorSnapshot(
         tuple(manifest["regions"]), manifest["taxonomy"], correspondence, flows
     )
@@ -378,7 +448,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--window", help="inclusive year window, e.g. 2001:2003")
     parser.add_argument("--regions", help="|-separated region set override")
-    parser.add_argument("--ambiguity", choices=("strict", "all"), help="ambiguous author policy")
+    parser.add_argument("--ambiguity", choices=AMBIGUITY_POLICIES, help="ambiguous author policy")
     parser.add_argument(
         "--share-threshold",
         type=float,

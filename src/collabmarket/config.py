@@ -13,7 +13,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
+from .collab import SDS_REGION_SPLITS
 from .errors import UsageError
+from .indicators import AGGREGATION_NA_POLICIES
+from .resolve import AMBIGUITY_POLICIES
 
 ITALIAN_REGIONS: tuple[str, ...] = (
     "Abruzzo",
@@ -37,10 +40,6 @@ ITALIAN_REGIONS: tuple[str, ...] = (
     "Umbria",
     "Veneto",
 )
-
-AMBIGUITY_POLICIES = ("strict", "all")
-SDS_REGION_SPLITS = ("per-region", "single")
-AGGREGATION_NA_POLICIES = ("coerce-zero", "renormalize")
 
 _PATH_KEYS = ("publications", "organizations", "roster", "taxonomy", "out")
 

@@ -19,7 +19,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from math import sqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ComputationError, DiffError, ValidationError
 from .model import Registry, SDSCollaboration, UECollaboration
@@ -34,8 +34,7 @@ QUADRANT_III = "III"
 QUADRANT_IV = "IV"
 
 
-@dataclass(frozen=True)
-class RegionalSummary:
+class RegionalSummary(NamedTuple):
     """Supply and demand of one region over the whole corpus (all sectors)."""
 
     region: str
@@ -49,8 +48,7 @@ class RegionalSummary:
     market_share: float | None  # intra supply / national demand
 
 
-@dataclass(frozen=True)
-class SectorCorrespondenceRow:
+class SectorCorrespondenceRow(NamedTuple):
     """Capacity versus demand of one region in one sector."""
 
     region: str
@@ -61,8 +59,7 @@ class SectorCorrespondenceRow:
     demand_per_scientist_rel: float | None
 
 
-@dataclass(frozen=True)
-class SectorFlowsRow:
+class SectorFlowsRow(NamedTuple):
     """Supply-side flows of one region in one sector."""
 
     region: str
@@ -78,8 +75,7 @@ class SectorFlowsRow:
     intra_over_national_supply: float | None
 
 
-@dataclass(frozen=True)
-class QuadrantPosition:
+class QuadrantPosition(NamedTuple):
     """Placement of one demand-bearing region in the diagnostic plane."""
 
     region: str
@@ -89,8 +85,7 @@ class QuadrantPosition:
     quadrant: str
 
 
-@dataclass(frozen=True)
-class RegionSectorStats:
+class RegionSectorStats(NamedTuple):
     """Distribution of demand per scientist across one region's sectors."""
 
     region: str
@@ -103,8 +98,7 @@ class RegionSectorStats:
     zero_demand_sds: int
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     """Weighted cross-sector indicators of one region, with rankings."""
 
     region: str
@@ -120,8 +114,7 @@ class AggregateRow:
     intra_over_national_supply_rank: int | None
 
 
-@dataclass(frozen=True)
-class MetricDelta:
+class MetricDelta(NamedTuple):
     """One metric compared between two snapshots."""
 
     value_t0: float | None
@@ -130,8 +123,7 @@ class MetricDelta:
     flag: str | None  # "emergent" | "vanished" | None
 
 
-@dataclass(frozen=True)
-class SnapshotDelta:
+class SnapshotDelta(NamedTuple):
     """All tracked metrics of one (region, sector) cell compared over time."""
 
     region: str

@@ -1,15 +1,17 @@
 """Domain model: publications, registries, and derived collaboration events.
 
-Every type here is an immutable value object. Loaders (module ``ingest``) and
-derivation functions (modules ``resolve`` and ``collab``) are responsible for
-enforcing the invariants documented on each class; the classes themselves stay
-dumb so they are cheap to construct in tests.
+Per-record types are immutable ``NamedTuple`` records; the registry bundle and
+the taxonomy, built once per run, stay frozen dataclasses. Loaders (module
+``ingest``) and derivation functions (modules ``resolve`` and ``collab``) are
+responsible for enforcing the invariants documented on each class; the
+classes themselves stay dumb so they are cheap to construct, in the pipeline
+and in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ValidationError
 
@@ -18,8 +20,7 @@ ENTERPRISE = "enterprise"
 ORG_KINDS = (UNIVERSITY, ENTERPRISE)
 
 
-@dataclass(frozen=True)
-class AuthorName:
+class AuthorName(NamedTuple):
     """Author name key as indexed in bibliographies.
 
     ``surname`` is stored in normalized form (see ``resolve.normalize_name``)
@@ -31,8 +32,7 @@ class AuthorName:
     initials: str
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """One indexed article: identity, year, author keys, raw address strings.
 
     Affiliations are kept verbatim; resolution against the organization
@@ -45,8 +45,7 @@ class PublicationRecord:
     affiliations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Organization:
+class Organization(NamedTuple):
     """Registry entry for a university or a domestically located enterprise.
 
     ``aliases`` always contains the canonical name itself plus any alternative
@@ -60,8 +59,7 @@ class Organization:
     region: str
 
 
-@dataclass(frozen=True)
-class ScientistRosterEntry:
+class ScientistRosterEntry(NamedTuple):
     """University researcher with a declared sector and fractional headcount.
 
     ``headcount_weight`` supports fractional values (e.g. thirds, for rosters
@@ -128,8 +126,7 @@ class Registry:
         return self.by_id[org_id].region
 
 
-@dataclass(frozen=True)
-class AffiliationResolution:
+class AffiliationResolution(NamedTuple):
     """Outcome of matching one raw address string against the registry.
 
     ``org_id`` is set exactly when ``confidence`` is not ``unresolved``.
@@ -140,8 +137,7 @@ class AffiliationResolution:
     confidence: str  # "exact" | "alias" | "unresolved"
 
 
-@dataclass(frozen=True)
-class AuthorAttribution:
+class AuthorAttribution(NamedTuple):
     """Assignment of one publication author to a university and an SDS.
 
     ``sds`` and ``university_id`` are set for statuses ``unique`` and
@@ -156,8 +152,7 @@ class AuthorAttribution:
     status: str  # "unique" | "ambiguous_skipped" | "ambiguous_all"
 
 
-@dataclass(frozen=True)
-class UECollaboration:
+class UECollaboration(NamedTuple):
     """One university-enterprise collaboration event for one publication."""
 
     pub_id: str
@@ -168,8 +163,7 @@ class UECollaboration:
     year: int
 
 
-@dataclass(frozen=True)
-class SDSCollaboration:
+class SDSCollaboration(NamedTuple):
     """One sector-enterprise collaboration event for one publication.
 
     ``supply_region`` is the region of the university whose roster author
@@ -185,8 +179,7 @@ class SDSCollaboration:
     year: int
 
 
-@dataclass(frozen=True)
-class CorpusTotals:
+class CorpusTotals(NamedTuple):
     """Headline event counts over a derived corpus."""
 
     ue_events: int

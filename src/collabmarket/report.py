@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import UsageError
+from .errors import UsageError, ValidationError
 from .indicators import (
     AggregateRow,
     QuadrantPosition,
@@ -46,15 +46,18 @@ _NUMERIC_KINDS = frozenset((NUM2, NUM3, NUM6, PCT0, PCT2, PCT3))
 FORMATS = ("csv", "jsonl")
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     name: str
     kind: str
 
 
 @dataclass(frozen=True)
 class RenderedTable:
-    """A named grid of typed cells, ready to serialize."""
+    """A named grid of typed cells, ready to serialize.
+
+    ``rows`` holds one tuple per row, in column order; an indicator record
+    whose fields follow its table's columns is such a tuple.
+    """
 
     name: str
     columns: tuple[Column, ...]
@@ -77,7 +80,11 @@ def _decimal_string(value: float, digits: int) -> str:
 
 
 def format_cell(value, kind: str) -> str:
-    """Single cell of CSV output."""
+    """Single cell of CSV output.
+
+    The reference for ``render_table``, which binds a faster encoder per
+    column that writes the same text.
+    """
     if value is None:
         return "NA"
     if kind == TEXT:
@@ -89,9 +96,6 @@ def format_cell(value, kind: str) -> str:
     raise UsageError(f"unknown column kind {kind!r}")
 
 
-# A numeric cell depends only on float(value), and tables repeat few distinct
-# values many times over, so each (value, kind) is rounded once.
-@lru_cache(maxsize=1 << 14)
 def _format_number(value: float, kind: str) -> str:
     if kind == NUM2:
         return _decimal_string(value, 2)
@@ -106,229 +110,229 @@ def _format_number(value: float, kind: str) -> str:
     return _decimal_string(value * 100.0, 3)
 
 
-def _json_cell(value, kind: str) -> str:
-    """JSON text of one JSONL cell, exactly as ``json.dumps`` writes it.
+# Distinct values per kind in one run are a few thousand.
+_CELL_CACHE_SIZE = 1 << 14
 
-    Encoded per cell because one ``json.dumps`` call per row costs more than
-    the values it encodes: JSON scalars need no context, only the object
-    framing around them, which ``render_table`` adds.
+
+def _cached_csv_encoder(kind: str):
+    """CSV encoder of one non-text kind, cached on the value alone.
+
+    The cell depends only on the number the value stands for, and values that
+    compare equal (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``) write
+    the same text, so they may share an entry. A hit runs no Python code.
     """
+
+    def encode(value) -> str:
+        return format_cell(value, kind)
+
+    return lru_cache(maxsize=_CELL_CACHE_SIZE)(encode)
+
+
+def _csv_text(value) -> str:
+    # Not cached: 1, 1.0 and True compare equal but print differently.
+    return "NA" if value is None else str(value)
+
+
+_CSV_ENCODERS = {
+    TEXT: _csv_text,
+    **{kind: _cached_csv_encoder(kind) for kind in (INT, RANK, *sorted(_NUMERIC_KINDS))},
+}
+
+
+# JSON cells are encoded one by one, exactly as ``json.dumps`` writes them:
+# JSON scalars need no context, only the object framing around them, which a
+# per-table template adds. Numbers are not cached: 0.0 and -0.0 compare equal
+# but json writes them differently.
+
+
+def _json_text(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return "null" if value is None else json.dumps(value, ensure_ascii=False)
+
+
+def _json_int(value) -> str:
+    return "null" if value is None else int.__repr__(int(value))
+
+
+def _json_float(value) -> str:
     if value is None:
         return "null"
-    if kind == TEXT:
-        if isinstance(value, str):
-            return encode_basestring(value)
-        return json.dumps(value, ensure_ascii=False)
-    if kind in (INT, RANK):
-        return int.__repr__(int(value))
     number = float(value)
     # json writes finite floats with float.__repr__ and spells out the rest.
     return float.__repr__(number) if math.isfinite(number) else json.dumps(number)
 
 
+_JSON_ENCODERS = {
+    TEXT: _json_text,
+    INT: _json_int,
+    RANK: _json_int,
+    **{kind: _json_float for kind in _NUMERIC_KINDS},
+}
+
+
+def _bind(columns: Sequence[Column], encoders: dict) -> list:
+    """The encoder of each column, chosen once per table."""
+    try:
+        return [encoders[column.kind] for column in columns]
+    except KeyError as exc:
+        raise UsageError(f"unknown column kind {exc.args[0]!r}") from None
+
+
 def render_table(table: RenderedTable, fmt: str) -> str:
     """Serialize a table to ``csv`` or ``jsonl``; deterministic byte output."""
     if fmt == "csv":
+        encoders = _bind(table.columns, _CSV_ENCODERS)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow([c.name for c in table.columns])
         for row in table.rows:
-            writer.writerow([format_cell(v, c.kind) for v, c in zip(row, table.columns)])
+            writer.writerow([encode(v) for encode, v in zip(encoders, row)])
         return buffer.getvalue()
     if fmt == "jsonl":
+        encoders = _bind(table.columns, _JSON_ENCODERS)
         # json.dumps's default separators: ", " between items, ": " after keys.
-        keys = [(encode_basestring(c.name) + ": ", c.kind) for c in table.columns]
+        template = "{" + ", ".join(
+            encode_basestring(c.name).replace("%", "%%") + ": %s" for c in table.columns
+        ) + "}"
         lines = [
-            "{" + ", ".join([key + _json_cell(v, kind) for (key, kind), v in zip(keys, row)]) + "}"
+            template % tuple([encode(v) for encode, v in zip(encoders, row)])
             for row in table.rows
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
 
 
+_REGIONAL_COLUMNS = (
+    Column("region", TEXT),
+    Column("supply_intra", INT),
+    Column("supply_extra", INT),
+    Column("supply_national", INT),
+    Column("demand_intra", INT),
+    Column("demand_extra", INT),
+    Column("demand_national", INT),
+    Column("net_difference", INT),
+    Column("market_share", PCT0),
+)
+
+_CORRESPONDENCE_COLUMNS = (
+    Column("region", TEXT),
+    Column("scientists", NUM6),
+    Column("national_demand", INT),
+    Column("surplus", NUM6),
+    Column("demand_per_scientist", NUM2),
+    Column("demand_per_scientist_rel", NUM2),
+)
+
+_FLOWS_COLUMNS = (
+    Column("region", TEXT),
+    Column("national_demand", INT),
+    Column("national_supply", INT),
+    Column("intra_supply", INT),
+    Column("national_supply_per_scientist", NUM2),
+    Column("national_supply_per_scientist_rel", NUM2),
+    Column("intra_supply_per_scientist", NUM2),
+    Column("intra_supply_per_scientist_rel", NUM2),
+    Column("market_share", PCT2),
+    Column("market_share_per_scientist", PCT2),
+    Column("intra_over_national_supply", PCT2),
+)
+
+_REGION_STATS_COLUMNS = (
+    Column("region", TEXT),
+    Column("observations", INT),
+    Column("mean", NUM3),
+    Column("standard_error", NUM3),
+    Column("median", NUM3),
+    Column("minimum", NUM3),
+    Column("maximum", NUM3),
+    Column("zero_demand_sds", INT),
+)
+
+_AGGREGATE_COLUMNS = (
+    Column("region", TEXT),
+    Column("demand_per_scientist", NUM3),
+    Column("demand_per_scientist_rank", RANK),
+    Column("national_supply_per_scientist", NUM3),
+    Column("national_supply_per_scientist_rank", RANK),
+    Column("intra_supply_per_scientist", NUM3),
+    Column("intra_supply_per_scientist_rank", RANK),
+    Column("market_share_per_scientist", PCT3),
+    Column("market_share_per_scientist_rank", RANK),
+    Column("intra_over_national_supply", NUM3),
+    Column("intra_over_national_supply_rank", RANK),
+)
+
+_DELTA_COLUMNS = (
+    Column("region", TEXT),
+    Column("sds", TEXT),
+    Column("metric", TEXT),
+    Column("value_t0", NUM6),
+    Column("value_t1", NUM6),
+    Column("delta", NUM6),
+    Column("flag", TEXT),
+)
+
+# The indicator records' fields follow these column orders, so the builders
+# below pass the records through as rows.
+
+
 def regional_summary_table(rows: Sequence[RegionalSummary]) -> RenderedTable:
-    columns = (
-        Column("region", TEXT),
-        Column("supply_intra", INT),
-        Column("supply_extra", INT),
-        Column("supply_national", INT),
-        Column("demand_intra", INT),
-        Column("demand_extra", INT),
-        Column("demand_national", INT),
-        Column("net_difference", INT),
-        Column("market_share", PCT0),
-    )
-    grid = tuple(
-        (
-            r.region,
-            r.supply_intra,
-            r.supply_extra,
-            r.supply_national,
-            r.demand_intra,
-            r.demand_extra,
-            r.demand_national,
-            r.net_difference,
-            r.market_share,
-        )
-        for r in rows
-    )
-    return RenderedTable("table1_regional", columns, grid)
+    return RenderedTable("table1_regional", _REGIONAL_COLUMNS, tuple(rows))
 
 
 def sector_correspondence_table(sds: str, rows: Sequence[SectorCorrespondenceRow]) -> RenderedTable:
-    columns = (
-        Column("region", TEXT),
-        Column("scientists", NUM6),
-        Column("national_demand", INT),
-        Column("surplus", NUM6),
-        Column("demand_per_scientist", NUM2),
-        Column("demand_per_scientist_rel", NUM2),
-    )
-    grid = tuple(
-        (
-            r.region,
-            r.scientists,
-            r.national_demand,
-            r.surplus,
-            r.demand_per_scientist,
-            r.demand_per_scientist_rel,
-        )
-        for r in rows
-    )
-    return RenderedTable(f"table2_{sanitize_code(sds)}", columns, grid)
+    return RenderedTable(f"table2_{sanitize_code(sds)}", _CORRESPONDENCE_COLUMNS, tuple(rows))
 
 
 def sector_flows_table(sds: str, rows: Sequence[SectorFlowsRow]) -> RenderedTable:
-    columns = (
-        Column("region", TEXT),
-        Column("national_demand", INT),
-        Column("national_supply", INT),
-        Column("intra_supply", INT),
-        Column("national_supply_per_scientist", NUM2),
-        Column("national_supply_per_scientist_rel", NUM2),
-        Column("intra_supply_per_scientist", NUM2),
-        Column("intra_supply_per_scientist_rel", NUM2),
-        Column("market_share", PCT2),
-        Column("market_share_per_scientist", PCT2),
-        Column("intra_over_national_supply", PCT2),
-    )
-    grid = tuple(
-        (
-            r.region,
-            r.national_demand,
-            r.national_supply,
-            r.intra_supply,
-            r.national_supply_per_scientist,
-            r.national_supply_per_scientist_rel,
-            r.intra_supply_per_scientist,
-            r.intra_supply_per_scientist_rel,
-            r.market_share,
-            r.market_share_per_scientist,
-            r.intra_over_national_supply,
-        )
-        for r in rows
-    )
-    return RenderedTable(f"table3_{sanitize_code(sds)}", columns, grid)
+    return RenderedTable(f"table3_{sanitize_code(sds)}", _FLOWS_COLUMNS, tuple(rows))
 
 
 def region_stats_table(stats: RegionSectorStats) -> RenderedTable:
-    columns = (
-        Column("region", TEXT),
-        Column("observations", INT),
-        Column("mean", NUM3),
-        Column("standard_error", NUM3),
-        Column("median", NUM3),
-        Column("minimum", NUM3),
-        Column("maximum", NUM3),
-        Column("zero_demand_sds", INT),
-    )
-    grid = (
-        (
-            stats.region,
-            stats.observations,
-            stats.mean,
-            stats.standard_error,
-            stats.median,
-            stats.minimum,
-            stats.maximum,
-            stats.zero_demand_sds,
-        ),
-    )
-    return RenderedTable(f"table4_{sanitize_code(stats.region)}", columns, grid)
+    return RenderedTable(f"table4_{sanitize_code(stats.region)}", _REGION_STATS_COLUMNS, (stats,))
 
 
 def aggregate_table(rows: Sequence[AggregateRow]) -> RenderedTable:
-    columns = (
-        Column("region", TEXT),
-        Column("demand_per_scientist", NUM3),
-        Column("demand_per_scientist_rank", RANK),
-        Column("national_supply_per_scientist", NUM3),
-        Column("national_supply_per_scientist_rank", RANK),
-        Column("intra_supply_per_scientist", NUM3),
-        Column("intra_supply_per_scientist_rank", RANK),
-        Column("market_share_per_scientist", PCT3),
-        Column("market_share_per_scientist_rank", RANK),
-        Column("intra_over_national_supply", NUM3),
-        Column("intra_over_national_supply_rank", RANK),
-    )
-    grid = tuple(
-        (
-            r.region,
-            r.demand_per_scientist,
-            r.demand_per_scientist_rank,
-            r.national_supply_per_scientist,
-            r.national_supply_per_scientist_rank,
-            r.intra_supply_per_scientist,
-            r.intra_supply_per_scientist_rank,
-            r.market_share_per_scientist,
-            r.market_share_per_scientist_rank,
-            r.intra_over_national_supply,
-            r.intra_over_national_supply_rank,
-        )
-        for r in rows
-    )
-    return RenderedTable("table5_aggregate", columns, grid)
+    return RenderedTable("table5_aggregate", _AGGREGATE_COLUMNS, tuple(rows))
 
 
 def delta_table(deltas: Sequence[SnapshotDelta]) -> RenderedTable:
     """Long-format diff: one row per (region, sds, metric)."""
-    columns = (
-        Column("region", TEXT),
-        Column("sds", TEXT),
-        Column("metric", TEXT),
-        Column("value_t0", NUM6),
-        Column("value_t1", NUM6),
-        Column("delta", NUM6),
-        Column("flag", TEXT),
-    )
-    metrics = (
-        "surplus",
-        "demand_per_scientist",
-        "market_share",
-        "intra_over_national_supply",
-    )
-    grid = []
-    for cell in deltas:
-        for metric in metrics:
-            entry = getattr(cell, metric)
-            grid.append(
-                (
-                    cell.region,
-                    cell.sds,
-                    metric,
-                    entry.value_t0,
-                    entry.value_t1,
-                    entry.delta,
-                    entry.flag or "",
-                )
-            )
-    return RenderedTable("diff_report", columns, tuple(grid))
+    metrics = SnapshotDelta._fields[2:]
+    grid = [
+        (cell.region, cell.sds, metric, entry.value_t0, entry.value_t1, entry.delta,
+         entry.flag or "")
+        for cell in deltas
+        for metric, entry in zip(metrics, cell[2:])
+    ]
+    return RenderedTable("diff_report", _DELTA_COLUMNS, tuple(grid))
 
 
 def sanitize_code(code: str) -> str:
     """File-name-safe form of a sector code or region name."""
     cleaned = "".join(ch if ch.isalnum() or ch in "_-" else "-" for ch in code)
     return cleaned.strip("-") or "blank"
+
+
+def output_stems(codes: Iterable[str], what: str) -> dict[str, str]:
+    """File-name stem of each code, in code order.
+
+    Raises a ``ValidationError`` naming both codes when two codes share a
+    stem, since their files would overwrite each other.
+    """
+    stems: dict[str, str] = {}
+    owners: dict[str, str] = {}
+    for code in sorted(codes):
+        stem = sanitize_code(code)
+        if stem in owners:
+            raise ValidationError(
+                f"{what} {owners[stem]!r} and {code!r} would both write their "
+                f"outputs under the name {stem!r}"
+            )
+        owners[stem] = code
+        stems[code] = stem
+    return stems
 
 
 def _xml_text(text: str) -> str:

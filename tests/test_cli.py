@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from collabmarket.cli import main, run_pipeline
+from collabmarket.cli import _read_rows, main, run_pipeline
 from collabmarket.config import load_config, with_overrides
 from collabmarket.demo import demo_corpus, write_demo_corpus
+from collabmarket.indicators import SectorCorrespondenceRow, SectorFlowsRow
 from collabmarket.ingest import write_publications
+from collabmarket.report import render_table, sector_correspondence_table, sector_flows_table
 from collabmarket.resolve import resolution_report_rows, resolve_publication
+
+DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -235,11 +243,129 @@ class TestDiff:
         assert "region" in capsys.readouterr().err.lower()
 
 
+class TestDamagedSnapshot:
+    """diff names the damaged file, and the line for JSONL, and exits 1."""
+
+    @pytest.fixture
+    def snapshots(self, corpus, tmp_path):
+        for name in ("t0", "t1"):
+            assert main(["analyze", "--config", str(corpus["config"]),
+                         "--out", str(tmp_path / name)]) == 0
+        return tmp_path / "t0", tmp_path / "t1"
+
+    def _diff(self, snapshots, capsys):
+        t0, t1 = snapshots
+        rc = main(["diff", "--t0", str(t0), "--t1", str(t1),
+                   "--out", str(t0.parent / "delta")])
+        return rc, capsys.readouterr().err
+
+    def test_line_cut_short(self, snapshots, capsys):
+        path = snapshots[1] / "table2_ING-INF-01.jsonl"
+        text = path.read_text(encoding="utf-8")
+        cut = text.index("\n", len(text) // 2) - 5
+        path.write_text(text[:cut], encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:{text[:cut].count(chr(10)) + 1}: bad JSON" in err
+
+    def test_renamed_key(self, snapshots, capsys):
+        path = snapshots[0] / "table3_ING-INF-01.jsonl"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"market_share":', '"share":'), encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:1: expected an object with the keys region," in err
+
+    def test_manifest_without_regions(self, snapshots, capsys):
+        path = snapshots[1] / "snapshot.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["regions"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}: 'regions' is missing" in err
+
+
+@given(st.lists(st.floats() | st.none(), min_size=15, max_size=15),
+       st.lists(st.integers(0, 10**12), min_size=4, max_size=4))
+def test_jsonl_rows_read_back_as_rendered(numbers, counts):
+    """Rows rendered to JSONL come back through diff's reader unchanged,
+    down to the sign of a zero and the type of each number."""
+    numbers[0] = -0.0
+    f = iter(numbers)
+    correspondence = [
+        SectorCorrespondenceRow("Lazio", 2.5, counts[0], next(f), next(f), next(f)),
+        SectorCorrespondenceRow("Sicily", -0.0, counts[1], next(f), None, next(f)),
+    ]
+    flows = [SectorFlowsRow("Lazio", counts[2], counts[3], 0, *(next(f) for _ in range(7)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows, build in ((correspondence, sector_correspondence_table),
+                            (flows, sector_flows_table)):
+            table = build("ING-INF/01", rows)
+            path = Path(tmp) / f"{table.name}.jsonl"
+            path.write_text(render_table(table, "jsonl"), encoding="utf-8")
+            back = _read_rows(path, type(rows[0]))
+            assert [type(row) for row in back] == [type(row) for row in rows]
+            assert [[repr(v) for v in row] for row in back] == \
+                [[repr(v) for v in row] for row in rows]
+
+
+class TestOutputNames:
+    """Two sectors whose codes sanitize to one file name are refused."""
+
+    @pytest.fixture
+    def clashing(self, corpus, tmp_path):
+        taxonomy = tmp_path / "taxonomy.csv"
+        taxonomy.write_text("sds,uda\nING-INF/01,09\nING-INF-01,09\n", encoding="utf-8")
+        with open(corpus["roster"], encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        for row in rows[::2]:
+            row["sds"] = "ING-INF-01"
+        roster = tmp_path / "roster.csv"
+        with roster.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        return ["--config", str(corpus["config"]), "--taxonomy", str(taxonomy),
+                "--roster", str(roster)]
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Lazio"],
+    ])
+    def test_clash_exits_1_before_writing(self, clashing, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main([*command, *clashing, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "'ING-INF-01'" in err and "'ING-INF/01'" in err
+        assert not out.exists()
+
+
+def test_demo_outputs_match_recorded_digests(corpus, tmp_path):
+    """analyze and diff on the demo corpus write the bytes recorded in
+    demo_output_digests.json, which were taken from the implementation with
+    frozen-dataclass records. effective_config.txt is left out: it holds the
+    absolute paths of the run."""
+    config = str(corpus["config"])
+    assert main(["analyze", "--config", config, "--window", "1980:1981",
+                 "--out", str(tmp_path / "t0")]) == 0
+    assert main(["analyze", "--config", config, "--out", str(tmp_path / "t1")]) == 0
+    assert main(["diff", "--t0", str(tmp_path / "t0"), "--t1", str(tmp_path / "t1"),
+                 "--out", str(tmp_path / "delta")]) == 0
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for name in ("t0", "t1", "delta")
+        for path in sorted((tmp_path / name).rglob("*"))
+        if path.is_file() and path.name != "effective_config.txt"
+    }
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
 class TestPipeline:
     def test_repeated_affiliations_resolve_as_if_one_by_one(self, corpus, tmp_path):
         publications = demo_corpus()[0]
         repeated = publications + [
-            replace(pub, pub_id=f"{pub.pub_id}-copy", affiliations=pub.affiliations * 2)
+            pub._replace(pub_id=f"{pub.pub_id}-copy", affiliations=pub.affiliations * 2)
             for pub in publications
         ]
         path = tmp_path / "repeated.jsonl"

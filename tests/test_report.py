@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collabmarket.errors import UsageError
+from collabmarket.errors import UsageError, ValidationError
 from collabmarket.indicators import (
+    AggregateRow,
     MetricDelta,
     QuadrantPosition,
+    RegionalSummary,
     RegionSectorStats,
     SectorCorrespondenceRow,
+    SectorFlowsRow,
     SnapshotDelta,
 )
 from collabmarket.report import (
@@ -33,15 +36,19 @@ from collabmarket.report import (
     TEXT,
     Column,
     RenderedTable,
+    aggregate_table,
     delta_table,
     emit_quadrant_svg,
     format_cell,
+    output_stems,
     region_stats_table,
+    regional_summary_table,
     render_table,
     round_half_away,
     sanitize_code,
     sector_correspondence_table,
-    _format_number,
+    sector_flows_table,
+    _CSV_ENCODERS,
 )
 
 
@@ -92,11 +99,12 @@ class TestFormatCell:
         assert format_cell(4, RANK) == "4"
 
     def test_numeric_cache_matches_uncached_rounding(self):
-        for kind in (NUM2, NUM3, NUM6, PCT0, PCT2, PCT3):
-            for value in (1, 1.0, True, -0.0, 0.565, 2.675):
-                expected = _format_number.__wrapped__(float(value), kind)
-                assert format_cell(value, kind) == expected
-                assert format_cell(value, kind) == expected
+        for kind in (INT, RANK, NUM2, NUM3, NUM6, PCT0, PCT2, PCT3):
+            cached = _CSV_ENCODERS[kind]
+            for value in (1, 1.0, True, -0.0, 0.565, 2.675, None):
+                expected = format_cell(value, kind)
+                assert cached(value) == expected
+                assert cached(value) == expected
         assert format_cell(0.565, NUM2) == "0.57"
         assert format_cell(2.675, NUM2) == "2.68"
         assert format_cell(-0.0, NUM2) == "0.00"
@@ -111,6 +119,22 @@ SAMPLE = RenderedTable(
     (Column("region", TEXT), Column("share", PCT2), Column("count", INT)),
     ((("Lazio"), 0.41772, 4), (("Veneto"), None, 0)),
 )
+
+
+ALL_KINDS = tuple(
+    Column(f"c{i}", kind)
+    for i, kind in enumerate((TEXT, INT, RANK, NUM2, NUM3, NUM6, PCT0, PCT2, PCT3))
+)
+
+# Values of the non-text columns: equal values of different types and both
+# zeros; NaN only where format_cell takes it, not in the integer kinds.
+# Infinities are left out because format_cell rejects them.
+_WHOLE = (
+    st.sampled_from([None, 0.0, -0.0, 1, 1.0, True, False])
+    | st.integers(-10**15, 10**15)
+    | st.floats(-1e15, 1e15)
+)
+_NUMBERS = _WHOLE | st.just(float("nan"))
 
 
 class TestRenderTable:
@@ -143,6 +167,26 @@ class TestRenderTable:
             for text, n, x in rows
         )
         assert render_table(RenderedTable("t", columns, tuple(rows)), "jsonl") == expected
+
+    @given(st.lists(st.tuples(
+        st.none() | st.text() | st.integers() | st.floats() | st.booleans(),
+        _WHOLE, _WHOLE, *[_NUMBERS] * 6,
+    ), max_size=6))
+    def test_csv_matches_format_cell(self, rows):
+        """Each column's bound encoder writes what format_cell writes."""
+        table = RenderedTable("t", ALL_KINDS, tuple(rows))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow([c.name for c in ALL_KINDS])
+        for row in rows:
+            writer.writerow([format_cell(v, c.kind) for v, c in zip(row, ALL_KINDS)])
+        assert render_table(table, "csv") == buffer.getvalue()
+
+    def test_unknown_kind_is_usage_error(self):
+        table = RenderedTable("t", (Column("x", "money"),), ((1,),))
+        for fmt in ("csv", "jsonl"):
+            with pytest.raises(UsageError, match="money"):
+                render_table(table, fmt)
 
     def test_unknown_format(self):
         with pytest.raises(UsageError):
@@ -190,6 +234,19 @@ class TestTableBuilders:
         assert lines[4] == "Lazio,S1,intra_over_national_supply,NA,NA,NA,"
 
 
+class TestRecordsAreRows:
+    @pytest.mark.parametrize("record, table", [
+        (RegionalSummary, regional_summary_table([])),
+        (SectorCorrespondenceRow, sector_correspondence_table("S1", [])),
+        (SectorFlowsRow, sector_flows_table("S1", [])),
+        (RegionSectorStats, region_stats_table(
+            RegionSectorStats("Lazio", 0, None, None, None, None, None, 0))),
+        (AggregateRow, aggregate_table([])),
+    ])
+    def test_record_fields_are_the_table_columns(self, record, table):
+        assert record._fields == tuple(c.name for c in table.columns)
+
+
 class TestSanitizeCode:
     def test_slash_becomes_dash(self):
         assert sanitize_code("ING-INF/01") == "ING-INF-01"
@@ -199,6 +256,18 @@ class TestSanitizeCode:
 
     def test_safe_chars_kept(self):
         assert sanitize_code("FIS_01-x") == "FIS_01-x"
+
+    def test_output_stems_map_each_code(self):
+        assert output_stems(["FIS/01", "ING-INF/01"], "sectors") == {
+            "FIS/01": "FIS-01", "ING-INF/01": "ING-INF-01",
+        }
+
+    @pytest.mark.parametrize("first, second", [("ING-INF/01", "ING-INF-01"), ("A B", "A-B")])
+    def test_shared_stem_names_both_codes(self, first, second):
+        with pytest.raises(ValidationError) as err:
+            output_stems([second, first], "regions")
+        message = str(err.value)
+        assert repr(first) in message and repr(second) in message
 
 
 class TestQuadrantSvg:
