@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .collab import (
     corpus_totals,
@@ -50,9 +52,11 @@ from .indicators import (
 )
 from .ingest import (
     LoadReport,
+    _json_line,
     filter_hard_sciences,
     load_publications,
     load_registries,
+    not_utf8,
     partition_resolvable,
 )
 from .model import (
@@ -105,8 +109,30 @@ class PipelineResult:
     sds_events: list[SDSCollaboration]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its state.
+
+    The pipeline allocates its records in bulk and keeps them: immutable
+    tuples that form no reference cycles, yet tuple subclasses are never
+    untracked, so every full collection walks all of them again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> PipelineResult:
-    """Load, resolve, attribute, filter, and derive events."""
+    """Load, resolve, attribute, filter, and derive events.
+
+    The cyclic garbage collector stays paused meanwhile (see
+    ``_collector_paused``).
+    """
     config.require_inputs()
     registry = load_registries(
         config.organizations,
@@ -339,31 +365,39 @@ def cmd_region(config: RunConfig, name: str) -> int:
     return 0
 
 
-# json's C scanner; json.loads wraps each call to it in two Python-level
-# calls and two regular expression matches.
-_scan_json = json.JSONDecoder().scan_once
-
-
-def _json_line(line: str) -> object:
-    """The value on one non-blank line, exactly as ``json.loads`` reads it."""
-    try:
-        value, end = _scan_json(line, 0)
-        if line[end:] in ("\n", ""):
-            return value
-    except (StopIteration, json.JSONDecodeError):
-        pass
-    # Surrounding whitespace, extra data and errors take json's own path.
-    return json.loads(line)
+# The fields diff reads from each table and the JSON values they may hold;
+# any other value, a boolean included, would fail inside snapshot_diff.
+_NUMBER_OR_NULL = (int, float, type(None))
+_READ_FIELDS = {
+    SectorCorrespondenceRow: {
+        "region": (str,),
+        "surplus": _NUMBER_OR_NULL,
+        "demand_per_scientist": _NUMBER_OR_NULL,
+    },
+    SectorFlowsRow: {
+        "region": (str,),
+        "market_share": _NUMBER_OR_NULL,
+        "intra_over_national_supply": _NUMBER_OR_NULL,
+    },
+}
+_JSON_TYPE_NAMES = {
+    str: "a string", int: "a number", float: "a number", bool: "a boolean",
+    type(None): "null", list: "an array", dict: "an object",
+}
 
 
 def _read_rows(path: Path, row_type: type) -> tuple:
     """Records of one table from its JSONL twin, in one pass over the file.
 
     Each non-blank line must hold an object whose keys are the record's
-    fields in order, as ``render_table`` writes them.
+    fields in order, as ``render_table`` writes them, and whose values of the
+    fields diff reads have the JSON type of their column.
     """
     fields = row_type._fields
     make = row_type._make
+    checks = [
+        (fields.index(name), name, kinds) for name, kinds in _READ_FIELDS.get(row_type, {}).items()
+    ]
     rows = []
     try:
         with path.open(encoding="utf-8") as handle:
@@ -379,9 +413,20 @@ def _read_rows(path: Path, row_type: type) -> tuple:
                         f"{path}:{line_no}: expected an object with the keys "
                         f"{', '.join(fields)}"
                     )
-                rows.append(make(obj.values()))
-    except (OSError, UnicodeDecodeError) as exc:
+                row = make(obj.values())
+                for index, name, kinds in checks:
+                    if type(row[index]) not in kinds:
+                        expected = " or ".join(dict.fromkeys(_JSON_TYPE_NAMES[k] for k in kinds))
+                        raise DiffError(
+                            f"{path}:{line_no}: {name} is "
+                            f"{_JSON_TYPE_NAMES[type(row[index])]}, expected {expected}"
+                        )
+                rows.append(row)
+    except OSError as exc:
         raise DiffError(f"{path}: cannot read: {exc}") from None
+    except UnicodeDecodeError:
+        line_no, message = not_utf8(path)
+        raise DiffError(f"{path}:{line_no}: {message}") from None
     return tuple(rows)
 
 

@@ -46,18 +46,15 @@ def derive_ue_events(
             "resolved university and a resolved enterprise; the corpus filter "
             "should have excluded it"
         )
-    return [
-        UECollaboration(
-            pub.pub_id,
-            u,
-            registry.region_of(u),
-            e,
-            registry.region_of(e),
-            pub.year,
-        )
-        for u in universities
-        for e in enterprises
-    ]
+    by_id = registry.by_id
+    pub_id, year = pub.pub_id, pub.year
+    enterprise_regions = [(e, by_id[e].region) for e in enterprises]
+    events = []
+    for u in universities:
+        u_region = by_id[u].region
+        for e, e_region in enterprise_regions:
+            events.append(UECollaboration(pub_id, u, u_region, e, e_region, year))
+    return events
 
 
 def derive_sds_events(
@@ -77,8 +74,9 @@ def derive_sds_events(
     if region_split not in SDS_REGION_SPLITS:
         raise ValueError(f"unknown region split {region_split!r}")
     enterprises = resolved_org_ids(resolutions, registry, ENTERPRISE)
+    by_id = registry.by_id
     pairs = {
-        (a.sds, registry.region_of(a.university_id))
+        (a.sds, by_id[a.university_id].region)
         for a in attributions
         if a.sds is not None and a.university_id is not None
     }
@@ -97,19 +95,15 @@ def derive_sds_events(
         for sds, region in sorted(pairs):
             first_region.setdefault(sds, region)
         pairs = set(first_region.items())
-    return [
-        SDSCollaboration(
-            pub.pub_id,
-            sds,
-            registry.taxonomy.uda_of(sds),
-            supply_region,
-            e,
-            registry.region_of(e),
-            pub.year,
-        )
-        for sds, supply_region in sorted(pairs)
-        for e in enterprises
-    ]
+    parent_uda = registry.taxonomy.parent_uda
+    pub_id, year = pub.pub_id, pub.year
+    enterprise_regions = [(e, by_id[e].region) for e in enterprises]
+    events = []
+    for sds, supply_region in sorted(pairs):
+        uda = parent_uda[sds]
+        for e, e_region in enterprise_regions:
+            events.append(SDSCollaboration(pub_id, sds, uda, supply_region, e, e_region, year))
+    return events
 
 
 def sort_ue_events(events: Iterable[UECollaboration]) -> list[UECollaboration]:

@@ -16,6 +16,7 @@ from typing import Mapping
 from .collab import SDS_REGION_SPLITS
 from .errors import UsageError
 from .indicators import AGGREGATION_NA_POLICIES
+from .ingest import not_utf8
 from .resolve import AMBIGUITY_POLICIES
 
 ITALIAN_REGIONS: tuple[str, ...] = (
@@ -121,6 +122,9 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        line_no, message = not_utf8(path)
+        raise UsageError(f"{path}:{line_no}: {message}") from None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):

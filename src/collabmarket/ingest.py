@@ -11,6 +11,11 @@ roster        CSV with header ``surname,initials,university_id,sds,uda,
               active_years,headcount_weight``; active_years ``|``-separated.
 taxonomy      CSV with header ``sds,uda``.
 
+CSV columns are found by header name, in any order, and extra columns are
+ignored; blank lines are skipped and short rows read as empty cells. Every
+input must be UTF-8: a byte that is not raises a ``ParseError`` naming the
+file and the line.
+
 Loaders raise on the first bad record by default. When a ``diagnostics`` list
 is passed, record-level problems are appended to it as messages and the record
 is skipped instead, so a validation pass can report many issues at once.
@@ -20,9 +25,11 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CollabMarketError, ParseError, ReferentialError, ValidationError
 from .model import (
@@ -59,22 +66,41 @@ def _report(exc: CollabMarketError, diagnostics: list[str] | None) -> None:
     diagnostics.append(str(exc))
 
 
-def _parse_author(raw: object, path: Path, line_no: int) -> AuthorName:
-    if not isinstance(raw, dict) or not isinstance(raw.get("surname"), str) \
-            or not isinstance(raw.get("initials"), str):
-        raise ParseError(path, line_no, "author entries need string surname and initials")
-    surname = normalize_name(raw["surname"])
-    initials = normalize_initials(raw["initials"])
-    if not surname:
-        raise ParseError(path, line_no, f"author surname {raw['surname']!r} is empty once normalized")
-    if not 1 <= len(initials) <= 3:
-        raise ParseError(path, line_no, f"initials {raw['initials']!r} must yield 1-3 letters")
-    return AuthorName(surname, initials)
+# json's C scanner; json.loads wraps each call to it in two Python-level
+# calls and two regular expression matches.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str) -> object:
+    """The value on one non-blank line, exactly as ``json.loads`` reads it."""
+    try:
+        value, end = _scan_json(line, 0)
+        if line[end:] in ("\n", ""):
+            return value
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    # Surrounding whitespace, extra data and errors take json's own path.
+    return json.loads(line)
+
+
+def not_utf8(path: Path) -> tuple[int, str]:
+    """Line number and message for a file whose UTF-8 decoding failed.
+
+    A text decoder reads in chunks, so the offset it reports is no help; the
+    file is read again as bytes, on this error path only, to find the line.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = " ".join(f"{byte:#04x}" for byte in data[exc.start:exc.end])
+        return data.count(b"\n", 0, exc.start) + 1, f"not valid UTF-8 ({exc.reason} {bad})"
+    return 1, "not valid UTF-8"
 
 
 def _parse_publication(line: str, path: Path, line_no: int) -> PublicationRecord:
     try:
-        obj = json.loads(line)
+        obj = _json_line(line)
     except json.JSONDecodeError as exc:
         raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
@@ -97,8 +123,22 @@ def _parse_publication(line: str, path: Path, line_no: int) -> PublicationRecord
         raise ValidationError(
             f"{path}:{line_no}: publication {pub_id!r} needs at least one non-blank affiliation"
         )
-    parsed_authors = tuple(_parse_author(a, path, line_no) for a in authors)
-    return PublicationRecord(pub_id, year, parsed_authors, tuple(affiliations))
+    parsed_authors = []
+    for raw in authors:
+        if isinstance(raw, dict):
+            surname, initials = raw.get("surname"), raw.get("initials")
+        else:
+            surname = initials = None
+        if not isinstance(surname, str) or not isinstance(initials, str):
+            raise ParseError(path, line_no, "author entries need string surname and initials")
+        key = normalize_name(surname)
+        letters = normalize_initials(initials)
+        if not key:
+            raise ParseError(path, line_no, f"author surname {surname!r} is empty once normalized")
+        if not 1 <= len(letters) <= 3:
+            raise ParseError(path, line_no, f"initials {initials!r} must yield 1-3 letters")
+        parsed_authors.append(AuthorName(key, letters))
+    return PublicationRecord(pub_id, year, tuple(parsed_authors), tuple(affiliations))
 
 
 def load_publications(
@@ -115,24 +155,27 @@ def load_publications(
     records: list[PublicationRecord] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = _parse_publication(line, path, line_no)
-            except (ParseError, ValidationError) as exc:
-                _report(exc, diagnostics)
-                continue
-            if record.pub_id in seen:
-                _report(
-                    ValidationError(f"{path}:{line_no}: duplicate pub_id {record.pub_id!r}"),
-                    diagnostics,
-                )
-                continue
-            seen.add(record.pub_id)
-            if window is not None and not window[0] <= record.year <= window[1]:
-                continue
-            records.append(record)
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = _parse_publication(line, path, line_no)
+                except (ParseError, ValidationError) as exc:
+                    _report(exc, diagnostics)
+                    continue
+                if record.pub_id in seen:
+                    _report(
+                        ValidationError(f"{path}:{line_no}: duplicate pub_id {record.pub_id!r}"),
+                        diagnostics,
+                    )
+                    continue
+                seen.add(record.pub_id)
+                if window is not None and not window[0] <= record.year <= window[1]:
+                    continue
+                records.append(record)
+        except UnicodeDecodeError:
+            raise ParseError(path, *not_utf8(path)) from None
     return records
 
 
@@ -152,27 +195,52 @@ def write_publications(records: Iterable[PublicationRecord], path: str | Path) -
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _open_csv(path: Path, expected: tuple[str, ...]) -> tuple[csv.DictReader, object]:
-    handle = path.open(encoding="utf-8", newline="")
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        handle.close()
-        raise ParseError(path, 1, "missing header row")
-    missing = [c for c in expected if c not in reader.fieldnames]
-    if missing:
-        handle.close()
-        raise ParseError(path, 1, f"header lacks columns: {', '.join(missing)}")
-    return reader, handle
+@contextmanager
+def _csv_rows(
+    path: Path, columns: tuple[str, ...]
+) -> Iterator[Iterator[tuple[int, tuple[str, ...]]]]:
+    """The data rows of a CSV file as (line number, cells of ``columns``).
+
+    Columns are found by header name, in any order; of two columns with the
+    same name the last wins and columns not asked for are ignored. Blank
+    lines are skipped and short rows read as empty cells: ``csv.DictReader``
+    reads a file the same way. Text that is not UTF-8, or that the csv module
+    cannot parse, raises a ``ParseError`` naming the line.
+    """
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(path, 1, "missing header row")
+            index = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in index]
+            if missing:
+                raise ParseError(path, 1, f"header lacks columns: {', '.join(missing)}")
+            yield _cells(reader, [index[c] for c in columns])
+        except UnicodeDecodeError:
+            raise ParseError(path, *not_utf8(path)) from None
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"unreadable CSV row: {exc}") from None
+
+
+def _cells(reader, positions: list[int]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    pick = itemgetter(*positions)  # every table has two or more columns
+    width = max(positions) + 1
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        yield reader.line_num, pick(row)
 
 
 def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> SectorTaxonomy:
-    reader, handle = _open_csv(path, TAXONOMY_COLUMNS)
     parent: dict[str, str] = {}
-    with handle:
-        for row in reader:
-            line_no = reader.line_num
-            sds = (row["sds"] or "").strip()
-            uda = (row["uda"] or "").strip()
+    with _csv_rows(path, TAXONOMY_COLUMNS) as rows:
+        for line_no, (sds, uda) in rows:
+            sds = sds.strip()
+            uda = uda.strip()
             if not sds or not uda:
                 _report(ParseError(path, line_no, "sds and uda must be non-empty"), diagnostics)
                 continue
@@ -192,17 +260,15 @@ def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> SectorTaxonomy:
 def _load_organizations(
     path: Path, regions: Sequence[str] | None, diagnostics: list[str] | None
 ) -> list[Organization]:
-    reader, handle = _open_csv(path, ORG_COLUMNS)
     region_set = set(regions) if regions is not None else None
     organizations: list[Organization] = []
     seen: set[str] = set()
-    with handle:
-        for row in reader:
-            line_no = reader.line_num
-            org_id = (row["org_id"] or "").strip()
-            kind = (row["kind"] or "").strip()
-            region = (row["region"] or "").strip()
-            canonical = (row["canonical_name"] or "").strip()
+    with _csv_rows(path, ORG_COLUMNS) as rows:
+        for line_no, (org_id, kind, region, canonical, aliases) in rows:
+            org_id = org_id.strip()
+            kind = kind.strip()
+            region = region.strip()
+            canonical = canonical.strip()
             if not org_id:
                 _report(ParseError(path, line_no, "org_id must be non-empty"), diagnostics)
                 continue
@@ -233,12 +299,58 @@ def _load_organizations(
                     diagnostics,
                 )
                 continue
-            aliases = [a.strip() for a in (row["aliases"] or "").split("|") if a.strip()]
-            if canonical not in aliases:
-                aliases.insert(0, canonical)
+            names = [a.strip() for a in aliases.split("|") if a.strip()]
+            if canonical not in names:
+                names.insert(0, canonical)
             seen.add(org_id)
-            organizations.append(Organization(org_id, canonical, tuple(aliases), kind, region))
+            organizations.append(Organization(org_id, canonical, tuple(names), kind, region))
     return organizations
+
+
+def _referential_error(
+    path: Path,
+    line_no: int,
+    surname: str,
+    university_id: str,
+    sds: str,
+    uda: str,
+    by_id: Mapping[str, Organization],
+    taxonomy: SectorTaxonomy,
+) -> ReferentialError:
+    """The first failing check of a roster row whose name is valid but whose
+    university or sector is not."""
+    org = by_id.get(university_id)
+    if org is None:
+        return ReferentialError(
+            f"{path}:{line_no}: roster row for {surname!r} references "
+            f"unknown university_id {university_id!r}"
+        )
+    if org.kind != UNIVERSITY:
+        return ReferentialError(
+            f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
+            "roster entries must point at universities"
+        )
+    if sds not in taxonomy:
+        return ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy")
+    # The only check left: the row names another parent for its sds.
+    return ReferentialError(
+        f"{path}:{line_no}: sds {sds!r} belongs to uda "
+        f"{taxonomy.uda_of(sds)!r}, row says {uda!r}"
+    )
+
+
+def _parse_years(raw: str) -> frozenset[int] | None:
+    try:
+        return frozenset(int(y) for y in raw.split("|") if y.strip())
+    except ValueError:
+        return None
+
+
+def _parse_weight(raw: str) -> float | None:
+    try:
+        return float(raw)
+    except ValueError:
+        return None
 
 
 def _load_roster(
@@ -247,76 +359,59 @@ def _load_roster(
     taxonomy: SectorTaxonomy,
     diagnostics: list[str] | None,
 ) -> list[ScientistRosterEntry]:
-    reader, handle = _open_csv(path, ROSTER_COLUMNS)
+    universities = {org_id for org_id, org in by_id.items() if org.kind == UNIVERSITY}
+    parent_uda = taxonomy.parent_uda
+    # A roster repeats a handful of year lists and weights over many rows;
+    # rows share one parsed value per distinct raw string.
+    years_of: dict[str, frozenset[int] | None] = {}
+    weight_of: dict[str, float | None] = {}
     roster: list[ScientistRosterEntry] = []
-    with handle:
-        for row in reader:
-            line_no = reader.line_num
-            surname = normalize_name(row["surname"] or "")
-            initials = normalize_initials(row["initials"] or "")
-            university_id = (row["university_id"] or "").strip()
-            sds = (row["sds"] or "").strip()
-            uda = (row["uda"] or "").strip()
+    with _csv_rows(path, ROSTER_COLUMNS) as rows:
+        for line_no, (surname, initials, university_id, sds, uda, years, weight) in rows:
+            surname = normalize_name(surname)
+            initials = normalize_initials(initials)
+            university_id = university_id.strip()
+            sds = sds.strip()
+            uda = uda.strip()
             if not surname or not 1 <= len(initials) <= 3:
                 _report(
                     ParseError(path, line_no, "roster rows need a surname and 1-3 initials"),
                     diagnostics,
                 )
                 continue
-            org = by_id.get(university_id)
-            if org is None:
+            if university_id not in universities or parent_uda.get(sds) != uda:
                 _report(
-                    ReferentialError(
-                        f"{path}:{line_no}: roster row for {surname!r} references "
-                        f"unknown university_id {university_id!r}"
+                    _referential_error(
+                        path, line_no, surname, university_id, sds, uda, by_id, taxonomy
                     ),
                     diagnostics,
                 )
                 continue
-            if org.kind != UNIVERSITY:
-                _report(
-                    ReferentialError(
-                        f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
-                        "roster entries must point at universities"
-                    ),
-                    diagnostics,
-                )
-                continue
-            if sds not in taxonomy:
-                _report(
-                    ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy"),
-                    diagnostics,
-                )
-                continue
-            if uda != taxonomy.uda_of(sds):
-                _report(
-                    ReferentialError(
-                        f"{path}:{line_no}: sds {sds!r} belongs to uda "
-                        f"{taxonomy.uda_of(sds)!r}, row says {uda!r}"
-                    ),
-                    diagnostics,
-                )
-                continue
-            try:
-                years = frozenset(int(y) for y in (row["active_years"] or "").split("|") if y.strip())
-                weight = float(row["headcount_weight"] or "")
-            except ValueError:
+            if years not in years_of:
+                years_of[years] = _parse_years(years)
+            if weight not in weight_of:
+                weight_of[weight] = _parse_weight(weight)
+            active_years = years_of[years]
+            headcount = weight_of[weight]
+            if active_years is None or headcount is None:
                 _report(
                     ParseError(path, line_no, "active_years must be integers and headcount_weight a number"),
                     diagnostics,
                 )
                 continue
-            if not years:
+            if not active_years:
                 _report(ParseError(path, line_no, "active_years must not be empty"), diagnostics)
                 continue
-            if not weight > 0:
+            if not headcount > 0:
                 _report(
                     ValidationError(f"{path}:{line_no}: headcount_weight must be positive"),
                     diagnostics,
                 )
                 continue
             roster.append(
-                ScientistRosterEntry(surname, initials, university_id, sds, uda, years, weight)
+                ScientistRosterEntry(
+                    surname, initials, university_id, sds, uda, active_years, headcount
+                )
             )
     return roster
 
@@ -331,8 +426,8 @@ def load_registries(
     """Load and cross-validate the three registries into one model."""
     taxonomy = _load_taxonomy(Path(taxonomy_path), diagnostics)
     organizations = _load_organizations(Path(org_path), regions, diagnostics)
-    registry = Registry.build(organizations, (), taxonomy)
-    roster = _load_roster(Path(roster_path), registry.by_id, taxonomy, diagnostics)
+    by_id = {org.org_id: org for org in organizations}
+    roster = _load_roster(Path(roster_path), by_id, taxonomy, diagnostics)
     return Registry.build(organizations, roster, taxonomy)
 
 

@@ -58,6 +58,10 @@ def _normalize_once(raw: str) -> str:
 def _normalize_unicode(raw: str) -> str:
     """The general normalization path, correct for any input."""
     text = _normalize_once(raw)
+    if text.isascii():
+        # Already a fixpoint: the pass changes nothing in ASCII letters,
+        # digits and single spaces.
+        return text
     # casefold can introduce characters that decompose again (rare); iterate
     # to a fixpoint so idempotence holds for arbitrary input.
     for _ in range(3):
@@ -191,12 +195,10 @@ def resolved_org_ids(
     resolutions: Iterable[AffiliationResolution], registry: Registry, kind: str
 ) -> tuple[str, ...]:
     """Distinct resolved org ids of one kind, sorted for determinism."""
-    ids = {
-        r.org_id
-        for r in resolutions
-        if r.org_id is not None and registry.by_id[r.org_id].kind == kind
-    }
-    return tuple(sorted(ids))
+    by_id = registry.by_id
+    return tuple(sorted({
+        r.org_id for r in resolutions if r.org_id is not None and by_id[r.org_id].kind == kind
+    }))
 
 
 def attribute_authors(
@@ -218,31 +220,33 @@ def attribute_authors(
     """
     if policy not in AMBIGUITY_POLICIES:
         raise ValueError(f"unknown ambiguity policy {policy!r}")
-    registry = resolver.registry
-    listed = set(resolved_org_ids(resolutions, registry, UNIVERSITY))
+    listed = resolved_org_ids(resolutions, resolver.registry, UNIVERSITY)
+    if not listed:
+        return ()
+    roster_index = resolver.roster_index
+    pub_id, year = pub.pub_id, pub.year
     out: list[AuthorAttribution] = []
     for index, author in enumerate(pub.authors):
-        entries = resolver.roster_index.get((author.surname, author.initials), ())
-        candidates = sorted(
-            {
-                (e.university_id, e.sds)
-                for e in entries
-                if e.university_id in listed and pub.year in e.active_years
-            }
-        )
+        # An AuthorName equals the (surname, initials) key it holds.
+        entries = roster_index.get(author)
+        if entries is None:
+            continue
+        candidates = {
+            (e.university_id, e.sds)
+            for e in entries
+            if e.university_id in listed and year in e.active_years
+        }
         if not candidates:
             continue
         if len(candidates) == 1:
-            university_id, sds = candidates[0]
-            out.append(AuthorAttribution(pub.pub_id, index, university_id, sds, UNIQUE))
+            ((university_id, sds),) = candidates
+            out.append(AuthorAttribution(pub_id, index, university_id, sds, UNIQUE))
         elif policy == "strict":
-            out.append(AuthorAttribution(pub.pub_id, index, None, None, AMBIGUOUS_SKIPPED))
+            out.append(AuthorAttribution(pub_id, index, None, None, AMBIGUOUS_SKIPPED))
         else:
             for sds in sorted({sds for _, sds in candidates}):
                 university_id = min(u for u, s in candidates if s == sds)
-                out.append(
-                    AuthorAttribution(pub.pub_id, index, university_id, sds, AMBIGUOUS_ALL)
-                )
+                out.append(AuthorAttribution(pub_id, index, university_id, sds, AMBIGUOUS_ALL))
     return tuple(out)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from collabmarket.cli import _read_rows, main, run_pipeline
 from collabmarket.config import load_config, with_overrides
 from collabmarket.demo import demo_corpus, write_demo_corpus
+from collabmarket.errors import CollabMarketError
 from collabmarket.indicators import SectorCorrespondenceRow, SectorFlowsRow
 from collabmarket.ingest import write_publications
 from collabmarket.report import render_table, sector_correspondence_table, sector_flows_table
@@ -85,6 +87,28 @@ class TestValidate:
         err = capsys.readouterr().err
         assert rc == 2
         assert flag.lstrip("-") in err and str(absent) in err
+        assert "Traceback" not in err
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in any input exits cleanly, naming the file
+    and the line: 1 for a data file, 2 for the config file."""
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("key, rc", [
+        ("publications", 1), ("organizations", 1), ("roster", 1), ("taxonomy", 1), ("config", 2),
+    ])
+    def test_names_file_and_line(self, corpus, tmp_path, capsys, command, key, rc):
+        copied = {name: tmp_path / Path(path).name for name, path in corpus.items()}
+        for name, path in corpus.items():
+            copied[name].write_bytes(Path(path).read_bytes())
+        lines = copied[key].read_bytes().split(b"\n")
+        lines[2] = lines[2][:4] + b"\xff" + lines[2][4:]
+        copied[key].write_bytes(b"\n".join(lines))
+        assert main([command, "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "out")]) == rc
+        err = capsys.readouterr().err
+        assert f"{copied[key]}:3: not valid UTF-8 (invalid start byte 0xff)" in err
         assert "Traceback" not in err
 
 
@@ -276,6 +300,22 @@ class TestDamagedSnapshot:
         assert rc == 1
         assert f"{path}:1: expected an object with the keys region," in err
 
+    @pytest.mark.parametrize("table, old, new, message", [
+        ("table2", '"surplus": 2.0', '"surplus": "12"',
+         "surplus is a string, expected a number or null"),
+        ("table3", '"market_share": 1.0', '"market_share": true',
+         "market_share is a boolean, expected a number or null"),
+        ("table2", '"region": "Abruzzo"', '"region": 7', "region is a number, expected a string"),
+    ])
+    def test_value_of_the_wrong_type(self, snapshots, capsys, table, old, new, message):
+        path = snapshots[1] / f"{table}_ING-INF-01.jsonl"
+        text = path.read_text(encoding="utf-8")
+        assert old in text.splitlines()[0]
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:1: {message}" in err
+
     def test_manifest_without_regions(self, snapshots, capsys):
         path = snapshots[1] / "snapshot.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -378,3 +418,18 @@ class TestPipeline:
         assert resolution_report_rows(
             result.publications, result.resolutions, result.attributions
         ) == resolution_report_rows(result.publications, one_by_one, result.attributions)
+
+
+def test_pipeline_leaves_the_garbage_collector_as_it_found_it(corpus, tmp_path):
+    config = load_config(corpus["config"])
+    missing = with_overrides(config, roster=str(tmp_path / "absent.csv"))
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_pipeline(config)
+            assert gc.isenabled() is enabled
+            with pytest.raises(CollabMarketError):
+                run_pipeline(missing)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from collabmarket.errors import ParseError, ReferentialError, ValidationError
+from collabmarket.errors import CollabMarketError, ParseError, ReferentialError, ValidationError
 from collabmarket.ingest import (
+    ROSTER_COLUMNS,
+    _load_roster,
     filter_hard_sciences,
     load_publications,
     load_registries,
     partition_resolvable,
     write_publications,
 )
-from collabmarket.model import ENTERPRISE, UNIVERSITY
-from collabmarket.resolve import Resolver, attribute_authors, resolve_publication
+from collabmarket.model import ENTERPRISE, UNIVERSITY, ScientistRosterEntry, SectorTaxonomy
+from collabmarket.resolve import (
+    Resolver,
+    attribute_authors,
+    normalize_initials,
+    normalize_name,
+    resolve_publication,
+)
 
-from conftest import make_pub
+from conftest import make_org, make_pub
 
 
 def _write_jsonl(path, records):
@@ -245,6 +257,17 @@ class TestLoadRegistries:
         with pytest.raises(ValidationError):
             load_registries(*paths)
 
+    def test_row_the_csv_module_cannot_read_is_parse_error(self, tmp_path):
+        field = "x" * (csv.field_size_limit() + 1)
+        paths = _write_registry_files(
+            tmp_path,
+            orgs="U1,university,Lazio,Uni,\n",
+            roster=f"rossi,M,U1,ING-INF/01,09,2002,1.0\nbianchi,G,U1,ING-INF/01,09,2002,{field}\n",
+        )
+        with pytest.raises(ParseError) as err:
+            load_registries(*paths, diagnostics=[])
+        assert str(err.value).startswith(f"{paths[1]}:3: unreadable CSV row: field larger")
+
     def test_diagnostics_collects_multiple(self, tmp_path):
         paths = _write_registry_files(
             tmp_path,
@@ -257,6 +280,159 @@ class TestLoadRegistries:
         registry = load_registries(*paths, diagnostics=diagnostics)
         assert len(diagnostics) == 2
         assert [e.university_id for e in registry.roster] == ["U1"]
+
+
+def _reference_load_roster(path, by_id, taxonomy, diagnostics):
+    """The roster loader as it read rows through ``csv.DictReader``."""
+
+    def report(exc):
+        if diagnostics is None:
+            raise exc
+        diagnostics.append(str(exc))
+
+    roster = []
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise ParseError(path, 1, "missing header row")
+        missing = [c for c in ROSTER_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ParseError(path, 1, f"header lacks columns: {', '.join(missing)}")
+        for row in reader:
+            line_no = reader.line_num
+            surname = normalize_name(row["surname"] or "")
+            initials = normalize_initials(row["initials"] or "")
+            university_id = (row["university_id"] or "").strip()
+            sds = (row["sds"] or "").strip()
+            uda = (row["uda"] or "").strip()
+            if not surname or not 1 <= len(initials) <= 3:
+                report(ParseError(path, line_no, "roster rows need a surname and 1-3 initials"))
+                continue
+            org = by_id.get(university_id)
+            if org is None:
+                report(ReferentialError(
+                    f"{path}:{line_no}: roster row for {surname!r} references "
+                    f"unknown university_id {university_id!r}"
+                ))
+                continue
+            if org.kind != UNIVERSITY:
+                report(ReferentialError(
+                    f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
+                    "roster entries must point at universities"
+                ))
+                continue
+            if sds not in taxonomy:
+                report(ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy"))
+                continue
+            if uda != taxonomy.uda_of(sds):
+                report(ReferentialError(
+                    f"{path}:{line_no}: sds {sds!r} belongs to uda "
+                    f"{taxonomy.uda_of(sds)!r}, row says {uda!r}"
+                ))
+                continue
+            try:
+                years = frozenset(
+                    int(y) for y in (row["active_years"] or "").split("|") if y.strip()
+                )
+                weight = float(row["headcount_weight"] or "")
+            except ValueError:
+                report(ParseError(
+                    path, line_no, "active_years must be integers and headcount_weight a number"
+                ))
+                continue
+            if not years:
+                report(ParseError(path, line_no, "active_years must not be empty"))
+                continue
+            if not weight > 0:
+                report(ValidationError(f"{path}:{line_no}: headcount_weight must be positive"))
+                continue
+            roster.append(
+                ScientistRosterEntry(surname, initials, university_id, sds, uda, years, weight)
+            )
+    return roster
+
+
+# Per roster column, cell values that pass its check and values that fail it.
+VALID_CELLS = {
+    "surname": ["rossi", " Bianchi ", "Ørsted", "multi\nline"],
+    "initials": ["M", "m.g.", "ß"],
+    "university_id": ["U1", " U1 ", "U2"],
+    "active_years": ["2001|2002", " 2003 ", "2001||2002"],
+    "headcount_weight": ["1", "0.5", " 2 ", "1e3"],
+}
+SECTORS = [("ING-INF/01", "09"), (" FIS/01", "02 ")]
+INVALID_CELLS = {
+    "surname": ["", "***"],
+    "initials": ["", "ABCD"],
+    "university_id": ["E1", "U9", ""],
+    "sds": ["MAT/05", ""],
+    "uda": ["01", ""],
+    "active_years": ["", "|", "two", "2001|x"],
+    "headcount_weight": ["0", "-1", "nan", "", "abc"],
+}
+OTHER_CELLS = ["", "extra", "a,b", 'say "hi"', "x\ny"]
+
+
+@st.composite
+def roster_files(draw):
+    """Roster CSV text: reordered, duplicate and extra header columns
+    (sometimes a required one missing), short and long rows, blank lines,
+    quoted newlines, and rows failing each check."""
+    if draw(st.integers(0, 30)) == 0:
+        return ""
+    columns = list(ROSTER_COLUMNS)
+    columns += draw(st.lists(st.sampled_from([*ROSTER_COLUMNS, "note", ""]), max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        columns.remove(draw(st.sampled_from(ROSTER_COLUMNS)))
+    header = draw(st.permutations(columns))
+    last = {name: i for i, name in enumerate(header)}
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append([])
+            continue
+        values = {c: draw(st.sampled_from(cells)) for c, cells in VALID_CELLS.items()}
+        values["sds"], values["uda"] = draw(st.sampled_from(SECTORS))
+        broken = draw(st.sampled_from([None, None, *ROSTER_COLUMNS]))
+        if broken is not None:
+            values[broken] = draw(st.sampled_from(INVALID_CELLS[broken]))
+        # Only the last of duplicate columns holds the row's value.
+        row = [
+            values[name] if last[name] == i and name in values
+            else draw(st.sampled_from(OTHER_CELLS + INVALID_CELLS.get(name, [])))
+            for i, name in enumerate(header)
+        ]
+        width = max(1, len(header) + draw(st.integers(-3, 2)))
+        lines.append((row + OTHER_CELLS)[:width])
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(lines)
+    return text.getvalue()
+
+
+@pytest.fixture(scope="module")
+def roster_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("roster") / "roster.csv"
+
+
+def _roster_outcome(load, path, collect):
+    by_id = {
+        "U1": make_org("U1", UNIVERSITY, "Lazio"),
+        "U2": make_org("U2", UNIVERSITY, "Veneto"),
+        "E1": make_org("E1", ENTERPRISE, "Lazio"),
+    }
+    taxonomy = SectorTaxonomy({"ING-INF/01": "09", "FIS/01": "02"})
+    diagnostics = [] if collect else None
+    try:
+        return load(path, by_id, taxonomy, diagnostics), diagnostics
+    except CollabMarketError as exc:
+        return type(exc), str(exc)
+
+
+@given(text=roster_files(), collect=st.booleans())
+def test_roster_load_matches_dict_reader_reference(roster_path, text, collect):
+    roster_path.write_text(text, encoding="utf-8", newline="")
+    assert _roster_outcome(_load_roster, roster_path, collect) == \
+        _roster_outcome(_reference_load_roster, roster_path, collect)
 
 
 class TestFilters:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmarket.model import ENTERPRISE, UNIVERSITY, AuthorName, Registry
@@ -23,6 +23,7 @@ from collabmarket.resolve import (
     resolve_publication,
     resolved_org_ids,
     _initials_unicode,
+    _normalize_once,
     _normalize_unicode,
 )
 
@@ -63,6 +64,19 @@ class TestNormalizeName:
     @given(st.text(max_size=60) | st.text(alphabet=ASCII, max_size=60))
     def test_matches_general_path(self, raw):
         assert normalize_name(raw) == _normalize_unicode.__wrapped__(raw)
+
+    @settings(max_examples=1000)
+    @given(st.text(max_size=60))
+    def test_general_path_matches_fixpoint_loop(self, raw):
+        """Returning after one pass when the result is ASCII gives what
+        iterating to the fixpoint gives."""
+        text = _normalize_once(raw)
+        for _ in range(3):
+            again = _normalize_once(text)
+            if again == text:
+                break
+            text = again
+        assert _normalize_unicode.__wrapped__(raw) == text
 
 
 class TestNormalizeInitials:
