@@ -6,6 +6,7 @@ import csv
 import gc
 import hashlib
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -19,7 +20,12 @@ from collabmarket.demo import demo_corpus, write_demo_corpus
 from collabmarket.errors import CollabMarketError
 from collabmarket.indicators import SectorCorrespondenceRow, SectorFlowsRow
 from collabmarket.ingest import write_publications
-from collabmarket.report import render_table, sector_correspondence_table, sector_flows_table
+from collabmarket.report import (
+    render_table,
+    sanitize_code,
+    sector_correspondence_table,
+    sector_flows_table,
+)
 from collabmarket.resolve import resolution_report_rows, resolve_publication
 
 DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
@@ -197,6 +203,50 @@ class TestSectorAndRegion:
                    "--name", "Atlantis", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "region" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def analyzed(self, corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("analyzed")
+        assert main(["analyze", "--config", str(corpus["config"]), "--out", str(out)]) == 0
+        return _files(out)
+
+    def test_sector_writes_analyze_files_of_that_sector(self, corpus, analyzed, tmp_path):
+        active = json.loads(analyzed["snapshot.json"])["active_sds"]
+        assert active
+        for sds, stem in active.items():
+            out = tmp_path / stem
+            assert main(["sector", "--config", str(corpus["config"]),
+                         "--sds", sds, "--out", str(out)]) == 0
+            expected = {
+                name: data for name, data in analyzed.items()
+                if name.split("_", 1)[0] in ("table2", "table3", "fig1")
+                and name.split("_", 1)[1].rsplit(".", 1)[0] == stem
+            }
+            assert "fig1_" + stem + ".svg" in expected
+            assert _files(out) == expected, sds
+
+    def test_region_writes_analyze_card_of_that_region(self, corpus, analyzed, tmp_path):
+        regions = json.loads(analyzed["snapshot.json"])["regions"]
+        assert len(regions) == 19
+        for region in regions:
+            out = tmp_path / sanitize_code(region)
+            assert main(["region", "--config", str(corpus["config"]),
+                         "--name", region, "--out", str(out)]) == 0
+            names = [f"table4_{sanitize_code(region)}.{ext}" for ext in ("csv", "jsonl")]
+            assert _files(out) == {name: analyzed[name] for name in names}, region
+
+    def test_inactive_sector_gets_all_zero_tables_and_no_figure(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sector", "--config", str(corpus["config"]),
+                     "--sds", "FIS/01", "--out", str(out)]) == 0
+        assert sorted(_files(out)) == [
+            "table2_FIS-01.csv", "table2_FIS-01.jsonl", "table3_FIS-01.csv", "table3_FIS-01.jsonl",
+        ]
+        for table in ("table2_FIS-01.csv", "table3_FIS-01.csv"):
+            with (out / table).open(encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            assert len(rows) == 19
+            assert all(cell in ("0", "NA") for row in rows for cell in row[1:]), table
 
 
 class TestDiff:
@@ -399,6 +449,27 @@ def test_demo_outputs_match_recorded_digests(corpus, tmp_path):
         if path.is_file() and path.name != "effective_config.txt"
     }
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_publication_order_leaves_analyze_outputs_unchanged(corpus, tmp_path, seed):
+    """A metamorphic relation: shuffling the lines of the publications file
+    changes no output. The resolution report follows input order, so its rows
+    are compared as a sorted list; effective_config.txt names the input path."""
+    lines = Path(corpus["publications"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    config = str(corpus["config"])
+    assert main(["analyze", "--config", config, "--out", str(tmp_path / "a")]) == 0
+    assert main(["analyze", "--config", config, "--publications", str(shuffled),
+                 "--out", str(tmp_path / "b")]) == 0
+    original, permuted = _files(tmp_path / "a"), _files(tmp_path / "b")
+    for files in (original, permuted):
+        del files["effective_config.txt"]
+        header, *rows = files["resolution_report.csv"].splitlines()
+        files["resolution_report.csv"] = [header, *sorted(rows)]
+    assert permuted == original
 
 
 class TestPipeline:
