@@ -4,25 +4,27 @@ Subcommands:
 
 * ``validate``  load and cross-check all inputs, write the resolution report.
 * ``analyze``   run the full pipeline and write every table, figure and export.
-* ``sector``    tables and figure for one sector only.
-* ``region``    cross-sector statistics card for one region only.
+* ``sector``    analyze's tables and figure of one sector, byte for byte; a
+                taxonomy sector without events gets zero demand and supply.
+* ``region``    analyze's cross-sector statistics card of one region.
 * ``diff``      compare two analyze output directories.
 
 Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
-run completed without hard errors (2 for usage problems).
+run completed without hard errors, 1 for data errors and 2 for usage problems,
+an output path that cannot be a directory or an input that cannot be read
+among them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .collab import (
     corpus_totals,
@@ -31,8 +33,7 @@ from .collab import (
     events_by_sds,
     export_sds_events,
     export_ue_events,
-    sort_sds_events,
-    sort_ue_events,
+    write_csv,
 )
 from .config import RunConfig, dump_config, load_config, with_overrides
 from .errors import CollabMarketError, DiffError, UsageError
@@ -173,17 +174,14 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
         attributions,
         load_report,
         retained,
-        sort_ue_events(ue_events),
-        sort_sds_events(sds_events),
+        ue_events,
+        sds_events,
     )
 
 
 def _write_resolution_report(result: PipelineResult, out_dir: Path) -> None:
     rows = resolution_report_rows(result.publications, result.resolutions, result.attributions)
-    with (out_dir / "resolution_report.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESOLUTION_REPORT_COLUMNS)
-        writer.writerows(rows)
+    write_csv(out_dir / "resolution_report.csv", RESOLUTION_REPORT_COLUMNS, rows)
 
 
 def _write_table(out_dir: Path, table: RenderedTable) -> None:
@@ -233,14 +231,27 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-def _full_correspondence(
-    result: PipelineResult,
-    grouped: Mapping[str, Sequence[SDSCollaboration]],
-    headcounts: Mapping[str, Mapping[str, float]],
-) -> dict[str, list[SectorCorrespondenceRow]]:
-    """Correspondence rows for every taxonomy sector, active or not."""
+def _write_indicators(
+    result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
+) -> tuple[
+    dict[str, str], dict[str, list[SectorCorrespondenceRow]], dict[str, list[SectorFlowsRow]]
+]:
+    """Write table2, table3 and fig1 of each of ``sectors`` and table4 of each
+    of ``regions``, the files of ``analyze``, ``sector`` and ``region`` alike.
+
+    First checks that no two configured regions, and no two of the active and
+    the requested sectors, share a file-name stem. A region card spans every
+    taxonomy sector, so only a card makes it compute them all. Returns the
+    sectors' stems, correspondence rows and flows rows.
+    """
     config = result.config
-    return {
+    grouped = events_by_sds(result.sds_events)
+    output_stems(config.regions, "regions")
+    stems = output_stems({*grouped, *sectors}, "sectors")
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    headcounts = all_headcounts(result.registry)
+    correspondence = {
         sds: sector_correspondence(
             sds,
             headcounts[sds],
@@ -248,78 +259,56 @@ def _full_correspondence(
             config.regions,
             config.capacity_multipliers.get(sds, 1.0),
         )
-        for sds in result.registry.taxonomy.sds_codes
+        for sds in (result.registry.taxonomy.sds_codes if regions else sectors)
     }
-
-
-def _check_output_names(sectors: Iterable[str], regions: Iterable[str]) -> dict[str, str]:
-    """Each sector's file-name stem, after checking that no two sectors and
-    no two regions would write files of the same name."""
-    output_stems(regions, "regions")
-    return output_stems(sectors, "sectors")
-
-
-def cmd_analyze(config: RunConfig) -> int:
-    result = run_pipeline(config)
-    grouped = events_by_sds(result.sds_events)
-    active = sorted(grouped)
-    stems = _check_output_names(active, config.regions)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
-    _write_resolution_report(result, out_dir)
-    export_ue_events(result.ue_events, out_dir / "events_ue.csv")
-    export_sds_events(result.sds_events, out_dir / "events_sds.csv")
-
-    summary = regional_summary(result.ue_events, config.regions)
-    _write_table(out_dir, regional_summary_table(summary))
-
-    headcounts = all_headcounts(result.registry)
-    full_corr = _full_correspondence(result, grouped, headcounts)
-    flows_by_sds: dict[str, list[SectorFlowsRow]] = {}
-    for sds in active:
-        flows = sector_flows(sds, headcounts[sds], grouped[sds], config.regions)
-        flows_by_sds[sds] = flows
-        _write_table(out_dir, sector_correspondence_table(sds, full_corr[sds]))
-        _write_table(out_dir, sector_flows_table(sds, flows))
+    flows: dict[str, list[SectorFlowsRow]] = {}
+    for sds in sectors:
+        flows[sds] = sector_flows(sds, headcounts[sds], grouped.get(sds, ()), config.regions)
+        _write_table(out_dir, sector_correspondence_table(sds, correspondence[sds]))
+        _write_table(out_dir, sector_flows_table(sds, flows[sds]))
         positions = quadrant_positions(
-            sds, full_corr[sds], flows, config.quadrant_share_threshold
+            sds, correspondence[sds], flows[sds], config.quadrant_share_threshold
         )
         if positions:
             figure = emit_quadrant_svg(positions, sds, config.quadrant_share_threshold)
             (out_dir / f"fig1_{sanitize_code(sds)}.svg").write_text(figure, encoding="utf-8")
 
-    per_region: dict[str, dict[str, SectorCorrespondenceRow]] = {r: {} for r in config.regions}
-    for sds, rows in full_corr.items():
+    per_region: dict[str, dict[str, SectorCorrespondenceRow]] = {r: {} for r in regions}
+    for sds, rows in correspondence.items():
         for row in rows:
-            per_region[row.region][sds] = row
-    for region in sorted(config.regions):
-        stats = region_sector_stats(region, per_region[region])
-        _write_table(out_dir, region_stats_table(stats))
+            if row.region in per_region:
+                per_region[row.region][sds] = row
+    for region in sorted(regions):
+        _write_table(out_dir, region_stats_table(region_sector_stats(region, per_region[region])))
+    return stems, correspondence, flows
 
-    weights = sds_weights(result.sds_events)
+
+def cmd_analyze(config: RunConfig) -> int:
+    result = run_pipeline(config)
+    active = sorted({ev.sds for ev in result.sds_events})
+    stems, correspondence, flows = _write_indicators(result, active, config.regions)
+    out_dir = Path(config.out)
+    (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
+    _write_resolution_report(result, out_dir)
+    export_ue_events(result.ue_events, out_dir / "events_ue.csv")
+    export_sds_events(result.sds_events, out_dir / "events_sds.csv")
+    summary = regional_summary(result.ue_events, config.regions)
+    _write_table(out_dir, regional_summary_table(summary))
     aggregate = aggregate_regions(
-        {sds: full_corr[sds] for sds in active},
-        flows_by_sds,
-        weights,
+        correspondence,
+        flows,
+        sds_weights(result.sds_events),
         config.regions,
         config.aggregation_na_policy,
     )
     _write_table(out_dir, aggregate_table(aggregate))
 
-    totals = corpus_totals(result.ue_events, result.sds_events)
     manifest = {
         "regions": sorted(config.regions),
         "window": list(config.window) if config.window is not None else None,
         "taxonomy": dict(sorted(result.registry.taxonomy.parent_uda.items())),
         "active_sds": stems,
-        "totals": {
-            "ue_events": totals.ue_events,
-            "sds_events": totals.sds_events,
-            "universities": totals.universities,
-            "enterprises": totals.enterprises,
-            "active_sds": totals.active_sds,
-        },
+        "totals": corpus_totals(result.ue_events, result.sds_events)._asdict(),
     }
     (out_dir / "snapshot.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -332,36 +321,14 @@ def cmd_sector(config: RunConfig, sds: str) -> int:
     result = run_pipeline(config)
     if sds not in result.registry.taxonomy:
         raise UsageError(f"sds {sds!r} is not in the taxonomy")
-    _check_output_names({sds, *(ev.sds for ev in result.sds_events)}, config.regions)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    events = [ev for ev in result.sds_events if ev.sds == sds]
-    headcounts = all_headcounts(result.registry)[sds]
-    corr = sector_correspondence(
-        sds, headcounts, events, config.regions, config.capacity_multipliers.get(sds, 1.0)
-    )
-    flows = sector_flows(sds, headcounts, events, config.regions)
-    _write_table(out_dir, sector_correspondence_table(sds, corr))
-    _write_table(out_dir, sector_flows_table(sds, flows))
-    positions = quadrant_positions(sds, corr, flows, config.quadrant_share_threshold)
-    if positions:
-        figure = emit_quadrant_svg(positions, sds, config.quadrant_share_threshold)
-        (out_dir / f"fig1_{sanitize_code(sds)}.svg").write_text(figure, encoding="utf-8")
+    _write_indicators(result, [sds], ())
     return 0
 
 
 def cmd_region(config: RunConfig, name: str) -> int:
     if name not in config.regions:
         raise UsageError(f"region {name!r} is not in the configured region set")
-    result = run_pipeline(config)
-    grouped = events_by_sds(result.sds_events)
-    _check_output_names(grouped, config.regions)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    full_corr = _full_correspondence(result, grouped, all_headcounts(result.registry))
-    rows = {sds: row for sds, table in full_corr.items() for row in table if row.region == name}
-    stats = region_sector_stats(name, rows)
-    _write_table(out_dir, region_stats_table(stats))
+    _write_indicators(run_pipeline(config), (), [name])
     return 0
 
 
@@ -562,6 +529,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CollabMarketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # An output path that cannot be a directory, or an input that exists
+        # but cannot be read.
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

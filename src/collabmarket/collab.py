@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     ENTERPRISE,
@@ -27,9 +27,6 @@ from .model import (
 from .resolve import resolved_org_ids
 
 SDS_REGION_SPLITS = ("per-region", "single")
-
-UE_EXPORT_COLUMNS = ("pub_id", "university_id", "u_region", "enterprise_id", "e_region", "year")
-SDS_EXPORT_COLUMNS = ("pub_id", "sds", "uda", "supply_region", "enterprise_id", "e_region", "year")
 
 
 def derive_ue_events(
@@ -132,30 +129,26 @@ def corpus_totals(
 
 
 def events_by_sds(events: Iterable[SDSCollaboration]) -> dict[str, list[SDSCollaboration]]:
-    """Group sector events by sds code, sorted keys, stable event order."""
+    """Group sector events by sds code, sorted keys, event order kept."""
     grouped: dict[str, list[SDSCollaboration]] = {}
-    for event in sort_sds_events(events):
+    for event in events:
         grouped.setdefault(event.sds, []).append(event)
     return dict(sorted(grouped.items()))
 
 
-def export_ue_events(events: Iterable[UECollaboration], path: str | Path) -> None:
-    """Write university-enterprise events as a delimited file."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line, then one line per row, as a comma-separated file."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(UE_EXPORT_COLUMNS)
-        for ev in sort_ue_events(events):
-            writer.writerow(
-                [ev.pub_id, ev.university_id, ev.u_region, ev.enterprise_id, ev.e_region, ev.year]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def export_ue_events(events: Iterable[UECollaboration], path: str | Path) -> None:
+    """Write university-enterprise events, sorted, one field per column."""
+    write_csv(path, UECollaboration._fields, sort_ue_events(events))
 
 
 def export_sds_events(events: Iterable[SDSCollaboration], path: str | Path) -> None:
-    """Write sector-enterprise events as a delimited file."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SDS_EXPORT_COLUMNS)
-        for ev in sort_sds_events(events):
-            writer.writerow(
-                [ev.pub_id, ev.sds, ev.uda, ev.supply_region, ev.enterprise_id, ev.e_region, ev.year]
-            )
+    """Write sector-enterprise events, sorted, one field per column."""
+    write_csv(path, SDSCollaboration._fields, sort_sds_events(events))

@@ -153,7 +153,10 @@ class AuthorAttribution(NamedTuple):
 
 
 class UECollaboration(NamedTuple):
-    """One university-enterprise collaboration event for one publication."""
+    """One university-enterprise collaboration event for one publication.
+
+    The field order is the column order of ``events_ue.csv``.
+    """
 
     pub_id: str
     university_id: str
@@ -167,7 +170,8 @@ class SDSCollaboration(NamedTuple):
     """One sector-enterprise collaboration event for one publication.
 
     ``supply_region`` is the region of the university whose roster author
-    carried the sector into the publication.
+    carried the sector into the publication. The field order is the column
+    order of ``events_sds.csv``.
     """
 
     pub_id: str
@@ -180,7 +184,8 @@ class SDSCollaboration(NamedTuple):
 
 
 class CorpusTotals(NamedTuple):
-    """Headline event counts over a derived corpus."""
+    """Headline event counts over a derived corpus; ``snapshot.json`` holds
+    them under ``totals``, keyed by field name."""
 
     ue_events: int
     sds_events: int

@@ -37,6 +37,13 @@ def corpus(tmp_path_factory):
     return write_demo_corpus(directory)
 
 
+@pytest.fixture(scope="module")
+def analyzed_dir(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("analyzed")
+    assert main(["analyze", "--config", str(corpus["config"]), "--out", str(out)]) == 0
+    return out
+
+
 def _files(directory: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(directory)): p.read_bytes()
@@ -94,6 +101,26 @@ class TestValidate:
         assert rc == 2
         assert flag.lstrip("-") in err and str(absent) in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Lazio"], ["validate"],
+    ["diff"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("below", [False, True], ids=["at-file", "below-file"])
+def test_unusable_out_is_usage_error(corpus, analyzed_dir, tmp_path, capsys, command, below):
+    """--out at an existing file, or below one, exits 2 naming the path."""
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub" if below else blocker
+    if command == ["diff"]:
+        command = ["diff", "--t0", str(analyzed_dir), "--t1", str(analyzed_dir)]
+    else:
+        command = [*command, "--config", str(corpus["config"])]
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out}: " in err
+    assert "Traceback" not in err
 
 
 class TestNotUtf8:
@@ -205,10 +232,8 @@ class TestSectorAndRegion:
         assert "region" in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
-    def analyzed(self, corpus, tmp_path_factory):
-        out = tmp_path_factory.mktemp("analyzed")
-        assert main(["analyze", "--config", str(corpus["config"]), "--out", str(out)]) == 0
-        return _files(out)
+    def analyzed(self, analyzed_dir):
+        return _files(analyzed_dir)
 
     def test_sector_writes_analyze_files_of_that_sector(self, corpus, analyzed, tmp_path):
         active = json.loads(analyzed["snapshot.json"])["active_sds"]
@@ -225,13 +250,18 @@ class TestSectorAndRegion:
             assert "fig1_" + stem + ".svg" in expected
             assert _files(out) == expected, sds
 
-    def test_region_writes_analyze_card_of_that_region(self, corpus, analyzed, tmp_path):
+    @pytest.mark.parametrize("window", [[], ["--window", "1980:1981"]], ids=["full", "empty"])
+    def test_region_writes_analyze_card_of_that_region(self, corpus, tmp_path, window):
+        """The empty window leaves every sector inactive, while the scientists
+        of ING-INF/01 still count in the cards."""
+        run = ["--config", str(corpus["config"]), *window]
+        assert main(["analyze", *run, "--out", str(tmp_path / "analyze")]) == 0
+        analyzed = _files(tmp_path / "analyze")
         regions = json.loads(analyzed["snapshot.json"])["regions"]
         assert len(regions) == 19
         for region in regions:
             out = tmp_path / sanitize_code(region)
-            assert main(["region", "--config", str(corpus["config"]),
-                         "--name", region, "--out", str(out)]) == 0
+            assert main(["region", *run, "--name", region, "--out", str(out)]) == 0
             names = [f"table4_{sanitize_code(region)}.{ext}" for ext in ("csv", "jsonl")]
             assert _files(out) == {name: analyzed[name] for name in names}, region
 
