@@ -9,6 +9,12 @@ Subcommands:
 * ``region``    analyze's cross-sector statistics card of one region.
 * ``diff``      compare two analyze output directories.
 
+The run subcommands load the registries and the publications, then take each
+in-window publication through one pass (``run_pipeline``): resolve, attribute,
+tally its resolution-report row, filter, derive its events and count them into
+a ``collab.FlowCube``. Every indicator reads the cube's counts; only the event
+exports read the event lists.
+
 Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
 run completed without hard errors, 1 for data errors and 2 for usage problems,
 an output path that cannot be a directory or an input that cannot be read
@@ -24,13 +30,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .collab import (
+    FlowCube,
     corpus_totals,
     derive_sds_events,
     derive_ue_events,
-    events_by_sds,
     export_sds_events,
     export_ue_events,
     write_csv,
@@ -51,19 +57,10 @@ from .indicators import (
     sector_flows,
     snapshot_diff,
 )
-from .ingest import (
-    LoadReport,
-    _json_line,
-    filter_hard_sciences,
-    load_publications,
-    load_registries,
-    not_utf8,
-    partition_resolvable,
-)
+from .ingest import LoadReport, _json_line, load_publications, load_registries, not_utf8
 from .model import (
     AffiliationResolution,
     AuthorAttribution,
-    PublicationRecord,
     Registry,
     SDSCollaboration,
     UECollaboration,
@@ -82,11 +79,14 @@ from .report import (
     sector_flows_table,
 )
 from .resolve import (
+    ALIAS,
     AMBIGUITY_POLICIES,
+    EXACT,
+    UNIQUE,
     Resolver,
     attribute_authors,
-    resolution_report_rows,
     resolve_publication,
+    split_org_ids,
 )
 
 MAX_DIAGNOSTICS = 20
@@ -96,18 +96,20 @@ RESOLUTION_REPORT_COLUMNS = ("pub_id", "exact", "alias", "unresolved", "unique",
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the subcommands need after events are derived."""
+    """What the subcommands read once the corpus has been through one pass.
+
+    The in-window publication count is ``load_report.publications_read``.
+    """
 
     config: RunConfig
     registry: Registry
     resolver: Resolver
-    publications: list[PublicationRecord]
-    resolutions: Mapping[str, Sequence[AffiliationResolution]]
-    attributions: Mapping[str, Sequence[AuthorAttribution]]
     load_report: LoadReport
-    retained: list[PublicationRecord]
+    report_rows: list[tuple[str, int, int, int, int, int]]
+    retained: int
     ue_events: list[UECollaboration]
     sds_events: list[SDSCollaboration]
+    cube: FlowCube
 
 
 @contextmanager
@@ -127,12 +129,35 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _report_row(
+    pub_id: str,
+    resolutions: Sequence[AffiliationResolution],
+    attributions: Sequence[AuthorAttribution],
+) -> tuple[str, int, int, int, int, int]:
+    """One row of the resolution report, as ``resolution_report_rows`` makes it."""
+    confidences = [r.confidence for r in resolutions]
+    exact = confidences.count(EXACT)
+    alias = confidences.count(ALIAS)
+    unique = 0
+    ambiguous = set()
+    for a in attributions:
+        if a.status == UNIQUE:
+            unique += 1
+        else:
+            ambiguous.add(a.author_index)
+    return (pub_id, exact, alias, len(confidences) - exact - alias, unique, len(ambiguous))
+
+
 @_collector_paused()
 def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> PipelineResult:
-    """Load, resolve, attribute, filter, and derive events.
+    """Load the inputs, then take each in-window publication through one pass.
 
-    The cyclic garbage collector stays paused meanwhile (see
-    ``_collector_paused``).
+    The pass resolves its affiliations, attributes its authors, tallies its
+    resolution-report row, decides whether it is resolvable and whether it is
+    retained, and derives its events into the event lists and the flow cube.
+    Only those results outlive the call; the publications and their
+    resolutions do not. The cyclic garbage collector stays paused meanwhile
+    (see ``_collector_paused``).
     """
     config.require_inputs()
     registry = load_registries(
@@ -144,44 +169,51 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
     )
     publications = load_publications(config.publications, config.window, diagnostics)
     resolver = Resolver.build(registry)
+    parent_uda = registry.taxonomy.parent_uda
     seen: dict[str, AffiliationResolution] = {}
-    resolutions = {pub.pub_id: resolve_publication(pub, resolver, seen) for pub in publications}
-    attributions = {
-        pub.pub_id: attribute_authors(pub, resolutions[pub.pub_id], resolver, config.ambiguity)
-        for pub in publications
-    }
-    kept, load_report = partition_resolvable(publications, resolutions, config.keep_unresolvable)
-    retained = filter_hard_sciences(kept, attributions, resolutions, registry)
+    report_rows = []
+    warnings = []
+    retained = 0
     ue_events: list[UECollaboration] = []
     sds_events: list[SDSCollaboration] = []
-    for pub in retained:
-        ue_events.extend(derive_ue_events(pub, resolutions[pub.pub_id], registry))
-        sds_events.extend(
-            derive_sds_events(
-                pub,
-                attributions[pub.pub_id],
-                resolutions[pub.pub_id],
-                registry,
-                config.sds_region_split,
+    cube = FlowCube()
+    for pub in publications:
+        resolutions = resolve_publication(pub, resolver, seen)
+        universities, enterprises = split_org_ids(resolutions, registry)
+        attributions = attribute_authors(pub, universities, resolver, config.ambiguity)
+        report_rows.append(_report_row(pub.pub_id, resolutions, attributions))
+        if not universities and not enterprises:
+            warnings.append(f"publication {pub.pub_id!r}: no affiliation resolved")
+            continue
+        # Retained: an author attributed to a taxonomy sector, and an enterprise.
+        if enterprises and any(a.sds in parent_uda for a in attributions):
+            retained += 1
+            ue = derive_ue_events(pub, universities, enterprises, registry)
+            sds = derive_sds_events(
+                pub, attributions, enterprises, registry, config.sds_region_split
             )
-        )
+            ue_events += ue
+            sds_events += sds
+            cube.add(ue, sds)
+    dropped = 0 if config.keep_unresolvable else len(warnings)
+    load_report = LoadReport(
+        len(publications), len(publications) - dropped, dropped, tuple(warnings)
+    )
     return PipelineResult(
         config,
         registry,
         resolver,
-        publications,
-        resolutions,
-        attributions,
         load_report,
+        report_rows,
         retained,
         ue_events,
         sds_events,
+        cube,
     )
 
 
 def _write_resolution_report(result: PipelineResult, out_dir: Path) -> None:
-    rows = resolution_report_rows(result.publications, result.resolutions, result.attributions)
-    write_csv(out_dir / "resolution_report.csv", RESOLUTION_REPORT_COLUMNS, rows)
+    write_csv(out_dir / "resolution_report.csv", RESOLUTION_REPORT_COLUMNS, result.report_rows)
 
 
 def _write_table(out_dir: Path, table: RenderedTable) -> None:
@@ -215,12 +247,12 @@ def cmd_validate(config: RunConfig) -> int:
     _warn_registry_ambiguities(result.resolver)
     for warning in result.load_report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if not result.publications:
+    if not result.load_report.publications_read:
         print("warning: no publications fall inside the configured window", file=sys.stderr)
-    totals = corpus_totals(result.ue_events, result.sds_events)
+    totals = corpus_totals(result.cube)
     print(
         f"validate: {result.load_report.publications_read} publications read, "
-        f"{len(result.retained)} retained by the collaboration filter, "
+        f"{result.retained} retained by the collaboration filter, "
         f"{totals.ue_events} university-enterprise events, "
         f"{totals.sds_events} sector events",
         file=sys.stderr,
@@ -245,9 +277,9 @@ def _write_indicators(
     sectors' stems, correspondence rows and flows rows.
     """
     config = result.config
-    grouped = events_by_sds(result.sds_events)
+    cube = result.cube
     output_stems(config.regions, "regions")
-    stems = output_stems({*grouped, *sectors}, "sectors")
+    stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     headcounts = all_headcounts(result.registry)
@@ -255,7 +287,7 @@ def _write_indicators(
         sds: sector_correspondence(
             sds,
             headcounts[sds],
-            grouped.get(sds, ()),
+            cube,
             config.regions,
             config.capacity_multipliers.get(sds, 1.0),
         )
@@ -263,7 +295,7 @@ def _write_indicators(
     }
     flows: dict[str, list[SectorFlowsRow]] = {}
     for sds in sectors:
-        flows[sds] = sector_flows(sds, headcounts[sds], grouped.get(sds, ()), config.regions)
+        flows[sds] = sector_flows(sds, headcounts[sds], cube, config.regions)
         _write_table(out_dir, sector_correspondence_table(sds, correspondence[sds]))
         _write_table(out_dir, sector_flows_table(sds, flows[sds]))
         positions = quadrant_positions(
@@ -285,19 +317,19 @@ def _write_indicators(
 
 def cmd_analyze(config: RunConfig) -> int:
     result = run_pipeline(config)
-    active = sorted({ev.sds for ev in result.sds_events})
+    active = sorted(result.cube.sds_flows)
     stems, correspondence, flows = _write_indicators(result, active, config.regions)
     out_dir = Path(config.out)
     (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
     _write_resolution_report(result, out_dir)
     export_ue_events(result.ue_events, out_dir / "events_ue.csv")
     export_sds_events(result.sds_events, out_dir / "events_sds.csv")
-    summary = regional_summary(result.ue_events, config.regions)
+    summary = regional_summary(result.cube, config.regions)
     _write_table(out_dir, regional_summary_table(summary))
     aggregate = aggregate_regions(
         correspondence,
         flows,
-        sds_weights(result.sds_events),
+        sds_weights(result.cube),
         config.regions,
         config.aggregation_na_policy,
     )
@@ -308,7 +340,7 @@ def cmd_analyze(config: RunConfig) -> int:
         "window": list(config.window) if config.window is not None else None,
         "taxonomy": dict(sorted(result.registry.taxonomy.parent_uda.items())),
         "active_sds": stems,
-        "totals": corpus_totals(result.ue_events, result.sds_events)._asdict(),
+        "totals": corpus_totals(result.cube)._asdict(),
     }
     (out_dir / "snapshot.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -401,7 +433,7 @@ def _read_manifest(path: Path) -> dict:
     if not path.exists():
         raise DiffError(f"{path} is missing; not a complete analyze output")
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = _json_line(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DiffError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -1,4 +1,5 @@
-"""Derivation of collaboration events from resolved, attributed publications.
+"""Derivation of collaboration events from resolved, attributed publications,
+and the flow-count cube the indicators read.
 
 A publication listing m distinct universities and n distinct enterprises
 witnesses m*n university-enterprise events; repeated mentions of the same
@@ -10,13 +11,12 @@ enterprise.
 from __future__ import annotations
 
 import csv
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import (
-    ENTERPRISE,
-    UNIVERSITY,
-    AffiliationResolution,
     AuthorAttribution,
     CorpusTotals,
     PublicationRecord,
@@ -24,19 +24,21 @@ from .model import (
     SDSCollaboration,
     UECollaboration,
 )
-from .resolve import resolved_org_ids
 
 SDS_REGION_SPLITS = ("per-region", "single")
 
 
 def derive_ue_events(
     pub: PublicationRecord,
-    resolutions: Sequence[AffiliationResolution],
+    universities: Sequence[str],
+    enterprises: Sequence[str],
     registry: Registry,
 ) -> list[UECollaboration]:
-    """University-enterprise events for one publication (all distinct pairs)."""
-    universities = resolved_org_ids(resolutions, registry, UNIVERSITY)
-    enterprises = resolved_org_ids(resolutions, registry, ENTERPRISE)
+    """University-enterprise events for one publication (all distinct pairs).
+
+    ``universities`` and ``enterprises`` are the publication's distinct
+    resolved ids of each kind, sorted (see ``resolve.split_org_ids``).
+    """
     if not universities or not enterprises:
         raise ValueError(
             f"publication {pub.pub_id!r} reached event derivation without both a "
@@ -57,20 +59,21 @@ def derive_ue_events(
 def derive_sds_events(
     pub: PublicationRecord,
     attributions: Sequence[AuthorAttribution],
-    resolutions: Sequence[AffiliationResolution],
+    enterprises: Sequence[str],
     registry: Registry,
     region_split: str = "per-region",
 ) -> list[SDSCollaboration]:
     """Sector-enterprise events for one publication.
 
-    With ``region_split="per-region"`` (default) a sector attributed through
-    universities in several regions supplies one event per (sector, region,
-    enterprise) triple. With ``"single"`` each (sector, enterprise) pair
-    yields one event, attributed to the alphabetically first supplying region.
+    ``enterprises`` are the publication's distinct resolved enterprise ids,
+    sorted. With ``region_split="per-region"`` (default) a sector attributed
+    through universities in several regions supplies one event per (sector,
+    region, enterprise) triple. With ``"single"`` each (sector, enterprise)
+    pair yields one event, attributed to the alphabetically first supplying
+    region.
     """
     if region_split not in SDS_REGION_SPLITS:
         raise ValueError(f"unknown region split {region_split!r}")
-    enterprises = resolved_org_ids(resolutions, registry, ENTERPRISE)
     by_id = registry.by_id
     pairs = {
         (a.sds, by_id[a.university_id].region)
@@ -113,18 +116,48 @@ def sort_sds_events(events: Iterable[SDSCollaboration]) -> list[SDSCollaboration
     )
 
 
-def corpus_totals(
-    ue_events: Sequence[UECollaboration], sds_events: Sequence[SDSCollaboration]
-) -> CorpusTotals:
+@dataclass
+class FlowCube:
+    """Event counts of a corpus, all that the indicators read.
+
+    ``ue_flows`` counts university-enterprise events by (university region,
+    enterprise region); ``sds_flows`` counts sector events by sector, then by
+    (supply region, enterprise region), and holds only sectors with events.
+    The id sets hold the distinct universities and enterprises taking part.
+    Cubes of disjoint corpora add up: counts add and sets unite.
+    """
+
+    ue_flows: Counter[tuple[str, str]] = field(default_factory=Counter)
+    sds_flows: dict[str, Counter[tuple[str, str]]] = field(default_factory=dict)
+    universities: set[str] = field(default_factory=set)
+    enterprises: set[str] = field(default_factory=set)
+
+    def add(
+        self, ue_events: Iterable[UECollaboration], sds_events: Iterable[SDSCollaboration]
+    ) -> None:
+        """Count the events of one publication (or any batch) into the cube."""
+        ue_flows, sds_flows = self.ue_flows, self.sds_flows
+        universities, enterprises = self.universities, self.enterprises
+        for ev in ue_events:
+            ue_flows[ev.u_region, ev.e_region] += 1
+            universities.add(ev.university_id)
+            enterprises.add(ev.enterprise_id)
+        for ev in sds_events:
+            flows = sds_flows.get(ev.sds)
+            if flows is None:
+                flows = sds_flows[ev.sds] = Counter()
+            flows[ev.supply_region, ev.e_region] += 1
+            enterprises.add(ev.enterprise_id)
+
+
+def corpus_totals(cube: FlowCube) -> CorpusTotals:
     """Headline counts: events plus distinct participants and active sectors."""
     return CorpusTotals(
-        ue_events=len(ue_events),
-        sds_events=len(sds_events),
-        universities=len({ev.university_id for ev in ue_events}),
-        enterprises=len(
-            {ev.enterprise_id for ev in ue_events} | {ev.enterprise_id for ev in sds_events}
-        ),
-        active_sds=len({ev.sds for ev in sds_events}),
+        ue_events=sum(cube.ue_flows.values()),
+        sds_events=sum(sum(flows.values()) for flows in cube.sds_flows.values()),
+        universities=len(cube.universities),
+        enterprises=len(cube.enterprises),
+        active_sds=len(cube.sds_flows),
     )
 
 

@@ -4,9 +4,10 @@ The demo models a 19-region country with one collaboration-active sector. Two
 marginal tables drive everything: ``REGIONAL_FLOWS`` fixes each region's
 intra-regional, outgoing and incoming university-enterprise event counts over
 all sectors, and ``SECTOR_TABLE`` fixes the single sector's per-region
-scientist headcounts and flow counts. Builders turn those marginals into
-event lists, or into a complete on-disk corpus (publications plus registries)
-that reproduces them exactly when run through the full pipeline.
+scientist headcounts and flow counts. ``demo_corpus`` turns the sector table
+into a complete corpus (publications plus registries) that reproduces it
+exactly when run through the full pipeline; the regional table is reference
+data for the tests of the indicator maths.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .ingest import ORG_COLUMNS, ROSTER_COLUMNS, TAXONOMY_COLUMNS, write_publications
-from .model import (
-    AuthorName,
-    PublicationRecord,
-    SDSCollaboration,
-    UECollaboration,
-)
+from .model import AuthorName, PublicationRecord
 
 REGIONS: tuple[str, ...] = (
     "Abruzzo",
@@ -182,30 +178,6 @@ def pair_extra_flows(
     return pairs
 
 
-def _flow_pairs(flows: Mapping[str, tuple[int, int, int]]) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    for region in sorted(flows):
-        pairs.extend((region, region) for _ in range(flows[region][0]))
-    pairs.extend(
-        pair_extra_flows(
-            {r: flows[r][1] for r in flows}, {r: flows[r][2] for r in flows}
-        )
-    )
-    return pairs
-
-
-def regional_ue_events(
-    flows: Mapping[str, tuple[int, int, int]] = REGIONAL_FLOWS, year: int = DEMO_YEAR
-) -> list[UECollaboration]:
-    """Synthetic university-enterprise events matching the flow marginals."""
-    return [
-        UECollaboration(
-            f"R{i:04d}", university_id(u), u, enterprise_id(e), e, year
-        )
-        for i, (u, e) in enumerate(_flow_pairs(flows), start=1)
-    ]
-
-
 def _sector_pairs(table: Mapping[str, tuple[int, int, int, int]]) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     outgoing: dict[str, int] = {}
@@ -217,28 +189,6 @@ def _sector_pairs(table: Mapping[str, tuple[int, int, int, int]]) -> list[tuple[
         incoming[region] = demand - intra
     pairs.extend(pair_extra_flows(outgoing, incoming))
     return pairs
-
-
-def sector_sds_events(
-    table: Mapping[str, tuple[int, int, int, int]] = SECTOR_TABLE,
-    sds: str = SECTOR,
-    uda: str = SECTOR_UDA,
-    year: int = DEMO_YEAR,
-) -> list[SDSCollaboration]:
-    """Synthetic sector-enterprise events matching the sector marginals."""
-    return [
-        SDSCollaboration(
-            f"S{i:04d}", sds, uda, supply, enterprise_id(demand), demand, year
-        )
-        for i, (supply, demand) in enumerate(_sector_pairs(table), start=1)
-    ]
-
-
-def sector_headcounts(
-    table: Mapping[str, tuple[int, int, int, int]] = SECTOR_TABLE,
-) -> dict[str, float]:
-    """Scientist headcount per region for the demo sector."""
-    return {region: float(values[0]) for region, values in table.items()}
 
 
 def _surname(region: str, index: int) -> str:

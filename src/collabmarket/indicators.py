@@ -1,4 +1,9 @@
-"""Regional and sectorial indicators computed from collaboration events.
+"""Regional and sectorial indicators computed from collaboration event counts.
+
+Every indicator reads a ``collab.FlowCube``: the counts of university-
+enterprise events by (university region, enterprise region) and of sector
+events by (sector, supply region, enterprise region). No event list is
+needed.
 
 Conventions shared by every function here:
 
@@ -21,8 +26,9 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .collab import FlowCube
 from .errors import ComputationError, DiffError, ValidationError
-from .model import Registry, SDSCollaboration, UECollaboration
+from .model import Registry
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -144,9 +150,7 @@ class IndicatorSnapshot:
     flows: Mapping[str, Sequence[SectorFlowsRow]]
 
 
-def regional_summary(
-    ue_events: Iterable[UECollaboration], regions: Sequence[str]
-) -> list[RegionalSummary]:
+def regional_summary(cube: FlowCube, regions: Sequence[str]) -> list[RegionalSummary]:
     """Aggregate university-enterprise events into per-region supply/demand.
 
     An event supplies its university region and demands into its enterprise
@@ -158,18 +162,18 @@ def regional_summary(
     supply_intra: Counter[str] = Counter()
     supply_extra: Counter[str] = Counter()
     demand_extra: Counter[str] = Counter()
-    for event in ue_events:
-        if event.u_region not in region_set or event.e_region not in region_set:
-            bad = event.u_region if event.u_region not in region_set else event.e_region
+    for (u_region, e_region), n in cube.ue_flows.items():
+        if u_region not in region_set or e_region not in region_set:
+            bad = u_region if u_region not in region_set else e_region
             raise ValidationError(
-                f"event for publication {event.pub_id!r} references region {bad!r} "
+                f"events from {u_region!r} to {e_region!r} reference region {bad!r} "
                 "outside the configured region set"
             )
-        if event.u_region == event.e_region:
-            supply_intra[event.u_region] += 1
+        if u_region == e_region:
+            supply_intra[u_region] += n
         else:
-            supply_extra[event.u_region] += 1
-            demand_extra[event.e_region] += 1
+            supply_extra[u_region] += n
+            demand_extra[e_region] += n
     rows = []
     for region in sorted(regions):
         s_intra = supply_intra[region]
@@ -248,7 +252,7 @@ def all_headcounts(registry: Registry) -> dict[str, dict[str, float]]:
 def sector_correspondence(
     sds: str,
     headcounts: Mapping[str, float],
-    sds_events: Iterable[SDSCollaboration],
+    cube: FlowCube,
     regions: Sequence[str],
     capacity_multiplier: float = 1.0,
 ) -> list[SectorCorrespondenceRow]:
@@ -258,9 +262,9 @@ def sector_correspondence(
     assumed able to satisfy; it affects the surplus and the demand-per-
     scientist denominator while the reported headcount stays raw.
     """
-    demand: Counter[str] = Counter(
-        ev.e_region for ev in sds_events if ev.sds == sds
-    )
+    demand: Counter[str] = Counter()
+    for (_, e_region), n in cube.sds_flows.get(sds, {}).items():
+        demand[e_region] += n
     scientists = {r: float(headcounts.get(r, 0.0)) for r in regions}
     ratios: dict[str, float | None] = {}
     for region in regions:
@@ -287,7 +291,7 @@ def sector_correspondence(
 def sector_flows(
     sds: str,
     headcounts: Mapping[str, float],
-    sds_events: Iterable[SDSCollaboration],
+    cube: FlowCube,
     regions: Sequence[str],
 ) -> list[SectorFlowsRow]:
     """Supply-side flow table of one sector.
@@ -299,13 +303,11 @@ def sector_flows(
     demand: Counter[str] = Counter()
     supply: Counter[str] = Counter()
     intra: Counter[str] = Counter()
-    for ev in sds_events:
-        if ev.sds != sds:
-            continue
-        demand[ev.e_region] += 1
-        supply[ev.supply_region] += 1
-        if ev.supply_region == ev.e_region:
-            intra[ev.supply_region] += 1
+    for (supply_region, e_region), n in cube.sds_flows.get(sds, {}).items():
+        demand[e_region] += n
+        supply[supply_region] += n
+        if supply_region == e_region:
+            intra[supply_region] += n
     scientists = {r: float(headcounts.get(r, 0.0)) for r in regions}
     supply_ratio: dict[str, float | None] = {}
     intra_ratio: dict[str, float | None] = {}
@@ -418,13 +420,13 @@ def region_sector_stats(
     )
 
 
-def sds_weights(sds_events: Iterable[SDSCollaboration]) -> dict[str, float]:
+def sds_weights(cube: FlowCube) -> dict[str, float]:
     """Aggregation weight of each collaboration-active sector.
 
     A sector's weight is its national event count over the total, so weights
     sum to one whenever any events exist.
     """
-    counts = Counter(ev.sds for ev in sds_events)
+    counts = {sds: sum(flows.values()) for sds, flows in cube.sds_flows.items()}
     total = sum(counts.values())
     if not total:
         return {}

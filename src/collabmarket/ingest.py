@@ -72,15 +72,23 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _json_line(line: str) -> object:
-    """The value on one non-blank line, exactly as ``json.loads`` reads it."""
+    """The value on one non-blank line, or in a whole JSON document, exactly
+    as ``json.loads`` reads it.
+
+    A value nested too deeply for the parser's recursion limit raises
+    ``json.JSONDecodeError`` like any other bad JSON, not ``RecursionError``.
+    """
     try:
-        value, end = _scan_json(line, 0)
-        if line[end:] in ("\n", ""):
-            return value
-    except (StopIteration, json.JSONDecodeError):
-        pass
-    # Surrounding whitespace, extra data and errors take json's own path.
-    return json.loads(line)
+        try:
+            value, end = _scan_json(line, 0)
+            if line[end:] in ("\n", ""):
+                return value
+        except (StopIteration, json.JSONDecodeError):
+            pass
+        # Surrounding whitespace, extra data and errors take json's own path.
+        return json.loads(line)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", line, 0) from None
 
 
 def not_utf8(path: Path) -> tuple[int, str]:

@@ -119,9 +119,6 @@ class Registry:
             by_id[org.org_id] = org
         return cls(tuple(organizations), tuple(roster), taxonomy, by_id)
 
-    def kind_of(self, org_id: str) -> str:
-        return self.by_id[org_id].kind
-
     def region_of(self, org_id: str) -> str:
         return self.by_id[org_id].region
 

@@ -191,19 +191,27 @@ def resolve_publication(
     return tuple(resolutions)
 
 
-def resolved_org_ids(
-    resolutions: Iterable[AffiliationResolution], registry: Registry, kind: str
-) -> tuple[str, ...]:
-    """Distinct resolved org ids of one kind, sorted for determinism."""
+def split_org_ids(
+    resolutions: Iterable[AffiliationResolution], registry: Registry
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Distinct resolved university ids and enterprise ids, each sorted for
+    determinism."""
     by_id = registry.by_id
-    return tuple(sorted({
-        r.org_id for r in resolutions if r.org_id is not None and by_id[r.org_id].kind == kind
-    }))
+    universities: set[str] = set()
+    enterprises: set[str] = set()
+    for r in resolutions:
+        if r.org_id is not None:
+            kind = by_id[r.org_id].kind
+            if kind == UNIVERSITY:
+                universities.add(r.org_id)
+            elif kind == ENTERPRISE:
+                enterprises.add(r.org_id)
+    return tuple(sorted(universities)), tuple(sorted(enterprises))
 
 
 def attribute_authors(
     pub: PublicationRecord,
-    resolutions: Sequence[AffiliationResolution],
+    universities: Sequence[str],
     resolver: Resolver,
     policy: str = "strict",
 ) -> tuple[AuthorAttribution, ...]:
@@ -211,17 +219,17 @@ def attribute_authors(
 
     The candidate set for an author is every distinct (university, sds) pair
     from roster entries that match the author's name key, whose university is
-    among the publication's resolved university affiliations, and whose active
-    years contain the publication year. A single candidate yields a ``unique``
-    attribution. With several candidates, policy ``strict`` emits one
-    ``ambiguous_skipped`` marker (no sector), while policy ``all`` emits one
-    ``ambiguous_all`` attribution per distinct candidate sector, using the
-    lowest university id when the same sector appears at several universities.
+    among ``universities``, the publication's resolved university ids (see
+    ``split_org_ids``), and whose active years contain the publication year.
+    A single candidate yields a ``unique`` attribution. With several
+    candidates, policy ``strict`` emits one ``ambiguous_skipped`` marker (no
+    sector), while policy ``all`` emits one ``ambiguous_all`` attribution per
+    distinct candidate sector, using the lowest university id when the same
+    sector appears at several universities.
     """
     if policy not in AMBIGUITY_POLICIES:
         raise ValueError(f"unknown ambiguity policy {policy!r}")
-    listed = resolved_org_ids(resolutions, resolver.registry, UNIVERSITY)
-    if not listed:
+    if not universities:
         return ()
     roster_index = resolver.roster_index
     pub_id, year = pub.pub_id, pub.year
@@ -234,7 +242,7 @@ def attribute_authors(
         candidates = {
             (e.university_id, e.sds)
             for e in entries
-            if e.university_id in listed and year in e.active_years
+            if e.university_id in universities and year in e.active_years
         }
         if not candidates:
             continue

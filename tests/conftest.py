@@ -4,6 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from collabmarket.collab import FlowCube
+from collabmarket.demo import (
+    DEMO_YEAR,
+    REGIONAL_FLOWS,
+    SECTOR,
+    SECTOR_TABLE,
+    SECTOR_UDA,
+    _sector_pairs,
+    enterprise_id,
+    pair_extra_flows,
+    university_id,
+)
 from collabmarket.model import (
     ENTERPRISE,
     UNIVERSITY,
@@ -11,8 +23,10 @@ from collabmarket.model import (
     Organization,
     PublicationRecord,
     Registry,
+    SDSCollaboration,
     ScientistRosterEntry,
     SectorTaxonomy,
+    UECollaboration,
 )
 
 TEST_REGIONS = ("Lazio", "Lombardy", "Sicily", "Veneto")
@@ -37,6 +51,45 @@ def make_roster(surname, initials, university_id, sds="ING-INF/01", uda="09",
                 years=YEARS, weight=1.0):
     return ScientistRosterEntry(surname, initials, university_id, sds, uda,
                                 frozenset(years), weight)
+
+
+def flow_cube(ue_events=(), sds_events=()):
+    """A cube holding the given events, counted through ``FlowCube.add``."""
+    cube = FlowCube()
+    cube.add(ue_events, sds_events)
+    return cube
+
+
+def _flow_pairs(flows):
+    pairs = []
+    for region in sorted(flows):
+        pairs.extend((region, region) for _ in range(flows[region][0]))
+    pairs.extend(
+        pair_extra_flows({r: flows[r][1] for r in flows}, {r: flows[r][2] for r in flows})
+    )
+    return pairs
+
+
+def regional_ue_events(flows=REGIONAL_FLOWS, year=DEMO_YEAR):
+    """Synthetic university-enterprise events matching the demo's regional
+    flow marginals."""
+    return [
+        UECollaboration(f"R{i:04d}", university_id(u), u, enterprise_id(e), e, year)
+        for i, (u, e) in enumerate(_flow_pairs(flows), start=1)
+    ]
+
+
+def sector_sds_events(table=SECTOR_TABLE, sds=SECTOR, uda=SECTOR_UDA, year=DEMO_YEAR):
+    """Synthetic sector-enterprise events matching the demo's sector marginals."""
+    return [
+        SDSCollaboration(f"S{i:04d}", sds, uda, supply, enterprise_id(demand), demand, year)
+        for i, (supply, demand) in enumerate(_sector_pairs(table), start=1)
+    ]
+
+
+def sector_headcounts(table=SECTOR_TABLE):
+    """Scientist headcount per region for the demo sector."""
+    return {region: float(values[0]) for region, values in table.items()}
 
 
 @pytest.fixture

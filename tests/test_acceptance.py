@@ -20,9 +20,6 @@ from collabmarket.demo import (
     REGIONS,
     SECTOR,
     SECTOR_TABLE,
-    regional_ue_events,
-    sector_headcounts,
-    sector_sds_events,
     write_demo_corpus,
 )
 from collabmarket.indicators import (
@@ -51,6 +48,9 @@ from collabmarket.model import (
     SectorTaxonomy,
     UECollaboration,
 )
+from collabmarket.resolve import split_org_ids
+
+from conftest import flow_cube, regional_ue_events, sector_headcounts, sector_sds_events
 
 
 def _check(criterion: int, slug: str, failures: list[str]) -> None:
@@ -72,7 +72,7 @@ class TestCriterion1RegionalTable:
         failures: list[str] = []
         events = regional_ue_events()
         started = time.perf_counter()
-        rows = regional_summary(events, REGIONS)
+        rows = regional_summary(flow_cube(events), REGIONS)
         elapsed = time.perf_counter() - started
         by = {r.region: r for r in rows}
 
@@ -117,7 +117,7 @@ class TestCriterion2SectorCorrespondence:
         headcounts = sector_headcounts()
         events = sector_sds_events()
         started = time.perf_counter()
-        rows = sector_correspondence(SECTOR, headcounts, events, REGIONS)
+        rows = sector_correspondence(SECTOR, headcounts, flow_cube(sds_events=events), REGIONS)
         elapsed = time.perf_counter() - started
         by = {r.region: r for r in rows}
 
@@ -151,7 +151,9 @@ class TestCriterion2SectorCorrespondence:
 class TestCriterion3SectorFlows:
     def test_flows_reproduce_fixture(self):
         failures: list[str] = []
-        rows = sector_flows(SECTOR, sector_headcounts(), sector_sds_events(), REGIONS)
+        rows = sector_flows(
+            SECTOR, sector_headcounts(), flow_cube(sds_events=sector_sds_events()), REGIONS
+        )
         by = {r.region: r for r in rows}
 
         def pct(value):
@@ -182,7 +184,7 @@ class TestCriterion4Quadrants:
     def test_quadrant_sets(self):
         failures: list[str] = []
         headcounts = sector_headcounts()
-        events = sector_sds_events()
+        events = flow_cube(sds_events=sector_sds_events())
         corr = sector_correspondence(SECTOR, headcounts, events, REGIONS)
         flows = sector_flows(SECTOR, headcounts, events, REGIONS)
         positions = quadrant_positions(SECTOR, corr, flows)
@@ -242,14 +244,15 @@ class TestCriterion5ProductRule:
                 for sds in rng.sample(sds_codes, rng.randint(1, 3))
             )
 
-            ue = derive_ue_events(pub, resolutions, registry)
+            universities, enterprises = split_org_ids(resolutions, registry)
+            ue = derive_ue_events(pub, universities, enterprises, registry)
             want_ue = {(u, e) for u in set(unis) for e in set(ents)}
             got_ue = {(ev.university_id, ev.enterprise_id) for ev in ue}
             if got_ue != want_ue or len(ue) != len(want_ue):
                 failures.append(f"case {case}: ue events diverge from pair oracle")
                 break
 
-            sds_events = derive_sds_events(pub, attributions, resolutions, registry)
+            sds_events = derive_sds_events(pub, attributions, enterprises, registry)
             pairs = {(a.sds, registry.region_of(a.university_id)) for a in attributions}
             want_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
             got_sds = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}
@@ -271,7 +274,7 @@ class TestCriterion6Conservation:
                                 "E", rng.choice(regions), 2002)
                 for i in range(rng.randint(0, 400))
             ]
-            rows = regional_summary(events, regions)
+            rows = regional_summary(flow_cube(events), regions)
             supply = sum(r.supply_national for r in rows)
             demand = sum(r.demand_national for r in rows)
             intra_s = sum(r.supply_intra for r in rows)

@@ -19,16 +19,26 @@ from collabmarket.config import load_config, with_overrides
 from collabmarket.demo import demo_corpus, write_demo_corpus
 from collabmarket.errors import CollabMarketError
 from collabmarket.indicators import SectorCorrespondenceRow, SectorFlowsRow
-from collabmarket.ingest import write_publications
+from collabmarket.ingest import load_publications, load_registries, write_publications
 from collabmarket.report import (
     render_table,
     sanitize_code,
     sector_correspondence_table,
     sector_flows_table,
 )
-from collabmarket.resolve import resolution_report_rows, resolve_publication
+from collabmarket.resolve import (
+    Resolver,
+    attribute_authors,
+    resolution_report_rows,
+    resolve_publication,
+    split_org_ids,
+)
 
 DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
+
+# Past the JSON parser's recursion limit on every supported Python (3.13
+# parses an array 5000 levels deep).
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +153,23 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert f"{copied[key]}:3: not valid UTF-8 (invalid start byte 0xff)" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_deeply_nested_publication_is_bad_json(corpus, tmp_path, capsys, command):
+    """A publication line nested past the parser's limit is one diagnostic
+    naming the file and the line; validate carries on, analyze stops."""
+    path = tmp_path / "pubs.jsonl"
+    lines = Path(corpus["publications"]).read_text(encoding="utf-8").splitlines()
+    lines[2] = '{"pub_id": ' + DEEP_ARRAY + "}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main([command, "--config", str(corpus["config"]), "--publications", str(path),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1
+    assert f"error: {path}:3: bad JSON: nested too deeply" in err
+    assert "Traceback" not in err
 
 
 class TestAnalyze:
@@ -396,6 +423,24 @@ class TestDamagedSnapshot:
         assert rc == 1
         assert f"{path}:1: {message}" in err
 
+    def test_deeply_nested_line(self, snapshots, capsys):
+        path = snapshots[1] / "table2_ING-INF-01.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = DEEP_ARRAY
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:2: bad JSON: nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_manifest(self, snapshots, capsys):
+        path = snapshots[0] / "snapshot.json"
+        path.write_text(DEEP_ARRAY + "\n", encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:1: bad JSON: nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_manifest_without_regions(self, snapshots, capsys):
         path = snapshots[1] / "snapshot.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -511,14 +556,26 @@ class TestPipeline:
         ]
         path = tmp_path / "repeated.jsonl"
         write_publications(repeated, path)
-        config = with_overrides(load_config(corpus["config"]), publications=str(path))
-        result = run_pipeline(config)
-        one_by_one = {
-            pub.pub_id: resolve_publication(pub, result.resolver) for pub in result.publications
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(corpus["config"]), "--publications", str(path),
+                     "--out", str(out)]) == 0
+        config = load_config(corpus["config"])
+        registry = load_registries(config.organizations, config.roster, config.taxonomy)
+        resolver = Resolver.build(registry)
+        publications = load_publications(path, config.window)
+        resolutions = {pub.pub_id: resolve_publication(pub, resolver) for pub in publications}
+        attributions = {
+            pub.pub_id: attribute_authors(
+                pub, split_org_ids(resolutions[pub.pub_id], registry)[0], resolver
+            )
+            for pub in publications
         }
-        assert resolution_report_rows(
-            result.publications, result.resolutions, result.attributions
-        ) == resolution_report_rows(result.publications, one_by_one, result.attributions)
+        with (out / "resolution_report.csv").open(encoding="utf-8", newline="") as handle:
+            written = list(csv.reader(handle))[1:]
+        assert written == [
+            [str(cell) for cell in row]
+            for row in resolution_report_rows(publications, resolutions, attributions)
+        ]
 
 
 def test_pipeline_leaves_the_garbage_collector_as_it_found_it(corpus, tmp_path):

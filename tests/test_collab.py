@@ -25,16 +25,17 @@ from collabmarket.model import (
     Registry,
     SectorTaxonomy,
 )
-from collabmarket.resolve import Resolver, attribute_authors, resolve_publication
+from collabmarket.resolve import Resolver, attribute_authors, resolve_publication, split_org_ids
 
-from conftest import make_pub, make_roster
+from conftest import flow_cube, make_pub, make_roster
 
 
-def _resolutions(registry, pub):
+def _org_ids(registry, pub):
+    """The publication's (universities, enterprises) id tuples and attributions."""
     resolver = Resolver.build(registry)
-    resolutions = resolve_publication(pub, resolver)
-    attributions = attribute_authors(pub, resolutions, resolver)
-    return resolutions, attributions
+    org_ids = split_org_ids(resolve_publication(pub, resolver), registry)
+    attributions = attribute_authors(pub, org_ids[0], resolver)
+    return org_ids, attributions
 
 
 class TestUEEvents:
@@ -43,8 +44,8 @@ class TestUEEvents:
             "Universita di Roma", "Politecnico di Milano",
             "Acme Research", "Borg Devices",
         ])
-        resolutions, _ = _resolutions(registry, pub)
-        events = sort_ue_events(derive_ue_events(pub, resolutions, registry))
+        org_ids, _ = _org_ids(registry, pub)
+        events = sort_ue_events(derive_ue_events(pub, *org_ids, registry))
         assert [(e.university_id, e.enterprise_id) for e in events] == [
             ("U1", "E1"), ("U1", "E2"), ("U2", "E1"), ("U2", "E2"),
         ]
@@ -57,15 +58,15 @@ class TestUEEvents:
             "Universita di Roma", "Univ. Roma", "UNIVERSITA DI ROMA",
             "Acme Research", "Acme Research",
         ])
-        resolutions, _ = _resolutions(registry, pub)
-        events = derive_ue_events(pub, resolutions, registry)
+        org_ids, _ = _org_ids(registry, pub)
+        events = derive_ue_events(pub, *org_ids, registry)
         assert len(events) == 1
 
     def test_one_sided_publication_is_a_contract_violation(self, registry):
         pub = make_pub("P1", ["Universita di Roma"])
-        resolutions, _ = _resolutions(registry, pub)
+        org_ids, _ = _org_ids(registry, pub)
         with pytest.raises(ValueError):
-            derive_ue_events(pub, resolutions, registry)
+            derive_ue_events(pub, *org_ids, registry)
 
 
 class TestSDSEvents:
@@ -75,8 +76,8 @@ class TestSDSEvents:
             ["Universita di Roma", "Politecnico di Milano", "Acme Research", "Borg Devices"],
             authors=[("bianchi", "G")],   # unique at U2: FIS/01
         )
-        resolutions, attributions = _resolutions(registry, pub)
-        events = sort_sds_events(derive_sds_events(pub, attributions, resolutions, registry))
+        org_ids, attributions = _org_ids(registry, pub)
+        events = sort_sds_events(derive_sds_events(pub, attributions, org_ids[1], registry))
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),
         ]
@@ -92,21 +93,21 @@ class TestSDSEvents:
         registry = Registry.build(organizations, roster, taxonomy)
         pub = make_pub("P1", ["Uni South", "Uni North", "Acme"],
                        authors=[("rossi", "M"), ("bruno", "M")])
-        resolutions, attributions = _resolutions(registry, pub)
+        org_ids, attributions = _org_ids(registry, pub)
 
-        per_region = derive_sds_events(pub, attributions, resolutions, registry, "per-region")
+        per_region = derive_sds_events(pub, attributions, org_ids[1], registry, "per-region")
         assert sorted((e.sds, e.supply_region) for e in per_region) == [
             ("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily"),
         ]
 
-        single = derive_sds_events(pub, attributions, resolutions, registry, "single")
+        single = derive_sds_events(pub, attributions, org_ids[1], registry, "single")
         assert [(e.sds, e.supply_region) for e in single] == [("ING-INF/01", "Lombardy")]
 
     def test_unknown_split_rejected(self, registry):
         pub = make_pub("P1", ["Universita di Roma", "Acme Research"])
-        resolutions, attributions = _resolutions(registry, pub)
+        org_ids, attributions = _org_ids(registry, pub)
         with pytest.raises(ValueError):
-            derive_sds_events(pub, attributions, resolutions, registry, "both")
+            derive_sds_events(pub, attributions, org_ids[1], registry, "both")
 
 
 class TestRandomizedOracle:
@@ -144,12 +145,13 @@ class TestRandomizedOracle:
                 for i, sds in enumerate(rng.sample(sds_codes, rng.randint(1, 3)))
             )
 
-            ue = derive_ue_events(pub, resolutions, registry)
+            org_ids = split_org_ids(resolutions, registry)
+            ue = derive_ue_events(pub, *org_ids, registry)
             expected_ue = {(u, e) for u in set(unis) for e in set(ents)}
             assert {(ev.university_id, ev.enterprise_id) for ev in ue} == expected_ue
             assert len(ue) == len(expected_ue)
 
-            sds_events = derive_sds_events(pub, attributions, resolutions, registry)
+            sds_events = derive_sds_events(pub, attributions, org_ids[1], registry)
             expected_pairs = {
                 (a.sds, registry.region_of(a.university_id)) for a in attributions
             }
@@ -168,10 +170,10 @@ class TestSortingAndExport:
             ["Universita di Roma", "Acme Research", "Borg Devices"],
             authors=[("rossi", "M")],
         )
-        resolutions, attributions = _resolutions(registry, pub)
-        ue = derive_ue_events(pub, resolutions, registry)
-        sds = derive_sds_events(pub, attributions, resolutions, registry)
-        totals = corpus_totals(ue, sds)
+        org_ids, attributions = _org_ids(registry, pub)
+        ue = derive_ue_events(pub, *org_ids, registry)
+        sds = derive_sds_events(pub, attributions, org_ids[1], registry)
+        totals = corpus_totals(flow_cube(ue, sds))
         assert (totals.ue_events, totals.sds_events) == (2, 2)
         assert (totals.universities, totals.enterprises, totals.active_sds) == (1, 2, 1)
         assert list(events_by_sds(sds)) == ["ING-INF/01"]
@@ -179,12 +181,12 @@ class TestSortingAndExport:
     def test_export_csv_shape(self, registry, tmp_path):
         pub = make_pub("P1", ["Universita di Roma", "Acme Research"],
                        authors=[("rossi", "M")])
-        resolutions, attributions = _resolutions(registry, pub)
+        org_ids, attributions = _org_ids(registry, pub)
         ue_path = tmp_path / "ue.csv"
         sds_path = tmp_path / "sds.csv"
-        export_ue_events(derive_ue_events(pub, resolutions, registry), ue_path)
+        export_ue_events(derive_ue_events(pub, *org_ids, registry), ue_path)
         export_sds_events(
-            derive_sds_events(pub, attributions, resolutions, registry), sds_path
+            derive_sds_events(pub, attributions, org_ids[1], registry), sds_path
         )
         assert ue_path.read_text(encoding="utf-8") == (
             "pub_id,university_id,u_region,enterprise_id,e_region,year\n"

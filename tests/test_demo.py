@@ -12,10 +12,9 @@ from collabmarket.demo import (
     SECTOR_TABLE,
     demo_corpus,
     pair_extra_flows,
-    regional_ue_events,
-    sector_headcounts,
-    sector_sds_events,
 )
+
+from conftest import regional_ue_events, sector_headcounts, sector_sds_events
 
 
 class TestPairExtraFlows:

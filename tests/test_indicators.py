@@ -35,6 +35,8 @@ from collabmarket.indicators import (
 )
 from collabmarket.model import SDSCollaboration, UECollaboration
 
+from conftest import flow_cube
+
 REGIONS = ("Lazio", "Lombardy", "Sicily", "Veneto")
 
 
@@ -43,6 +45,10 @@ def ue(u_region, e_region, n=1):
         UECollaboration(f"P{u_region}{e_region}{i}", "U", u_region, "E", e_region, 2002)
         for i in range(n)
     ]
+
+
+def sds_cube(events):
+    return flow_cube(sds_events=events)
 
 
 def sds_ev(supply_region, e_region, n=1, sds="S1"):
@@ -60,7 +66,7 @@ class TestRegionalSummary:
             + ue("Lazio", "Lombardy", 2)     # Lazio supplies Lombardy
             + ue("Sicily", "Lazio", 1)       # Sicily supplies Lazio
         )
-        rows = {r.region: r for r in regional_summary(events, REGIONS)}
+        rows = {r.region: r for r in regional_summary(flow_cube(events), REGIONS)}
         lazio = rows["Lazio"]
         assert (lazio.supply_intra, lazio.supply_extra, lazio.supply_national) == (3, 2, 5)
         assert (lazio.demand_intra, lazio.demand_extra, lazio.demand_national) == (3, 1, 4)
@@ -71,11 +77,12 @@ class TestRegionalSummary:
         assert lombardy.market_share == 0.0
         veneto = rows["Veneto"]
         assert veneto.demand_national == 0 and veneto.market_share is None
-        assert [r.region for r in regional_summary(events, REGIONS)] == sorted(REGIONS)
+        rows = regional_summary(flow_cube(events), REGIONS)
+        assert [r.region for r in rows] == sorted(REGIONS)
 
     def test_unknown_region_rejected(self):
         with pytest.raises(ValidationError):
-            regional_summary(ue("Atlantis", "Lazio"), REGIONS)
+            regional_summary(flow_cube(ue("Atlantis", "Lazio")), REGIONS)
 
     def test_conservation_on_random_events(self):
         rng = random.Random(7)
@@ -84,7 +91,7 @@ class TestRegionalSummary:
                             rng.choice(REGIONS), 2002)
             for i in range(500)
         ]
-        rows = regional_summary(events, REGIONS)
+        rows = regional_summary(flow_cube(events), REGIONS)
         assert sum(r.supply_national for r in rows) == 500
         assert sum(r.demand_national for r in rows) == 500
         assert sum(r.supply_intra for r in rows) == sum(r.demand_intra for r in rows)
@@ -127,7 +134,9 @@ class TestSectorCorrespondence:
         events = sds_ev("Lazio", "Lazio", 2) + sds_ev("Lombardy", "Lazio", 6)
         # demand counts enterprises' regions: Lazio 8, others 0
         rows = {r.region: r
-                for r in sector_correspondence("S1", self.HEADCOUNTS, events, REGIONS)}
+                for r in sector_correspondence(
+                    "S1", self.HEADCOUNTS, sds_cube(events), REGIONS
+                )}
         lazio = rows["Lazio"]
         assert (lazio.scientists, lazio.national_demand, lazio.surplus) == (4.0, 8, -4.0)
         assert lazio.demand_per_scientist == pytest.approx(2.0)
@@ -142,7 +151,7 @@ class TestSectorCorrespondence:
         events = sds_ev("Lazio", "Lazio", 2)
         (row,) = [
             r for r in sector_correspondence(
-                "S1", self.HEADCOUNTS, events, REGIONS, capacity_multiplier=2.0
+                "S1", self.HEADCOUNTS, sds_cube(events), REGIONS, capacity_multiplier=2.0
             )
             if r.region == "Lazio"
         ]
@@ -157,7 +166,7 @@ class TestSectorCorrespondence:
             events = []
             for r in REGIONS:
                 events += sds_ev("Lazio", r, rng.randint(0, 4))
-            rows = sector_correspondence("S1", headcounts, events, REGIONS)
+            rows = sector_correspondence("S1", headcounts, sds_cube(events), REGIONS)
             eligible = [r for r in REGIONS if headcounts[r] > 0]
             demand = {r.region: r.national_demand for r in rows}
             oracle = (
@@ -184,7 +193,7 @@ class TestSectorCorrespondence:
             events = []
             for r in REGIONS:
                 events += sds_ev("Lazio", r, rng.randint(0, 4))
-            rows = sector_correspondence("S1", headcounts, events, REGIONS)
+            rows = sector_correspondence("S1", headcounts, sds_cube(events), REGIONS)
             eligible = [r for r in REGIONS if headcounts[r] > 0]
             dps = {r.region: r.demand_per_scientist for r in rows}
             mean = distribution_mean(dps, eligible)
@@ -208,7 +217,8 @@ class TestSectorFlows:
             + sds_ev("Lazio", "Lombardy", 1)   # export
             + sds_ev("Veneto", "Lazio", 2)     # import into Lazio
         )
-        rows = {r.region: r for r in sector_flows("S1", self.HEADCOUNTS, events, REGIONS)}
+        rows = {r.region: r
+                for r in sector_flows("S1", self.HEADCOUNTS, sds_cube(events), REGIONS)}
         lazio = rows["Lazio"]
         assert (lazio.national_demand, lazio.national_supply, lazio.intra_supply) == (5, 4, 3)
         assert lazio.national_supply_per_scientist == pytest.approx(1.0)
@@ -225,7 +235,8 @@ class TestSectorFlows:
 
     def test_rel_to_mean_uses_scientist_eligibility(self):
         events = sds_ev("Lazio", "Lazio", 4) + sds_ev("Veneto", "Lazio", 1)
-        rows = {r.region: r for r in sector_flows("S1", self.HEADCOUNTS, events, REGIONS)}
+        rows = {r.region: r
+                for r in sector_flows("S1", self.HEADCOUNTS, sds_cube(events), REGIONS)}
         # national_supply_per_scientist: Lazio 1.0, Lombardy 0.0, Veneto 1.0
         mean = (1.0 + 0.0 + 1.0) / 3
         assert rows["Lazio"].national_supply_per_scientist_rel == pytest.approx(1.0 / mean)
@@ -306,9 +317,9 @@ class TestRegionStats:
 class TestWeightsAndRanks:
     def test_sds_weights_proportional_to_events(self):
         events = sds_ev("Lazio", "Lazio", 3, sds="S1") + sds_ev("Lazio", "Lazio", 1, sds="S2")
-        weights = sds_weights(events)
+        weights = sds_weights(sds_cube(events))
         assert weights == {"S1": 0.75, "S2": 0.25}
-        assert sds_weights([]) == {}
+        assert sds_weights(flow_cube()) == {}
 
     def test_rank_is_one_plus_strictly_greater(self):
         values = [10.0, 10.0, 5.0, None, 7.0]

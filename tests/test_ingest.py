@@ -27,6 +27,7 @@ from collabmarket.resolve import (
     normalize_initials,
     normalize_name,
     resolve_publication,
+    split_org_ids,
 )
 
 from conftest import make_org, make_pub
@@ -166,8 +167,8 @@ class TestLoadRegistries:
             roster="rossi,M,U1,ING-INF/01,09,2001|2002,1.0\n",
         )
         registry = load_registries(*paths)
-        assert registry.kind_of("U1") == UNIVERSITY
-        assert registry.kind_of("E1") == ENTERPRISE
+        assert registry.by_id["U1"].kind == UNIVERSITY
+        assert registry.by_id["E1"].kind == ENTERPRISE
         assert registry.region_of("E1") == "Veneto"
         assert registry.by_id["U1"].aliases == (
             "Universita di Roma", "Univ. Roma", "Rome University"
@@ -440,7 +441,10 @@ class TestFilters:
         resolver = Resolver.build(registry)
         resolutions = {p.pub_id: resolve_publication(p, resolver) for p in pubs}
         attributions = {
-            p.pub_id: attribute_authors(p, resolutions[p.pub_id], resolver) for p in pubs
+            p.pub_id: attribute_authors(
+                p, split_org_ids(resolutions[p.pub_id], registry)[0], resolver
+            )
+            for p in pubs
         }
         return resolver, resolutions, attributions
 

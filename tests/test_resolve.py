@@ -21,7 +21,7 @@ from collabmarket.resolve import (
     resolution_report_rows,
     resolve_affiliation,
     resolve_publication,
-    resolved_org_ids,
+    split_org_ids,
     _initials_unicode,
     _normalize_once,
     _normalize_unicode,
@@ -156,53 +156,56 @@ class TestResolveAffiliation:
         assert second[0] is first[1]
         assert sorted(seen) == ["Borg", "Univ. Roma"]
 
-    def test_resolved_org_ids_dedup_and_kind(self, registry):
+    def test_split_org_ids_dedup_and_kind(self, registry):
         resolver = Resolver.build(registry)
-        pub = make_pub("P1", ["Borg", "Borg Devices", "Univ. Roma", "Acme Research"])
+        pub = make_pub("P1", ["Borg", "Borg Devices", "Univ. Roma", "Acme Research", "Nowhere"])
         resolutions = resolve_publication(pub, resolver)
-        assert resolved_org_ids(resolutions, registry, ENTERPRISE) == ("E1", "E2")
-        assert resolved_org_ids(resolutions, registry, UNIVERSITY) == ("U1",)
+        universities, enterprises = split_org_ids(resolutions, registry)
+        assert enterprises == ("E1", "E2")
+        assert universities == ("U1",)
 
 
 class TestAttribution:
     def _resolve(self, registry, pub):
+        """The resolver and the publication's resolved university ids."""
         resolver = Resolver.build(registry)
-        return resolver, resolve_publication(pub, resolver)
+        universities, _ = split_org_ids(resolve_publication(pub, resolver), registry)
+        return resolver, universities
 
     def test_unique_match(self, registry):
         pub = make_pub("P1", ["Politecnico di Milano"], authors=[("bianchi", "G")])
-        resolver, resolutions = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, resolutions, resolver)
+        resolver, universities = self._resolve(registry, pub)
+        (att,) = attribute_authors(pub, universities, resolver)
         assert (att.university_id, att.sds, att.status) == ("U2", "FIS/01", UNIQUE)
 
     def test_year_outside_active_years_blocks(self, registry):
         pub = make_pub("P1", ["Universita di Roma"], authors=[("verdi", "A")], year=2002)
-        resolver, resolutions = self._resolve(registry, pub)
-        assert attribute_authors(pub, resolutions, resolver) == ()
+        resolver, universities = self._resolve(registry, pub)
+        assert attribute_authors(pub, universities, resolver) == ()
 
     def test_unmatched_author_produces_nothing(self, registry):
         pub = make_pub("P1", ["Universita di Roma"], authors=[("neri", "Z")])
-        resolver, resolutions = self._resolve(registry, pub)
-        assert attribute_authors(pub, resolutions, resolver) == ()
+        resolver, universities = self._resolve(registry, pub)
+        assert attribute_authors(pub, universities, resolver) == ()
 
     def test_university_not_in_publication_blocks(self, registry):
         pub = make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])
-        resolver, resolutions = self._resolve(registry, pub)
-        assert attribute_authors(pub, resolutions, resolver) == ()
+        resolver, universities = self._resolve(registry, pub)
+        assert attribute_authors(pub, universities, resolver) == ()
 
     def test_ambiguous_strict_skips_with_no_sds(self, registry):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano"],
                        authors=[("rossi", "M")])
-        resolver, resolutions = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, resolutions, resolver, "strict")
+        resolver, universities = self._resolve(registry, pub)
+        (att,) = attribute_authors(pub, universities, resolver, "strict")
         assert att.status == AMBIGUOUS_SKIPPED
         assert att.sds is None and att.university_id is None
 
     def test_ambiguous_all_one_per_distinct_sds(self, registry):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano"],
                        authors=[("rossi", "M")])
-        resolver, resolutions = self._resolve(registry, pub)
-        atts = attribute_authors(pub, resolutions, resolver, "all")
+        resolver, universities = self._resolve(registry, pub)
+        atts = attribute_authors(pub, universities, resolver, "all")
         # both candidates share ING-INF/01, so one attribution at the lowest id
         assert [(a.university_id, a.sds, a.status) for a in atts] == [
             ("U1", "ING-INF/01", AMBIGUOUS_ALL)
@@ -210,22 +213,23 @@ class TestAttribution:
 
     def test_single_candidate_from_many_entries_is_unique(self, registry):
         pub = make_pub("P1", ["Universita di Roma"], authors=[("rossi", "M")])
-        resolver, resolutions = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, resolutions, resolver)
+        resolver, universities = self._resolve(registry, pub)
+        (att,) = attribute_authors(pub, universities, resolver)
         assert (att.university_id, att.status) == ("U1", UNIQUE)
 
     def test_unknown_policy_raises(self, registry):
         pub = make_pub("P1", ["Universita di Roma"])
-        resolver, resolutions = self._resolve(registry, pub)
+        resolver, universities = self._resolve(registry, pub)
         with pytest.raises(ValueError):
-            attribute_authors(pub, resolutions, resolver, "lenient")
+            attribute_authors(pub, universities, resolver, "lenient")
 
     def test_report_rows(self, registry):
         resolver = Resolver.build(registry)
         pub = make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
                        authors=[("rossi", "M"), ("neri", "Z")])
         resolutions = {"P1": resolve_publication(pub, resolver)}
-        attributions = {"P1": attribute_authors(pub, resolutions["P1"], resolver)}
+        universities, _ = split_org_ids(resolutions["P1"], registry)
+        attributions = {"P1": attribute_authors(pub, universities, resolver)}
         (row,) = resolution_report_rows([pub], resolutions, attributions)
         # exact=1 (Acme), alias=1 (Univ. Roma), unresolved=1, unique=1, ambiguous=0
         assert row == ("P1", 1, 1, 1, 1, 0)
