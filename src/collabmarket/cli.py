@@ -15,6 +15,11 @@ tally its resolution-report row, filter, derive its events and count them into
 a ``collab.FlowCube``. Every indicator reads the cube's counts; only the event
 exports read the event lists.
 
+``diff`` reads each snapshot's JSONL tables one file at a time and keeps only
+the four values of each (sector, region) cell that it compares. A table must
+list each region of its manifest exactly once, with finite compared numbers.
+The delta report goes to its two files line by line as its rows are made.
+
 Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
 run completed without hard errors, 1 for data errors and 2 for usage problems,
 an output path that cannot be a directory or an input that cannot be read
@@ -26,11 +31,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .collab import (
     FlowCube,
@@ -47,6 +53,8 @@ from .indicators import (
     IndicatorSnapshot,
     SectorCorrespondenceRow,
     SectorFlowsRow,
+    SnapshotCell,
+    SnapshotDelta,
     aggregate_regions,
     all_headcounts,
     quadrant_positions,
@@ -66,9 +74,11 @@ from .model import (
     UECollaboration,
 )
 from .report import (
+    DELTA_REPORT,
+    FORMATS,
     RenderedTable,
     aggregate_table,
-    delta_table,
+    delta_lines,
     emit_quadrant_svg,
     output_stems,
     region_stats_table,
@@ -385,18 +395,31 @@ _JSON_TYPE_NAMES = {
 }
 
 
-def _read_rows(path: Path, row_type: type) -> tuple:
+def _is_finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _read_rows(path: Path, row_type: type, regions: Mapping[str, str] | None = None) -> tuple:
     """Records of one table from its JSONL twin, in one pass over the file.
 
     Each non-blank line must hold an object whose keys are the record's
     fields in order, as ``render_table`` writes them, and whose values of the
-    fields diff reads have the JSON type of their column.
+    fields diff reads have the JSON type of their column. Given a snapshot's
+    ``regions``, the file must also be a table diff can compare: each of
+    those regions on exactly one line, and the compared numbers finite.
     """
     fields = row_type._fields
     make = row_type._make
     checks = [
         (fields.index(name), name, kinds) for name, kinds in _READ_FIELDS.get(row_type, {}).items()
     ]
+    numbers = [] if regions is None else [
+        (index, name) for index, name, kinds in checks if kinds is _NUMBER_OR_NULL
+    ]
+    seen: set[str] = set()
     rows = []
     try:
         with path.open(encoding="utf-8") as handle:
@@ -420,12 +443,27 @@ def _read_rows(path: Path, row_type: type) -> tuple:
                             f"{path}:{line_no}: {name} is "
                             f"{_JSON_TYPE_NAMES[type(row[index])]}, expected {expected}"
                         )
+                if regions is not None:
+                    for index, name in numbers:
+                        if row[index] is not None and not _is_finite(row[index]):
+                            raise DiffError(f"{path}:{line_no}: {name} is not a finite number")
+                    region = row.region
+                    if region not in regions:
+                        raise DiffError(
+                            f"{path}:{line_no}: region {region!r} is not in the snapshot's regions"
+                        )
+                    if region in seen:
+                        raise DiffError(f"{path}:{line_no}: region {region!r} is listed twice")
+                    seen.add(region)
                 rows.append(row)
     except OSError as exc:
         raise DiffError(f"{path}: cannot read: {exc}") from None
     except UnicodeDecodeError:
         line_no, message = not_utf8(path)
         raise DiffError(f"{path}:{line_no}: {message}") from None
+    if regions is not None and len(seen) < len(regions):
+        missing = [region for region in regions if region not in seen]
+        raise DiffError(f"{path}: no row for region {', '.join(map(repr, missing))}")
     return tuple(rows)
 
 
@@ -443,6 +481,8 @@ def _read_manifest(path: Path) -> dict:
     regions = manifest.get("regions")
     if not isinstance(regions, list) or not all(isinstance(r, str) for r in regions):
         raise DiffError(f"{path}: 'regions' is missing or not an array of strings")
+    if len(set(regions)) < len(regions):
+        raise DiffError(f"{path}: 'regions' lists a region twice")
     for key in ("taxonomy", "active_sds"):
         value = manifest.get(key)
         if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
@@ -451,34 +491,47 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _read_snapshot(directory: Path) -> IndicatorSnapshot:
+    """The cells diff compares, from table2 and table3 of each active sector.
+
+    Each file's rows are dropped once their cells are taken, and every cell
+    is keyed by the manifest's own region string.
+    """
     manifest = _read_manifest(directory / "snapshot.json")
-    correspondence: dict[str, tuple[SectorCorrespondenceRow, ...]] = {}
-    flows: dict[str, tuple[SectorFlowsRow, ...]] = {}
+    regions = {region: region for region in manifest["regions"]}
+    cells: dict[str, dict[str, SnapshotCell]] = {}
     for sds, stem in sorted(manifest["active_sds"].items()):
         corr_path = directory / f"table2_{stem}.jsonl"
         flow_path = directory / f"table3_{stem}.jsonl"
         for path in (corr_path, flow_path):
             if not path.exists():
                 raise DiffError(f"{path} is missing; snapshot {directory} is incomplete")
-        correspondence[sds] = _read_rows(corr_path, SectorCorrespondenceRow)
-        flows[sds] = _read_rows(flow_path, SectorFlowsRow)
-    return IndicatorSnapshot(
-        tuple(manifest["regions"]), manifest["taxonomy"], correspondence, flows
-    )
+        demand = {
+            row.region: (row.surplus, row.demand_per_scientist)
+            for row in _read_rows(corr_path, SectorCorrespondenceRow, regions)
+        }
+        cells[sds] = {
+            regions[row.region]: SnapshotCell(
+                *demand[row.region], row.market_share, row.intra_over_national_supply
+            )
+            for row in _read_rows(flow_path, SectorFlowsRow, regions)
+        }
+    return IndicatorSnapshot(tuple(manifest["regions"]), manifest["taxonomy"], cells)
+
+
+def _write_delta_report(out_dir: Path, deltas: Sequence[SnapshotDelta]) -> None:
+    """Write the delta report's two files line by line as its rows are made;
+    the bytes are ``_write_table``'s for ``delta_table(deltas)``."""
+    for fmt in FORMATS:
+        with (out_dir / f"{DELTA_REPORT}.{fmt}").open("w", encoding="utf-8") as handle:
+            handle.writelines(delta_lines(deltas, fmt))
 
 
 def cmd_diff(t0: str, t1: str, out: str) -> int:
     deltas = snapshot_diff(_read_snapshot(Path(t0)), _read_snapshot(Path(t1)))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(out_dir, delta_table(deltas))
-    flagged = sum(
-        1
-        for cell in deltas
-        for metric in (cell.surplus, cell.demand_per_scientist, cell.market_share,
-                       cell.intra_over_national_supply)
-        if metric.flag
-    )
+    _write_delta_report(out_dir, deltas)
+    flagged = sum(1 for cell in deltas for metric in cell[2:] if metric.flag)
     print(f"diff: {len(deltas)} cells compared, {flagged} flagged", file=sys.stderr)
     return 0
 

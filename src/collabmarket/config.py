@@ -9,6 +9,7 @@ artifacts alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -83,6 +84,8 @@ class RunConfig:
         for sds, multiplier in self.capacity_multipliers.items():
             if not multiplier > 0:
                 raise UsageError(f"capacity multiplier for {sds!r} must be positive")
+            if not math.isfinite(multiplier):
+                raise UsageError(f"capacity multiplier for {sds!r} is not a finite number")
 
     def require_inputs(self) -> None:
         keys = ("publications", "organizations", "roster", "taxonomy")

@@ -5,6 +5,9 @@ enterprise events by (university region, enterprise region) and of sector
 events by (sector, supply region, enterprise region). No event list is
 needed.
 
+``snapshot_diff`` compares two ``IndicatorSnapshot``s, which hold only the
+four compared metrics of each (sector, region) cell.
+
 Conventions shared by every function here:
 
 * NA is represented as ``None``. A ratio is NA exactly when its denominator
@@ -140,14 +143,27 @@ class SnapshotDelta(NamedTuple):
     intra_over_national_supply: MetricDelta
 
 
+class SnapshotCell(NamedTuple):
+    """The metrics of one (region, sector) cell that a snapshot diff compares,
+    in ``SnapshotDelta``'s order: two from table2, two from table3."""
+
+    surplus: float | None
+    demand_per_scientist: float | None
+    market_share: float | None
+    intra_over_national_supply: float | None
+
+
 @dataclass(frozen=True)
 class IndicatorSnapshot:
-    """Per-sector indicator tables of one analysis run, keyed for diffing."""
+    """The compared cells of one analysis run: sds -> region -> cell.
+
+    A sector without cells is inactive in the run; a region without a cell
+    in a sector compares as NA.
+    """
 
     regions: tuple[str, ...]
     taxonomy: Mapping[str, str]  # sds -> uda
-    correspondence: Mapping[str, Sequence[SectorCorrespondenceRow]]
-    flows: Mapping[str, Sequence[SectorFlowsRow]]
+    cells: Mapping[str, Mapping[str, SnapshotCell]]
 
 
 def regional_summary(cube: FlowCube, regions: Sequence[str]) -> list[RegionalSummary]:
@@ -523,9 +539,14 @@ def aggregate_regions(
     return rows
 
 
+_NO_CELL = SnapshotCell(None, None, None, None)
+# Shared: on a large diff over a quarter of the metrics are NA on both sides.
+_NA_DELTA = MetricDelta(None, None, None, None)
+
+
 def _delta(value_t0: float | None, value_t1: float | None) -> MetricDelta:
     if value_t0 is None and value_t1 is None:
-        return MetricDelta(None, None, None, None)
+        return _NA_DELTA
     if value_t0 is None:
         return MetricDelta(None, value_t1, None, "emergent")
     if value_t1 is None:
@@ -552,45 +573,12 @@ def snapshot_diff(t0: IndicatorSnapshot, t1: IndicatorSnapshot) -> list[Snapshot
         difference = sorted(set(t0.regions) ^ set(t1.regions))
         raise DiffError(f"region sets differ: {', '.join(difference)}")
 
-    def cell_maps(snapshot: IndicatorSnapshot):
-        corr = {
-            (sds, row.region): row
-            for sds, rows in snapshot.correspondence.items()
-            for row in rows
-        }
-        flow = {
-            (sds, row.region): row for sds, rows in snapshot.flows.items() for row in rows
-        }
-        return corr, flow
-
-    corr0_map, flow0_map = cell_maps(t0)
-    corr1_map, flow1_map = cell_maps(t1)
+    all_sds = sorted(set(t0.cells) | set(t1.cells))
+    sectors = [(sds, t0.cells.get(sds, {}), t1.cells.get(sds, {})) for sds in all_sds]
     deltas = []
-    all_sds = sorted(set(t0.correspondence) | set(t1.correspondence))
     for region in sorted(t0.regions):
-        for sds in all_sds:
-            c0, c1 = corr0_map.get((sds, region)), corr1_map.get((sds, region))
-            f0, f1 = flow0_map.get((sds, region)), flow1_map.get((sds, region))
-            deltas.append(
-                SnapshotDelta(
-                    region,
-                    sds,
-                    _delta(
-                        c0.surplus if c0 else None,
-                        c1.surplus if c1 else None,
-                    ),
-                    _delta(
-                        c0.demand_per_scientist if c0 else None,
-                        c1.demand_per_scientist if c1 else None,
-                    ),
-                    _delta(
-                        f0.market_share if f0 else None,
-                        f1.market_share if f1 else None,
-                    ),
-                    _delta(
-                        f0.intra_over_national_supply if f0 else None,
-                        f1.intra_over_national_supply if f1 else None,
-                    ),
-                )
-            )
+        for sds, cells0, cells1 in sectors:
+            c0 = cells0.get(region, _NO_CELL)
+            c1 = cells1.get(region, _NO_CELL)
+            deltas.append(SnapshotDelta(region, sds, *map(_delta, c0, c1)))
     return deltas

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
@@ -413,6 +414,12 @@ def _load_roster(
             if not headcount > 0:
                 _report(
                     ValidationError(f"{path}:{line_no}: headcount_weight must be positive"),
+                    diagnostics,
+                )
+                continue
+            if not math.isfinite(headcount):
+                _report(
+                    ValidationError(f"{path}:{line_no}: headcount_weight is not a finite number"),
                     diagnostics,
                 )
                 continue

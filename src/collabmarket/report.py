@@ -6,19 +6,22 @@ carries the same columns with unrounded internal values (shares as fractions,
 NA as ``null``) so downstream tooling, including the snapshot diff, loses
 nothing to display rounding. Rendering the same table twice yields identical
 bytes.
+
+``render_lines`` yields a table's lines one at a time and ``render_table``
+joins them. The delta report of ``diff`` is written from those lines as its
+rows are made (``delta_lines``); ``delta_table`` builds the same table whole.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import UsageError, ValidationError
 from .indicators import (
@@ -64,6 +67,11 @@ class RenderedTable:
     rows: tuple[tuple, ...]
 
 
+# Precision for every finite float at up to six decimals: the largest has 309
+# integer digits. The default 28 digits would fail on values from 1e22 up.
+_WIDE = Context(prec=320)
+
+
 def round_half_away(value: float, digits: int) -> Decimal:
     """Round to ``digits`` decimals with ties going away from zero.
 
@@ -71,7 +79,7 @@ def round_half_away(value: float, digits: int) -> Decimal:
     printed as 0.565 rounds up to 0.57 regardless of its binary expansion.
     """
     quantum = Decimal(1).scaleb(-digits)
-    result = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    result = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP, context=_WIDE)
     return abs(result) if result == 0 else result  # avoid "-0.00"
 
 
@@ -102,7 +110,7 @@ def _format_number(value: float, kind: str) -> str:
     if kind == NUM3:
         return _decimal_string(value, 3)
     if kind == NUM6:
-        return format(round_half_away(value, 6).normalize(), "f")
+        return format(round_half_away(value, 6).normalize(_WIDE), "f")
     if kind == PCT0:
         return str(round_half_away(value * 100.0, 0))
     if kind == PCT2:
@@ -179,28 +187,42 @@ def _bind(columns: Sequence[Column], encoders: dict) -> list:
         raise UsageError(f"unknown column kind {exc.args[0]!r}") from None
 
 
-def render_table(table: RenderedTable, fmt: str) -> str:
-    """Serialize a table to ``csv`` or ``jsonl``; deterministic byte output."""
+class _LineSink:
+    """A file whose ``write`` hands the text back, so that ``csv.writer``'s
+    ``writerow``, which returns what ``write`` returns, yields the line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def render_lines(columns: Sequence[Column], rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """The lines of a table in ``csv`` or ``jsonl``, each with its newline.
+
+    Takes the rows one at a time, so a caller can write them out as they
+    come; ``render_table`` joins them.
+    """
     if fmt == "csv":
-        encoders = _bind(table.columns, _CSV_ENCODERS)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([c.name for c in table.columns])
-        for row in table.rows:
-            writer.writerow([encode(v) for encode, v in zip(encoders, row)])
-        return buffer.getvalue()
-    if fmt == "jsonl":
-        encoders = _bind(table.columns, _JSON_ENCODERS)
+        encoders = _bind(columns, _CSV_ENCODERS)
+        writerow = csv.writer(_LineSink, lineterminator="\n").writerow
+        yield writerow([c.name for c in columns])
+        for row in rows:
+            yield writerow([encode(v) for encode, v in zip(encoders, row)])
+    elif fmt == "jsonl":
+        encoders = _bind(columns, _JSON_ENCODERS)
         # json.dumps's default separators: ", " between items, ": " after keys.
         template = "{" + ", ".join(
-            encode_basestring(c.name).replace("%", "%%") + ": %s" for c in table.columns
-        ) + "}"
-        lines = [
-            template % tuple([encode(v) for encode, v in zip(encoders, row)])
-            for row in table.rows
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-    raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
+            encode_basestring(c.name).replace("%", "%%") + ": %s" for c in columns
+        ) + "}\n"
+        for row in rows:
+            yield template % tuple([encode(v) for encode, v in zip(encoders, row)])
+    else:
+        raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
+
+
+def render_table(table: RenderedTable, fmt: str) -> str:
+    """Serialize a table to ``csv`` or ``jsonl``; deterministic byte output."""
+    return "".join(render_lines(table.columns, table.rows, fmt))
 
 
 _REGIONAL_COLUMNS = (
@@ -263,6 +285,7 @@ _AGGREGATE_COLUMNS = (
     Column("intra_over_national_supply_rank", RANK),
 )
 
+DELTA_REPORT = "diff_report"
 _DELTA_COLUMNS = (
     Column("region", TEXT),
     Column("sds", TEXT),
@@ -297,16 +320,24 @@ def aggregate_table(rows: Sequence[AggregateRow]) -> RenderedTable:
     return RenderedTable("table5_aggregate", _AGGREGATE_COLUMNS, tuple(rows))
 
 
+def delta_rows(deltas: Iterable[SnapshotDelta]) -> Iterator[tuple]:
+    """Long-format diff rows, one per (region, sds, metric), made as read."""
+    metrics = SnapshotDelta._fields[2:]
+    for cell in deltas:
+        for metric, entry in zip(metrics, cell[2:]):
+            yield (cell.region, cell.sds, metric, entry.value_t0, entry.value_t1, entry.delta,
+                   entry.flag or "")
+
+
 def delta_table(deltas: Sequence[SnapshotDelta]) -> RenderedTable:
     """Long-format diff: one row per (region, sds, metric)."""
-    metrics = SnapshotDelta._fields[2:]
-    grid = [
-        (cell.region, cell.sds, metric, entry.value_t0, entry.value_t1, entry.delta,
-         entry.flag or "")
-        for cell in deltas
-        for metric, entry in zip(metrics, cell[2:])
-    ]
-    return RenderedTable("diff_report", _DELTA_COLUMNS, tuple(grid))
+    return RenderedTable(DELTA_REPORT, _DELTA_COLUMNS, tuple(delta_rows(deltas)))
+
+
+def delta_lines(deltas: Sequence[SnapshotDelta], fmt: str) -> Iterator[str]:
+    """The lines of ``render_table(delta_table(deltas), fmt)``, one at a time,
+    without building the table."""
+    return render_lines(_DELTA_COLUMNS, delta_rows(deltas), fmt)
 
 
 def sanitize_code(code: str) -> str:

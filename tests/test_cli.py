@@ -11,16 +11,22 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from collabmarket.cli import _read_rows, main, run_pipeline
+from collabmarket.cli import _read_rows, _write_delta_report, main, run_pipeline
 from collabmarket.config import load_config, with_overrides
 from collabmarket.demo import demo_corpus, write_demo_corpus
 from collabmarket.errors import CollabMarketError
-from collabmarket.indicators import SectorCorrespondenceRow, SectorFlowsRow
+from collabmarket.indicators import (
+    MetricDelta,
+    SectorCorrespondenceRow,
+    SectorFlowsRow,
+    SnapshotDelta,
+)
 from collabmarket.ingest import load_publications, load_registries, write_publications
 from collabmarket.report import (
+    delta_table,
     render_table,
     sanitize_code,
     sector_correspondence_table,
@@ -153,6 +159,53 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert f"{copied[key]}:3: not valid UTF-8 (invalid start byte 0xff)" in err
         assert "Traceback" not in err
+
+
+class TestNotFinite:
+    """A roster weight or capacity multiplier that is not a finite number is
+    refused with a message naming it, never a traceback."""
+
+    def _copy(self, corpus, tmp_path):
+        copied = {name: tmp_path / Path(path).name for name, path in corpus.items()}
+        for name, path in corpus.items():
+            copied[name].write_bytes(Path(path).read_bytes())
+        return copied
+
+    def _set_first_weight(self, roster, weight):
+        lines = roster.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + weight
+        roster.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("weight", ["inf", "1e999"])
+    def test_roster_weight(self, corpus, tmp_path, capsys, command, weight):
+        copied = self._copy(corpus, tmp_path)
+        self._set_first_weight(copied["roster"], weight)
+        rc = main([command, "--config", str(copied["config"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{copied['roster']}:2: headcount_weight is not a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_capacity_multiplier(self, corpus, tmp_path, capsys, command):
+        copied = self._copy(corpus, tmp_path)
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            handle.write("capacity.ING-INF/01 = inf\n")
+        rc = main([command, "--config", str(copied["config"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "capacity multiplier for 'ING-INF/01' is not a finite number" in err
+        assert "Traceback" not in err
+
+    def test_large_finite_weight_is_rendered(self, corpus, tmp_path, capsys):
+        copied = self._copy(corpus, tmp_path)
+        self._set_first_weight(copied["roster"], "1e30")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(copied["config"]), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out / "table2_ING-INF-01.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].startswith("Abruzzo,1000000000000000000000000000000,")
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])
@@ -340,6 +393,29 @@ class TestDiff:
         flags = {row["flag"] for row in rows}
         assert "vanished" in flags
 
+    def test_swapping_t0_and_t1_swaps_the_report(self, corpus, tmp_path):
+        """diff t1 t0 reports diff t0 t1 with the values swapped, each delta
+        negated and emergent and vanished exchanged."""
+        full = tmp_path / "full"
+        early = tmp_path / "early"
+        self._analyze(corpus, full)
+        self._analyze(corpus, early, "--window", "1980:1981")
+        reports = []
+        for name, t0, t1 in (("forward", early, full), ("backward", full, early)):
+            assert main(["diff", "--t0", str(t0), "--t1", str(t1),
+                         "--out", str(tmp_path / name)]) == 0
+            text = (tmp_path / name / "diff_report.jsonl").read_text(encoding="utf-8")
+            reports.append([json.loads(line) for line in text.splitlines()])
+        forward, backward = reports
+        assert len(forward) == len(backward) > 0
+        assert "emergent" in {row["flag"] for row in forward}
+        swapped = {"emergent": "vanished", "vanished": "emergent", "": ""}
+        for f, b in zip(forward, backward):
+            assert (b["region"], b["sds"], b["metric"]) == (f["region"], f["sds"], f["metric"])
+            assert (b["value_t0"], b["value_t1"]) == (f["value_t1"], f["value_t0"])
+            assert b["delta"] == (None if f["delta"] is None else -f["delta"])
+            assert b["flag"] == swapped[f["flag"]]
+
     def test_missing_snapshot_is_reported(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         self._analyze(corpus, out)
@@ -449,6 +525,85 @@ class TestDamagedSnapshot:
         rc, err = self._diff(snapshots, capsys)
         assert rc == 1
         assert f"{path}: 'regions' is missing" in err
+
+    @pytest.mark.parametrize("table, old, name", [
+        ("table2", '"surplus": 2.0', "surplus"),
+        ("table3", '"market_share": 1.0', "market_share"),
+    ])
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1" + "0" * 400])
+    def test_number_that_is_not_finite(self, snapshots, capsys, table, old, name, token):
+        path = snapshots[1] / f"{table}_ING-INF-01.jsonl"
+        text = path.read_text(encoding="utf-8")
+        assert old in text.splitlines()[0]
+        path.write_text(text.replace(old, f'"{name}": {token}', 1), encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:1: {name} is not a finite number" in err
+        assert "Traceback" not in err
+
+    def _append_row(self, path, **changes):
+        """Append a copy of the file's first row with ``changes``; its line number."""
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        row.update(changes)
+        lines.append(json.dumps(row))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return len(lines)
+
+    def test_region_listed_twice(self, snapshots, capsys):
+        path = snapshots[1] / "table2_ING-INF-01.jsonl"
+        line_no = self._append_row(path, surplus=999.0)
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:{line_no}: region 'Abruzzo' is listed twice" in err
+
+    def test_region_outside_the_snapshot(self, snapshots, capsys):
+        path = snapshots[0] / "table3_ING-INF-01.jsonl"
+        line_no = self._append_row(path, region="Atlantis")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}:{line_no}: region 'Atlantis' is not in the snapshot's regions" in err
+
+    def test_region_without_a_row(self, snapshots, capsys):
+        path = snapshots[1] / "table3_ING-INF-01.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[-1])["region"] == "Veneto"
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}: no row for region 'Veneto'" in err
+
+    def test_manifest_lists_a_region_twice(self, snapshots, capsys):
+        path = snapshots[0] / "snapshot.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["regions"].append(manifest["regions"][0])
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"{path}: 'regions' lists a region twice" in err
+
+
+_NAMES = st.text(st.sampled_from(["a", "Z", " ", ",", '"', "'", "é", "Ø", "€"]), max_size=5)
+_DELTA_VALUES = (
+    st.sampled_from([None, 0.0, -0.0, 5e-324, -1e-7, 1e21, 1e300, -1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_METRIC_DELTAS = st.builds(
+    MetricDelta, _DELTA_VALUES, _DELTA_VALUES, _DELTA_VALUES,
+    st.sampled_from([None, "emergent", "vanished"]),
+)
+
+
+@given(st.lists(st.builds(SnapshotDelta, _NAMES, _NAMES, *[_METRIC_DELTAS] * 4), max_size=5))
+@example([])
+def test_delta_report_streams_the_bytes_of_render_table(deltas):
+    """The streamed delta report is ``render_table(delta_table(deltas))``,
+    byte for byte, in both formats."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_delta_report(Path(tmp), deltas)
+        for fmt in ("csv", "jsonl"):
+            expected = render_table(delta_table(deltas), fmt).encode("utf-8")
+            assert (Path(tmp) / f"diff_report.{fmt}").read_bytes() == expected
 
 
 @given(st.lists(st.floats() | st.none(), min_size=15, max_size=15),

@@ -19,6 +19,7 @@ from collabmarket.indicators import (
     IndicatorSnapshot,
     SectorCorrespondenceRow,
     SectorFlowsRow,
+    SnapshotCell,
     aggregate_regions,
     all_headcounts,
     distribution_mean,
@@ -458,21 +459,11 @@ class TestAggregation:
 def _snapshot(values, regions=("Lazio", "Lombardy"), taxonomy=None):
     """values: {sds: {region: v}} -> snapshot with metric v everywhere."""
     taxonomy = taxonomy if taxonomy is not None else {"S1": "09", "S2": "09"}
-    corr = {
-        sds: tuple(
-            SectorCorrespondenceRow(r, 1.0, 1, v, v, None)
-            for r, v in sorted(per.items())
-        )
+    cells = {
+        sds: {r: SnapshotCell(v, v, v, v) for r, v in sorted(per.items())}
         for sds, per in values.items()
     }
-    flows = {
-        sds: tuple(
-            SectorFlowsRow(r, 1, 1, 1, None, None, None, None, v, None, v)
-            for r, v in sorted(per.items())
-        )
-        for sds, per in values.items()
-    }
-    return IndicatorSnapshot(tuple(regions), taxonomy, corr, flows)
+    return IndicatorSnapshot(tuple(regions), taxonomy, cells)
 
 
 class TestSnapshotDiff:
@@ -531,6 +522,44 @@ class TestSnapshotDiff:
             ("Lazio", "S1"), ("Lazio", "S2"),
             ("Lombardy", "S1"), ("Lombardy", "S2"),
         ]
+
+
+_CELL_VALUES = (
+    st.sampled_from([None, 0.0, -0.0, 5e-324, 1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-10**6, 10**6)
+)
+_SWAP_REGIONS = ("Lazio", "Lombardy", "Sicily")
+
+
+@st.composite
+def _generated_snapshots(draw):
+    """Active sectors drawn from three; a region may lack a cell, which
+    compares as NA."""
+    cells = {}
+    for sds in sorted(draw(st.sets(st.sampled_from(["S1", "S2", "S3"])))):
+        present = draw(st.sets(st.sampled_from(_SWAP_REGIONS)))
+        cells[sds] = {
+            region: SnapshotCell(*draw(st.tuples(*[_CELL_VALUES] * 4)))
+            for region in sorted(present)
+        }
+    return IndicatorSnapshot(_SWAP_REGIONS, {"S1": "09", "S2": "09", "S3": "02"}, cells)
+
+
+@given(_generated_snapshots(), _generated_snapshots())
+def test_swapping_snapshots_swaps_the_diff(t0, t1):
+    """snapshot_diff(t1, t0) is snapshot_diff(t0, t1) with the values
+    swapped, each delta negated (None stays None) and emergent and vanished
+    exchanged."""
+    forward = snapshot_diff(t0, t1)
+    backward = snapshot_diff(t1, t0)
+    assert [(d.region, d.sds) for d in backward] == [(d.region, d.sds) for d in forward]
+    swapped = {None: None, "emergent": "vanished", "vanished": "emergent"}
+    for f, b in zip(forward, backward):
+        for mf, mb in zip(f[2:], b[2:]):
+            assert repr((mb.value_t0, mb.value_t1)) == repr((mf.value_t1, mf.value_t0))
+            assert mb.delta == (None if mf.delta is None else -mf.delta)
+            assert mb.flag == swapped[mf.flag]
 
 
 class TestHeadcounts:

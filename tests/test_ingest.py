@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -347,6 +348,9 @@ def _reference_load_roster(path, by_id, taxonomy, diagnostics):
             if not weight > 0:
                 report(ValidationError(f"{path}:{line_no}: headcount_weight must be positive"))
                 continue
+            if not math.isfinite(weight):
+                report(ValidationError(f"{path}:{line_no}: headcount_weight is not a finite number"))
+                continue
             roster.append(
                 ScientistRosterEntry(surname, initials, university_id, sds, uda, years, weight)
             )
@@ -369,7 +373,7 @@ INVALID_CELLS = {
     "sds": ["MAT/05", ""],
     "uda": ["01", ""],
     "active_years": ["", "|", "two", "2001|x"],
-    "headcount_weight": ["0", "-1", "nan", "", "abc"],
+    "headcount_weight": ["0", "-1", "nan", "inf", "-inf", "", "abc"],
 }
 OTHER_CELLS = ["", "extra", "a,b", 'say "hi"', "x\ny"]
 

@@ -71,6 +71,16 @@ class TestRounding:
         assert round_half_away(float(once), 2) == once
 
 
+    @given(st.floats(min_value=1e22, max_value=1.7976931348623157e308), st.booleans(),
+           st.sampled_from([(NUM2, ".00"), (NUM3, ".000"), (NUM6, "")]))
+    def test_large_values_keep_every_integer_digit(self, magnitude, negative, kind_and_tail):
+        """From 1e22 up a float is an integer of more digits than the
+        default decimal precision; the cell still writes all of them."""
+        value = -magnitude if negative else magnitude
+        kind, tail = kind_and_tail
+        assert format_cell(value, kind) == format(Decimal(repr(value)), "f") + tail
+
+
 class TestFormatCell:
     def test_none_is_na_everywhere(self):
         for kind in (TEXT, INT, NUM2, NUM6, PCT0, PCT2, RANK):
