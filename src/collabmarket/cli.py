@@ -9,11 +9,12 @@ Subcommands:
 * ``region``    analyze's cross-sector statistics card of one region.
 * ``diff``      compare two analyze output directories.
 
-The run subcommands load the registries and the publications, then take each
-in-window publication through one pass (``run_pipeline``): resolve, attribute,
-tally its resolution-report row, filter, derive its events and count them into
-a ``collab.FlowCube``. Every indicator reads the cube's counts; only the event
-exports read the event lists.
+The run subcommands load the registries, then take each in-window publication
+through one pass (``run_pipeline``) as ``ingest.iter_publications`` parses it:
+resolve, attribute, tally its resolution-report row, filter, derive its events
+and count them into a ``collab.FlowCube``. No list of the corpus is kept, so
+memory follows the registries and the events, not the corpus. Every indicator
+reads the cube's counts; only the event exports read the event lists.
 
 ``diff`` reads each snapshot's JSONL tables one file at a time and keeps only
 the four values of each (sector, region) cell that it compares. A table must
@@ -65,7 +66,7 @@ from .indicators import (
     sector_flows,
     snapshot_diff,
 )
-from .ingest import LoadReport, _json_line, load_publications, load_registries, not_utf8
+from .ingest import LoadReport, _json_line, iter_publications, load_registries, not_utf8
 from .model import (
     AffiliationResolution,
     AuthorAttribution,
@@ -160,14 +161,17 @@ def _report_row(
 
 @_collector_paused()
 def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> PipelineResult:
-    """Load the inputs, then take each in-window publication through one pass.
+    """Load the registries, then take each in-window publication through one
+    pass as the parser yields it.
 
     The pass resolves its affiliations, attributes its authors, tallies its
     resolution-report row, decides whether it is resolvable and whether it is
     retained, and derives its events into the event lists and the flow cube.
-    Only those results outlive the call; the publications and their
-    resolutions do not. The cyclic garbage collector stays paused meanwhile
-    (see ``_collector_paused``).
+    Only those results outlive the record; no list of publications exists,
+    and their resolutions are dropped too. A bad line raises (or, given
+    ``diagnostics``, is reported) when the parse reaches it, and the caller
+    writes nothing before this returns. The cyclic garbage collector stays
+    paused meanwhile (see ``_collector_paused``).
     """
     config.require_inputs()
     registry = load_registries(
@@ -177,17 +181,17 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
         config.regions,
         diagnostics,
     )
-    publications = load_publications(config.publications, config.window, diagnostics)
     resolver = Resolver.build(registry)
     parent_uda = registry.taxonomy.parent_uda
     seen: dict[str, AffiliationResolution] = {}
     report_rows = []
     warnings = []
-    retained = 0
+    in_window = retained = 0
     ue_events: list[UECollaboration] = []
     sds_events: list[SDSCollaboration] = []
     cube = FlowCube()
-    for pub in publications:
+    for pub in iter_publications(config.publications, config.window, diagnostics):
+        in_window += 1
         resolutions = resolve_publication(pub, resolver, seen)
         universities, enterprises = split_org_ids(resolutions, registry)
         attributions = attribute_authors(pub, universities, resolver, config.ambiguity)
@@ -206,9 +210,7 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
             sds_events += sds
             cube.add(ue, sds)
     dropped = 0 if config.keep_unresolvable else len(warnings)
-    load_report = LoadReport(
-        len(publications), len(publications) - dropped, dropped, tuple(warnings)
-    )
+    load_report = LoadReport(in_window, in_window - dropped, dropped, tuple(warnings))
     return PipelineResult(
         config,
         registry,
@@ -282,7 +284,8 @@ def _write_indicators(
     of ``regions``, the files of ``analyze``, ``sector`` and ``region`` alike.
 
     First checks that no two configured regions, and no two of the active and
-    the requested sectors, share a file-name stem. A region card spans every
+    the requested sectors, share a file-name stem, and that no headcount sum
+    overflows; only then is ``--out`` created. A region card spans every
     taxonomy sector, so only a card makes it compute them all. Returns the
     sectors' stems, correspondence rows and flows rows.
     """
@@ -290,9 +293,9 @@ def _write_indicators(
     cube = result.cube
     output_stems(config.regions, "regions")
     stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
+    headcounts = all_headcounts(result.registry)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    headcounts = all_headcounts(result.registry)
     correspondence = {
         sds: sector_correspondence(
             sds,

@@ -24,6 +24,7 @@ Conventions shared by every function here:
 from __future__ import annotations
 
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import sqrt
@@ -34,6 +35,8 @@ from .errors import ComputationError, DiffError, ValidationError
 from .model import Registry
 
 WEIGHT_SUM_TOLERANCE = 1e-9
+
+_LARGEST_FLOAT = sys.float_info.max
 
 AGGREGATION_NA_POLICIES = ("coerce-zero", "renormalize")
 
@@ -256,12 +259,23 @@ def roster_headcounts(registry: Registry, sds: str) -> dict[str, float]:
 
 
 def all_headcounts(registry: Registry) -> dict[str, dict[str, float]]:
-    """Headcounts of every taxonomy sector in one pass: sds -> region -> n."""
+    """Headcounts of every taxonomy sector in one pass: sds -> region -> n.
+
+    Roster weights are finite, but their sum can pass the float range; that
+    raises a ``ValidationError`` naming the sector and the region.
+    """
     totals: dict[str, dict[str, float]] = {sds: {} for sds in registry.taxonomy.sds_codes}
     for entry in registry.roster:
         region = registry.region_of(entry.university_id)
         per_region = totals[entry.sds]
         per_region[region] = per_region.get(region, 0.0) + entry.headcount_weight
+    for sds, per_region in totals.items():
+        for region, headcount in per_region.items():
+            if headcount > _LARGEST_FLOAT:
+                raise ValidationError(
+                    f"roster headcount of sector {sds!r} in region {region!r} "
+                    "sums past the float range"
+                )
     return totals
 
 
@@ -559,7 +573,8 @@ def snapshot_diff(t0: IndicatorSnapshot, t1: IndicatorSnapshot) -> list[Snapshot
 
     Both snapshots must be computed over the same region set and taxonomy.
     A sector with tables in only one snapshot shows up flagged emergent (only
-    in t1) or vanished (only in t0) for every region.
+    in t1) or vanished (only in t0) for every region. A change past the float
+    range raises a ``DiffError`` naming the sector, the region and the metric.
     """
     taxonomy_t0 = dict(t0.taxonomy)
     taxonomy_t1 = dict(t1.taxonomy)
@@ -580,5 +595,13 @@ def snapshot_diff(t0: IndicatorSnapshot, t1: IndicatorSnapshot) -> list[Snapshot
         for sds, cells0, cells1 in sectors:
             c0 = cells0.get(region, _NO_CELL)
             c1 = cells1.get(region, _NO_CELL)
-            deltas.append(SnapshotDelta(region, sds, *map(_delta, c0, c1)))
+            cell = SnapshotDelta(region, sds, *map(_delta, c0, c1))
+            # Finite values can still differ by more than the float range.
+            for metric, entry in zip(SnapshotCell._fields, cell[2:]):
+                if entry.delta is not None and abs(entry.delta) > _LARGEST_FLOAT:
+                    raise DiffError(
+                        f"sector {sds!r}, region {region!r}: {metric} changes from "
+                        f"{entry.value_t0!r} to {entry.value_t1!r}, past the float range"
+                    )
+            deltas.append(cell)
     return deltas

@@ -19,6 +19,11 @@ file and the line.
 Loaders raise on the first bad record by default. When a ``diagnostics`` list
 is passed, record-level problems are appended to it as messages and the record
 is skipped instead, so a validation pass can report many issues at once.
+
+``iter_publications`` yields the corpus one record at a time, so a run holds
+no list of it; ``load_publications`` collects the same records into a list.
+A bad line is raised or reported when the iteration reaches it. The roster
+keeps one string object per distinct name, university, sector and area.
 """
 
 from __future__ import annotations
@@ -150,18 +155,18 @@ def _parse_publication(line: str, path: Path, line_no: int) -> PublicationRecord
     return PublicationRecord(pub_id, year, tuple(parsed_authors), tuple(affiliations))
 
 
-def load_publications(
+def iter_publications(
     path: str | Path,
     window: tuple[int, int] | None = None,
     diagnostics: list[str] | None = None,
-) -> list[PublicationRecord]:
-    """Load the publication corpus, keeping records whose year is in window.
+) -> Iterator[PublicationRecord]:
+    """Yield the corpus's records whose year is in window, one line at a time.
 
     Input order is preserved. Duplicate pub_ids are rejected even when the
-    duplicate falls outside the window.
+    duplicate falls outside the window. Only the pub_ids seen so far stay
+    alive between records, so a caller that keeps no record holds no corpus.
     """
     path = Path(path)
-    records: list[PublicationRecord] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as handle:
         try:
@@ -182,10 +187,18 @@ def load_publications(
                 seen.add(record.pub_id)
                 if window is not None and not window[0] <= record.year <= window[1]:
                     continue
-                records.append(record)
+                yield record
         except UnicodeDecodeError:
             raise ParseError(path, *not_utf8(path)) from None
-    return records
+
+
+def load_publications(
+    path: str | Path,
+    window: tuple[int, int] | None = None,
+    diagnostics: list[str] | None = None,
+) -> list[PublicationRecord]:
+    """The in-window records of ``iter_publications`` as a list."""
+    return list(iter_publications(path, window, diagnostics))
 
 
 def write_publications(records: Iterable[PublicationRecord], path: str | Path) -> None:
@@ -246,6 +259,8 @@ def _cells(reader, positions: list[int]) -> Iterator[tuple[int, tuple[str, ...]]
 
 def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> SectorTaxonomy:
     parent: dict[str, str] = {}
+    # Hundreds of sectors share a handful of areas; keep one string per area.
+    areas: dict[str, str] = {}
     with _csv_rows(path, TAXONOMY_COLUMNS) as rows:
         for line_no, (sds, uda) in rows:
             sds = sds.strip()
@@ -262,7 +277,7 @@ def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> SectorTaxonomy:
                     diagnostics,
                 )
                 continue
-            parent[sds] = uda
+            parent[sds] = areas.setdefault(uda, uda)
     return SectorTaxonomy(parent)
 
 
@@ -368,8 +383,11 @@ def _load_roster(
     taxonomy: SectorTaxonomy,
     diagnostics: list[str] | None,
 ) -> list[ScientistRosterEntry]:
-    universities = {org_id for org_id, org in by_id.items() if org.kind == UNIVERSITY}
-    parent_uda = taxonomy.parent_uda
+    # Each row holds one string object per distinct value: the registry's own
+    # org id and taxonomy key and area, and one shared copy of each name.
+    universities = {org_id: org_id for org_id, org in by_id.items() if org.kind == UNIVERSITY}
+    sectors = {sds: (sds, uda) for sds, uda in taxonomy.parent_uda.items()}
+    names: dict[str, str] = {}
     # A roster repeats a handful of year lists and weights over many rows;
     # rows share one parsed value per distinct raw string.
     years_of: dict[str, frozenset[int] | None] = {}
@@ -388,7 +406,9 @@ def _load_roster(
                     diagnostics,
                 )
                 continue
-            if university_id not in universities or parent_uda.get(sds) != uda:
+            university = universities.get(university_id)
+            sector = sectors.get(sds)
+            if university is None or sector is None or sector[1] != uda:
                 _report(
                     _referential_error(
                         path, line_no, surname, university_id, sds, uda, by_id, taxonomy
@@ -425,7 +445,12 @@ def _load_roster(
                 continue
             roster.append(
                 ScientistRosterEntry(
-                    surname, initials, university_id, sds, uda, active_years, headcount
+                    names.setdefault(surname, surname),
+                    names.setdefault(initials, initials),
+                    university,
+                    *sector,
+                    active_years,
+                    headcount,
                 )
             )
     return roster

@@ -161,15 +161,16 @@ class TestNotUtf8:
         assert "Traceback" not in err
 
 
+def _copy_corpus(corpus, tmp_path):
+    copied = {name: tmp_path / Path(path).name for name, path in corpus.items()}
+    for name, path in corpus.items():
+        copied[name].write_bytes(Path(path).read_bytes())
+    return copied
+
+
 class TestNotFinite:
     """A roster weight or capacity multiplier that is not a finite number is
     refused with a message naming it, never a traceback."""
-
-    def _copy(self, corpus, tmp_path):
-        copied = {name: tmp_path / Path(path).name for name, path in corpus.items()}
-        for name, path in corpus.items():
-            copied[name].write_bytes(Path(path).read_bytes())
-        return copied
 
     def _set_first_weight(self, roster, weight):
         lines = roster.read_text(encoding="utf-8").splitlines()
@@ -179,7 +180,7 @@ class TestNotFinite:
     @pytest.mark.parametrize("command", ["validate", "analyze"])
     @pytest.mark.parametrize("weight", ["inf", "1e999"])
     def test_roster_weight(self, corpus, tmp_path, capsys, command, weight):
-        copied = self._copy(corpus, tmp_path)
+        copied = _copy_corpus(corpus, tmp_path)
         self._set_first_weight(copied["roster"], weight)
         rc = main([command, "--config", str(copied["config"]), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -189,7 +190,7 @@ class TestNotFinite:
 
     @pytest.mark.parametrize("command", ["validate", "analyze"])
     def test_capacity_multiplier(self, corpus, tmp_path, capsys, command):
-        copied = self._copy(corpus, tmp_path)
+        copied = _copy_corpus(corpus, tmp_path)
         with copied["config"].open("a", encoding="utf-8") as handle:
             handle.write("capacity.ING-INF/01 = inf\n")
         rc = main([command, "--config", str(copied["config"]), "--out", str(tmp_path / "out")])
@@ -198,8 +199,30 @@ class TestNotFinite:
         assert "capacity multiplier for 'ING-INF/01' is not a finite number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Abruzzo"],
+    ], ids=lambda command: command[0])
+    def test_headcount_sum_past_the_float_range(self, corpus, tmp_path, capsys, command):
+        """Two finite weights whose sum overflows exit 1 naming the sector and
+        the region, before --out is created."""
+        copied = _copy_corpus(corpus, tmp_path)
+        lines = copied["roster"].read_text(encoding="utf-8").splitlines()
+        rows = [i for i, line in enumerate(lines) if ",U-ABR,ING-INF/01," in line][:2]
+        assert len(rows) == 2
+        for i in rows:
+            lines[i] = lines[i].rsplit(",", 1)[0] + ",1e308"
+        copied["roster"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(copied["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert ("error: roster headcount of sector 'ING-INF/01' in region 'Abruzzo' "
+                "sums past the float range") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_large_finite_weight_is_rendered(self, corpus, tmp_path, capsys):
-        copied = self._copy(corpus, tmp_path)
+        copied = _copy_corpus(corpus, tmp_path)
         self._set_first_weight(copied["roster"], "1e30")
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(copied["config"]), "--out", str(out)]) == 0
@@ -541,6 +564,28 @@ class TestDamagedSnapshot:
         assert f"{path}:1: {name} is not a finite number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("table, name, high", [
+        ("table2", "surplus", 1e308),
+        ("table3", "market_share", 1e308),
+        ("table2", "demand_per_scientist", 10**308),
+    ], ids=["table2-float", "table3-float", "table2-integer"])
+    def test_change_past_the_float_range(self, snapshots, capsys, table, name, high):
+        """Finite values whose difference overflows exit 1 naming the sector,
+        the region and the metric, before --out is created."""
+        for snapshot, value in zip(snapshots, (high, -high)):
+            path = snapshot / f"{table}_ING-INF-01.jsonl"
+            first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            row = json.loads(first)
+            assert row["region"] == "Abruzzo"
+            row[name] = value
+            path.write_text(f"{json.dumps(row)}\n{rest}", encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert (f"error: sector 'ING-INF/01', region 'Abruzzo': {name} changes from "
+                f"{high!r} to {-high!r}, past the float range") in err
+        assert "Traceback" not in err
+        assert not (snapshots[0].parent / "delta").exists()
+
     def _append_row(self, path, **changes):
         """Append a copy of the file's first row with ``changes``; its line number."""
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -700,6 +745,51 @@ def test_publication_order_leaves_analyze_outputs_unchanged(corpus, tmp_path, se
         header, *rows = files["resolution_report.csv"].splitlines()
         files["resolution_report.csv"] = [header, *sorted(rows)]
     assert permuted == original
+
+
+class TestMalformedLastLine:
+    """The parse is streamed through the pass, so a bad line is found only
+    after every line before it went through; it still stops the run cleanly."""
+
+    @pytest.fixture
+    def broken(self, corpus, tmp_path):
+        copied = _copy_corpus(corpus, tmp_path)
+        with copied["publications"].open("a", encoding="utf-8") as handle:
+            handle.write('{"pub_id": "LAST", "year": 2002,\n')
+        return copied
+
+    def test_analyze_exits_1_naming_the_line_and_writes_nothing(self, broken, tmp_path, capsys):
+        lines = broken["publications"].read_text(encoding="utf-8").count("\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(broken["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {broken['publications']}:{lines}: bad JSON" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_validate_lists_diagnostics_in_load_order(self, broken, tmp_path, capsys):
+        """Registry diagnostics first, then the publications' in line order,
+        as when the whole corpus was loaded before the pass."""
+        publications = broken["publications"].read_text(encoding="utf-8").splitlines()
+        publications[3] = "[]"
+        broken["publications"].write_text("\n".join(publications) + "\n", encoding="utf-8")
+        with broken["roster"].open("a", encoding="utf-8") as handle:
+            handle.write("nobody,A,U-NONE,ING-INF/01,09,2002,1\n")
+        config = load_config(broken["config"])
+        expected: list[str] = []
+        load_registries(config.organizations, config.roster, config.taxonomy, config.regions,
+                        expected)
+        load_publications(config.publications, config.window, expected)
+        assert len(expected) == 3
+
+        rc = main(["validate", "--config", str(broken["config"]),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            f"error: {message}" for message in expected
+        ]
+        assert "Traceback" not in err
 
 
 class TestPipeline:

@@ -6,14 +6,18 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collabmarket.demo import write_demo_corpus
 from collabmarket.errors import CollabMarketError, ParseError, ReferentialError, ValidationError
 from collabmarket.ingest import (
+    ORG_COLUMNS,
     ROSTER_COLUMNS,
+    TAXONOMY_COLUMNS,
     _load_roster,
     filter_hard_sciences,
     load_publications,
@@ -438,6 +442,54 @@ def test_roster_load_matches_dict_reader_reference(roster_path, text, collect):
     roster_path.write_text(text, encoding="utf-8", newline="")
     assert _roster_outcome(_load_roster, roster_path, collect) == \
         _roster_outcome(_reference_load_roster, roster_path, collect)
+
+
+def _assert_one_object_per_value(roster):
+    for field in ("surname", "initials", "university_id", "sds", "uda"):
+        values = [getattr(entry, field) for entry in roster]
+        assert len({id(v) for v in values}) == len(set(values)), field
+
+
+def test_roster_shares_one_string_per_distinct_value(tmp_path):
+    """Roster rows repeat a few universities, sectors and areas and many
+    names; each distinct value is one string object, on the demo roster and on
+    a generated one whose cells spell one value in several ways."""
+    demo = write_demo_corpus(tmp_path / "demo")
+    registry = load_registries(demo["organizations"], demo["roster"], demo["taxonomy"])
+    assert len(registry.roster) > len({entry.sds for entry in registry.roster})
+    _assert_one_object_per_value(registry.roster)
+
+    rng = random.Random(7)
+    sectors = [(f"S{i}/0{i % 3}", f"0{i % 3}") for i in range(8)]
+    universities = [f"U{i}" for i in range(5)]
+    organizations = tmp_path / "organizations.csv"
+    taxonomy = tmp_path / "taxonomy.csv"
+    roster = tmp_path / "roster.csv"
+    with organizations.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(ORG_COLUMNS)
+        writer.writerows((u, UNIVERSITY, "Lazio", f"University {u}", "") for u in universities)
+    with taxonomy.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TAXONOMY_COLUMNS)
+        writer.writerows((sds, f" {uda} ") for sds, uda in sectors)
+    with roster.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(ROSTER_COLUMNS)
+        for _ in range(400):
+            sds, uda = rng.choice(sectors)
+            writer.writerow((
+                rng.choice(["Rossi", " rossi", "ROSSI", "Bianchi", "Ørsted", f"n{rng.randrange(60)}"]),
+                rng.choice(["M", "m.", " M ", "A.B", "ab"]),
+                rng.choice(universities) + rng.choice(["", " "]),
+                rng.choice(["", " "]) + sds,
+                uda + rng.choice(["", " "]),
+                "2001|2002",
+                "1",
+            ))
+    registry = load_registries(organizations, roster, taxonomy)
+    assert len(registry.roster) == 400
+    _assert_one_object_per_value(registry.roster)
 
 
 class TestFilters:

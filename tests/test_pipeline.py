@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabmarket import cli
 from collabmarket.cli import run_pipeline
 from collabmarket.collab import (
     FlowCube,
@@ -221,6 +222,34 @@ def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split, keep_unresol
         len(enterprises),
         len({ev.sds for ev in sds_events}),
     )
+
+
+def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
+    """When the parser yields its k-th record, the pass has resolved exactly
+    k-1: no list of the corpus is built ahead of the loop."""
+    config = load_config(write_demo_corpus(tmp_path)["config"])
+    resolved = []
+    seen_at_yield = []
+    parse = cli.iter_publications
+    resolve = cli.resolve_publication
+
+    def counting_parse(*args):
+        for record in parse(*args):
+            seen_at_yield.append(len(resolved))
+            yield record
+
+    def counting_resolve(pub, *args):
+        resolved.append(pub.pub_id)
+        return resolve(pub, *args)
+
+    monkeypatch.setattr(cli, "iter_publications", counting_parse)
+    monkeypatch.setattr(cli, "resolve_publication", counting_resolve)
+    result = run_pipeline(config)
+    in_window = result.load_report.publications_read
+    assert in_window > 1
+    assert seen_at_yield == list(range(in_window))
+    assert resolved == [pub.pub_id for pub in load_publications(config.publications,
+                                                                config.window)]
 
 
 @pytest.fixture(scope="module")
