@@ -550,8 +550,19 @@ def _generated_snapshots(draw):
 def test_swapping_snapshots_swaps_the_diff(t0, t1):
     """snapshot_diff(t1, t0) is snapshot_diff(t0, t1) with the values
     swapped, each delta negated (None stays None) and emergent and vanished
-    exchanged."""
-    forward = snapshot_diff(t0, t1)
+    exchanged. A change past the float range is one in both directions, so
+    both raise, at the same cell with the values swapped."""
+    try:
+        forward = snapshot_diff(t0, t1)
+    except DiffError as error:
+        with pytest.raises(DiffError) as swapped_error:
+            snapshot_diff(t1, t0)
+        where, values = str(error).split(" changes from ")
+        value_t0, value_t1 = values.removesuffix(", past the float range").split(" to ")
+        assert str(swapped_error.value) == (
+            f"{where} changes from {value_t1} to {value_t0}, past the float range"
+        )
+        return
     backward = snapshot_diff(t1, t0)
     assert [(d.region, d.sds) for d in backward] == [(d.region, d.sds) for d in forward]
     swapped = {None: None, "emergent": "vanished", "vanished": "emergent"}
