@@ -66,7 +66,7 @@ from .indicators import (
     sector_flows,
     snapshot_diff,
 )
-from .ingest import LoadReport, _json_line, iter_publications, load_registries, not_utf8
+from .ingest import _json_line, iter_publications, load_registries, not_utf8
 from .model import (
     AffiliationResolution,
     AuthorAttribution,
@@ -109,13 +109,14 @@ RESOLUTION_REPORT_COLUMNS = ("pub_id", "exact", "alias", "unresolved", "unique",
 class PipelineResult:
     """What the subcommands read once the corpus has been through one pass.
 
-    The in-window publication count is ``load_report.publications_read``.
+    ``warnings`` names each in-window publication none of whose affiliations
+    resolved.
     """
 
-    config: RunConfig
     registry: Registry
-    resolver: Resolver
-    load_report: LoadReport
+    ambiguous_aliases: Mapping[str, tuple[str, ...]]
+    in_window: int
+    warnings: tuple[str, ...]
     report_rows: list[tuple[str, int, int, int, int, int]]
     retained: int
     ue_events: list[UECollaboration]
@@ -209,13 +210,11 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
             ue_events += ue
             sds_events += sds
             cube.add(ue, sds)
-    dropped = 0 if config.keep_unresolvable else len(warnings)
-    load_report = LoadReport(in_window, in_window - dropped, dropped, tuple(warnings))
     return PipelineResult(
-        config,
         registry,
-        resolver,
-        load_report,
+        resolver.ambiguous_aliases,
+        in_window,
+        tuple(warnings),
         report_rows,
         retained,
         ue_events,
@@ -241,8 +240,8 @@ def _print_diagnostics(diagnostics: Sequence[str]) -> None:
         print(f"... and {overflow} more", file=sys.stderr)
 
 
-def _warn_registry_ambiguities(resolver: Resolver) -> None:
-    for alias, org_ids in resolver.ambiguous_aliases.items():
+def _warn_registry_ambiguities(ambiguous_aliases: Mapping[str, tuple[str, ...]]) -> None:
+    for alias, org_ids in ambiguous_aliases.items():
         print(
             f"warning: alias {alias!r} is shared by {', '.join(org_ids)}; "
             f"resolving to {min(org_ids)}",
@@ -253,17 +252,18 @@ def _warn_registry_ambiguities(resolver: Resolver) -> None:
 def cmd_validate(config: RunConfig) -> int:
     diagnostics: list[str] = []
     result = run_pipeline(config, diagnostics)
+    all_headcounts(result.registry, config.capacity_multipliers, diagnostics)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolution_report(result, out_dir)
-    _warn_registry_ambiguities(result.resolver)
-    for warning in result.load_report.warnings:
+    _warn_registry_ambiguities(result.ambiguous_aliases)
+    for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if not result.load_report.publications_read:
+    if not result.in_window:
         print("warning: no publications fall inside the configured window", file=sys.stderr)
     totals = corpus_totals(result.cube)
     print(
-        f"validate: {result.load_report.publications_read} publications read, "
+        f"validate: {result.in_window} publications read, "
         f"{result.retained} retained by the collaboration filter, "
         f"{totals.ue_events} university-enterprise events, "
         f"{totals.sds_events} sector events",
@@ -276,7 +276,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def _write_indicators(
-    result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
+    config: RunConfig, result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
 ) -> tuple[
     dict[str, str], dict[str, list[SectorCorrespondenceRow]], dict[str, list[SectorFlowsRow]]
 ]:
@@ -284,16 +284,16 @@ def _write_indicators(
     of ``regions``, the files of ``analyze``, ``sector`` and ``region`` alike.
 
     First checks that no two configured regions, and no two of the active and
-    the requested sectors, share a file-name stem, and that no headcount sum
-    overflows; only then is ``--out`` created. A region card spans every
-    taxonomy sector, so only a card makes it compute them all. Returns the
-    sectors' stems, correspondence rows and flows rows.
+    the requested sectors, share a file-name stem, and that no headcount sum,
+    nor its product with the capacity multiplier, overflows; only then is
+    ``--out`` created. A region card spans every taxonomy sector, so only a
+    card makes it compute them all. Returns the sectors' stems, correspondence
+    rows and flows rows.
     """
-    config = result.config
     cube = result.cube
     output_stems(config.regions, "regions")
     stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
-    headcounts = all_headcounts(result.registry)
+    headcounts = all_headcounts(result.registry, config.capacity_multipliers)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     correspondence = {
@@ -331,7 +331,7 @@ def _write_indicators(
 def cmd_analyze(config: RunConfig) -> int:
     result = run_pipeline(config)
     active = sorted(result.cube.sds_flows)
-    stems, correspondence, flows = _write_indicators(result, active, config.regions)
+    stems, correspondence, flows = _write_indicators(config, result, active, config.regions)
     out_dir = Path(config.out)
     (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
     _write_resolution_report(result, out_dir)
@@ -366,32 +366,18 @@ def cmd_sector(config: RunConfig, sds: str) -> int:
     result = run_pipeline(config)
     if sds not in result.registry.taxonomy:
         raise UsageError(f"sds {sds!r} is not in the taxonomy")
-    _write_indicators(result, [sds], ())
+    _write_indicators(config, result, [sds], ())
     return 0
 
 
 def cmd_region(config: RunConfig, name: str) -> int:
     if name not in config.regions:
         raise UsageError(f"region {name!r} is not in the configured region set")
-    _write_indicators(run_pipeline(config), (), [name])
+    _write_indicators(config, run_pipeline(config), (), [name])
     return 0
 
 
-# The fields diff reads from each table and the JSON values they may hold;
-# any other value, a boolean included, would fail inside snapshot_diff.
 _NUMBER_OR_NULL = (int, float, type(None))
-_READ_FIELDS = {
-    SectorCorrespondenceRow: {
-        "region": (str,),
-        "surplus": _NUMBER_OR_NULL,
-        "demand_per_scientist": _NUMBER_OR_NULL,
-    },
-    SectorFlowsRow: {
-        "region": (str,),
-        "market_share": _NUMBER_OR_NULL,
-        "intra_over_national_supply": _NUMBER_OR_NULL,
-    },
-}
 _JSON_TYPE_NAMES = {
     str: "a string", int: "a number", float: "a number", bool: "a boolean",
     type(None): "null", list: "an array", dict: "an object",
@@ -405,69 +391,58 @@ def _is_finite(value: int | float) -> bool:
         return False
 
 
-def _read_rows(path: Path, row_type: type, regions: Mapping[str, str] | None = None) -> tuple:
-    """Records of one table from its JSONL twin, in one pass over the file.
+def _read_compared(
+    path: Path, fields: tuple[str, ...], compared: tuple[str, str], regions: Mapping[str, str]
+) -> dict[str, tuple]:
+    """The two ``compared`` values of each region in one table's JSONL twin,
+    keyed by the manifest's own region string, in one pass over the file.
 
-    Each non-blank line must hold an object whose keys are the record's
-    fields in order, as ``render_table`` writes them, and whose values of the
-    fields diff reads have the JSON type of their column. Given a snapshot's
-    ``regions``, the file must also be a table diff can compare: each of
-    those regions on exactly one line, and the compared numbers finite.
+    Each non-blank line must hold an object whose keys are ``fields`` in
+    order, as ``render_table`` writes them, with a string region and a finite
+    number or null in each compared field; any other value, a boolean
+    included, would fail inside snapshot_diff. Each of ``regions`` must be on
+    exactly one line.
     """
-    fields = row_type._fields
-    make = row_type._make
-    checks = [
-        (fields.index(name), name, kinds) for name, kinds in _READ_FIELDS.get(row_type, {}).items()
-    ]
-    numbers = [] if regions is None else [
-        (index, name) for index, name, kinds in checks if kinds is _NUMBER_OR_NULL
-    ]
-    seen: set[str] = set()
-    rows = []
+    cells: dict[str, tuple] = {}
     try:
         with path.open(encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
+                where = f"{path}:{line_no}"
                 try:
                     obj = _json_line(line)
                 except json.JSONDecodeError as exc:
-                    raise DiffError(f"{path}:{line_no}: bad JSON: {exc.msg}") from None
+                    raise DiffError(f"{where}: bad JSON: {exc.msg}") from None
                 if not isinstance(obj, dict) or tuple(obj) != fields:
-                    raise DiffError(
-                        f"{path}:{line_no}: expected an object with the keys "
-                        f"{', '.join(fields)}"
-                    )
-                row = make(obj.values())
-                for index, name, kinds in checks:
-                    if type(row[index]) not in kinds:
-                        expected = " or ".join(dict.fromkeys(_JSON_TYPE_NAMES[k] for k in kinds))
-                        raise DiffError(
-                            f"{path}:{line_no}: {name} is "
-                            f"{_JSON_TYPE_NAMES[type(row[index])]}, expected {expected}"
-                        )
-                if regions is not None:
-                    for index, name in numbers:
-                        if row[index] is not None and not _is_finite(row[index]):
-                            raise DiffError(f"{path}:{line_no}: {name} is not a finite number")
-                    region = row.region
-                    if region not in regions:
-                        raise DiffError(
-                            f"{path}:{line_no}: region {region!r} is not in the snapshot's regions"
-                        )
-                    if region in seen:
-                        raise DiffError(f"{path}:{line_no}: region {region!r} is listed twice")
-                    seen.add(region)
-                rows.append(row)
+                    keys = ", ".join(fields)
+                    raise DiffError(f"{where}: expected an object with the keys {keys}")
+                region = obj["region"]
+                values = obj[compared[0]], obj[compared[1]]
+                if type(region) is not str:
+                    kind = _JSON_TYPE_NAMES[type(region)]
+                    raise DiffError(f"{where}: region is {kind}, expected a string")
+                for name, value in zip(compared, values):
+                    if type(value) not in _NUMBER_OR_NULL:
+                        kind = _JSON_TYPE_NAMES[type(value)]
+                        raise DiffError(f"{where}: {name} is {kind}, expected a number or null")
+                for name, value in zip(compared, values):
+                    if value is not None and not _is_finite(value):
+                        raise DiffError(f"{where}: {name} is not a finite number")
+                if region not in regions:
+                    raise DiffError(f"{where}: region {region!r} is not in the snapshot's regions")
+                if region in cells:
+                    raise DiffError(f"{where}: region {region!r} is listed twice")
+                cells[regions[region]] = values
     except OSError as exc:
         raise DiffError(f"{path}: cannot read: {exc}") from None
     except UnicodeDecodeError:
         line_no, message = not_utf8(path)
         raise DiffError(f"{path}:{line_no}: {message}") from None
-    if regions is not None and len(seen) < len(regions):
-        missing = [region for region in regions if region not in seen]
+    if len(cells) < len(regions):
+        missing = [region for region in regions if region not in cells]
         raise DiffError(f"{path}: no row for region {', '.join(map(repr, missing))}")
-    return tuple(rows)
+    return cells
 
 
 def _read_manifest(path: Path) -> dict:
@@ -496,8 +471,8 @@ def _read_manifest(path: Path) -> dict:
 def _read_snapshot(directory: Path) -> IndicatorSnapshot:
     """The cells diff compares, from table2 and table3 of each active sector.
 
-    Each file's rows are dropped once their cells are taken, and every cell
-    is keyed by the manifest's own region string.
+    No row is kept beyond its compared values, and every cell is keyed by
+    the manifest's own region string.
     """
     manifest = _read_manifest(directory / "snapshot.json")
     regions = {region: region for region in manifest["regions"]}
@@ -508,15 +483,12 @@ def _read_snapshot(directory: Path) -> IndicatorSnapshot:
         for path in (corr_path, flow_path):
             if not path.exists():
                 raise DiffError(f"{path} is missing; snapshot {directory} is incomplete")
-        demand = {
-            row.region: (row.surplus, row.demand_per_scientist)
-            for row in _read_rows(corr_path, SectorCorrespondenceRow, regions)
-        }
+        demand = _read_compared(
+            corr_path, SectorCorrespondenceRow._fields, SnapshotCell._fields[:2], regions
+        )
+        flows = _read_compared(flow_path, SectorFlowsRow._fields, SnapshotCell._fields[2:], regions)
         cells[sds] = {
-            regions[row.region]: SnapshotCell(
-                *demand[row.region], row.market_share, row.intra_over_national_supply
-            )
-            for row in _read_rows(flow_path, SectorFlowsRow, regions)
+            region: SnapshotCell(*demand[region], *values) for region, values in flows.items()
         }
     return IndicatorSnapshot(tuple(manifest["regions"]), manifest["taxonomy"], cells)
 

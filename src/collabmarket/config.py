@@ -62,7 +62,6 @@ class RunConfig:
     quadrant_share_threshold: float = 0.5
     aggregation_na_policy: str = "coerce-zero"
     capacity_multipliers: Mapping[str, float] = field(default_factory=dict)
-    keep_unresolvable: bool = False
 
     def __post_init__(self) -> None:
         if self.ambiguity not in AMBIGUITY_POLICIES:
@@ -151,7 +150,7 @@ def load_config(path: str | Path) -> RunConfig:
             except ValueError as exc:
                 raise UsageError(f"{path}:{line_no}: {key} must be a number") from exc
         elif key == "keep_unresolvable":
-            values[key] = _parse_bool(value)
+            _parse_bool(value)  # retired: still checked, so older configs load; no effect
         elif key.startswith("capacity."):
             sds = key[len("capacity."):]
             try:
@@ -179,7 +178,6 @@ def dump_config(config: RunConfig) -> str:
     entries["sds_region_split"] = config.sds_region_split
     entries["quadrant_share_threshold"] = repr(config.quadrant_share_threshold)
     entries["aggregation_na_policy"] = config.aggregation_na_policy
-    entries["keep_unresolvable"] = "true" if config.keep_unresolvable else "false"
     for sds in sorted(config.capacity_multipliers):
         entries[f"capacity.{sds}"] = repr(config.capacity_multipliers[sds])
     lines = [f"{key} = {value}" for key, value in sorted(entries.items())]

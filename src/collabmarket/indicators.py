@@ -258,24 +258,37 @@ def roster_headcounts(registry: Registry, sds: str) -> dict[str, float]:
     return totals
 
 
-def all_headcounts(registry: Registry) -> dict[str, dict[str, float]]:
+def all_headcounts(
+    registry: Registry,
+    capacity_multipliers: Mapping[str, float] | None = None,
+    diagnostics: list[str] | None = None,
+) -> dict[str, dict[str, float]]:
     """Headcounts of every taxonomy sector in one pass: sds -> region -> n.
 
-    Roster weights are finite, but their sum can pass the float range; that
-    raises a ``ValidationError`` naming the sector and the region.
+    Roster weights and capacity multipliers are finite, but a headcount sum,
+    or its product with the sector's capacity multiplier, can pass the float
+    range. That raises a ``ValidationError`` naming the sector and the region
+    or, given ``diagnostics``, is appended to it as a message.
     """
+    multipliers = capacity_multipliers or {}
     totals: dict[str, dict[str, float]] = {sds: {} for sds in registry.taxonomy.sds_codes}
     for entry in registry.roster:
         region = registry.region_of(entry.university_id)
         per_region = totals[entry.sds]
         per_region[region] = per_region.get(region, 0.0) + entry.headcount_weight
     for sds, per_region in totals.items():
+        multiplier = multipliers.get(sds, 1.0)
         for region, headcount in per_region.items():
             if headcount > _LARGEST_FLOAT:
-                raise ValidationError(
-                    f"roster headcount of sector {sds!r} in region {region!r} "
-                    "sums past the float range"
-                )
+                problem = "sums past the float range"
+            elif headcount * multiplier > _LARGEST_FLOAT:
+                problem = f"times the capacity multiplier {multiplier!r} passes the float range"
+            else:
+                continue
+            message = f"roster headcount of sector {sds!r} in region {region!r} {problem}"
+            if diagnostics is None:
+                raise ValidationError(message)
+            diagnostics.append(message)
     return totals
 
 

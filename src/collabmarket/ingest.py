@@ -473,7 +473,7 @@ def load_registries(
 
 @dataclass(frozen=True)
 class LoadReport:
-    """Corpus construction tallies produced while assembling a run."""
+    """Tallies of ``partition_resolvable``."""
 
     publications_read: int
     publications_kept: int
@@ -484,25 +484,20 @@ class LoadReport:
 def partition_resolvable(
     pubs: Sequence[PublicationRecord],
     resolutions: Mapping[str, Sequence[AffiliationResolution]],
-    keep_unresolvable: bool = False,
 ) -> tuple[list[PublicationRecord], LoadReport]:
     """Split off publications none of whose affiliations resolved.
 
-    Those records cannot contribute events; by default they are dropped with a
-    per-record warning. With ``keep_unresolvable`` they stay in the corpus
-    (the event filter will still exclude them) and only the warning remains.
+    Those records cannot contribute events; they are dropped with a
+    per-record warning.
     """
     kept: list[PublicationRecord] = []
     warnings: list[str] = []
-    dropped = 0
     for pub in pubs:
-        resolvable = any(r.org_id is not None for r in resolutions.get(pub.pub_id, ()))
-        if resolvable or keep_unresolvable:
+        if any(r.org_id is not None for r in resolutions.get(pub.pub_id, ())):
             kept.append(pub)
-        if not resolvable:
-            dropped += 0 if keep_unresolvable else 1
+        else:
             warnings.append(f"publication {pub.pub_id!r}: no affiliation resolved")
-    return kept, LoadReport(len(pubs), len(kept), dropped, tuple(warnings))
+    return kept, LoadReport(len(pubs), len(kept), len(warnings), tuple(warnings))
 
 
 def filter_hard_sciences(

@@ -85,10 +85,6 @@ class SectorTaxonomy:
     def sds_codes(self) -> tuple[str, ...]:
         return tuple(sorted(self.parent_uda))
 
-    @property
-    def udas(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.parent_uda.values())))
-
     def __contains__(self, sds: object) -> bool:
         return sds in self.parent_uda
 

@@ -119,7 +119,6 @@ class Resolver:
     ambiguity as a warning once per alias.
     """
 
-    registry: Registry
     canonical_index: Mapping[str, str]
     alias_index: Mapping[str, str]
     ambiguous_aliases: Mapping[str, tuple[str, ...]]
@@ -149,7 +148,7 @@ class Resolver:
             key: tuple(sorted(entries, key=lambda e: (e.university_id, e.sds)))
             for key, entries in roster_index.items()
         }
-        return cls(registry, canonical_index, alias_index, ambiguous, frozen_roster)
+        return cls(canonical_index, alias_index, ambiguous, frozen_roster)
 
 
 def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:

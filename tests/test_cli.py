@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from collabmarket.cli import _read_rows, _write_delta_report, main, run_pipeline
+from collabmarket.cli import _write_delta_report, main, run_pipeline
 from collabmarket.config import load_config, with_overrides
 from collabmarket.demo import demo_corpus, write_demo_corpus
 from collabmarket.errors import CollabMarketError
@@ -169,8 +169,9 @@ def _copy_corpus(corpus, tmp_path):
 
 
 class TestNotFinite:
-    """A roster weight or capacity multiplier that is not a finite number is
-    refused with a message naming it, never a traceback."""
+    """A roster weight or capacity multiplier that is not a finite number, or
+    a headcount or capacity past the float range, is refused with a message
+    naming it, never a traceback."""
 
     def _set_first_weight(self, roster, weight):
         lines = roster.read_text(encoding="utf-8").splitlines()
@@ -199,27 +200,37 @@ class TestNotFinite:
         assert "capacity multiplier for 'ING-INF/01' is not a finite number" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [
-        ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Abruzzo"],
-    ], ids=lambda command: command[0])
-    def test_headcount_sum_past_the_float_range(self, corpus, tmp_path, capsys, command):
-        """Two finite weights whose sum overflows exit 1 naming the sector and
-        the region, before --out is created."""
+    @pytest.mark.parametrize("command, capacity", [
+        pytest.param(command, capacity, id=command[0] + ("-capacity" if capacity else ""))
+        for capacity in (False, True)
+        for command in (["analyze"], ["sector", "--sds", "ING-INF/01"],
+                        ["region", "--name", "Abruzzo"], ["validate"])
+    ])
+    def test_headcount_sum_past_the_float_range(self, corpus, tmp_path, capsys, command,
+                                                capacity):
+        """Two finite weights whose sum overflows, or one weight times a finite
+        capacity multiplier, exit 1 naming the sector and the region; the run
+        commands stop before --out is created."""
         copied = _copy_corpus(corpus, tmp_path)
         lines = copied["roster"].read_text(encoding="utf-8").splitlines()
         rows = [i for i, line in enumerate(lines) if ",U-ABR,ING-INF/01," in line][:2]
         assert len(rows) == 2
-        for i in rows:
+        for i in rows[:1] if capacity else rows:
             lines[i] = lines[i].rsplit(",", 1)[0] + ",1e308"
         copied["roster"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if capacity:
+            with copied["config"].open("a", encoding="utf-8") as handle:
+                handle.write("capacity.ING-INF/01 = 10\n")
         out = tmp_path / "out"
         rc = main([*command, "--config", str(copied["config"]), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
+        problem = ("times the capacity multiplier 10.0 passes" if capacity
+                   else "sums past") + " the float range"
         assert ("error: roster headcount of sector 'ING-INF/01' in region 'Abruzzo' "
-                "sums past the float range") in err
+                f"{problem}") in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert out.exists() == (command == ["validate"])
 
     def test_large_finite_weight_is_rendered(self, corpus, tmp_path, capsys):
         copied = _copy_corpus(corpus, tmp_path)
@@ -278,12 +289,16 @@ class TestAnalyze:
         assert _files(out) == first
 
     def test_effective_config_reproduces_run(self, corpus, tmp_path):
+        """Also from the effective config of an older version, which carried
+        the retired keep_unresolvable key."""
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         assert main(["analyze", "--config", str(corpus["config"]), "--out", str(out1),
                      "--ambiguity", "all"]) == 0
-        assert main(["analyze", "--config", str(out1 / "effective_config.txt"),
-                     "--out", str(out2)]) == 0
+        older = tmp_path / "older.cfg"
+        older.write_text((out1 / "effective_config.txt").read_text(encoding="utf-8")
+                         + "keep_unresolvable = true\n", encoding="utf-8")
+        assert main(["analyze", "--config", str(older), "--out", str(out2)]) == 0
         first = _files(out1)
         second = _files(out2)
         assert first.keys() == second.keys()
@@ -654,8 +669,8 @@ def test_delta_report_streams_the_bytes_of_render_table(deltas):
 @given(st.lists(st.floats() | st.none(), min_size=15, max_size=15),
        st.lists(st.integers(0, 10**12), min_size=4, max_size=4))
 def test_jsonl_rows_read_back_as_rendered(numbers, counts):
-    """Rows rendered to JSONL come back through diff's reader unchanged,
-    down to the sign of a zero and the type of each number."""
+    """Rows rendered to JSONL decode back unchanged, field by field, down to
+    the sign of a zero and the type of each number."""
     numbers[0] = -0.0
     f = iter(numbers)
     correspondence = [
@@ -669,9 +684,9 @@ def test_jsonl_rows_read_back_as_rendered(numbers, counts):
             table = build("ING-INF/01", rows)
             path = Path(tmp) / f"{table.name}.jsonl"
             path.write_text(render_table(table, "jsonl"), encoding="utf-8")
-            back = _read_rows(path, type(rows[0]))
-            assert [type(row) for row in back] == [type(row) for row in rows]
-            assert [[repr(v) for v in row] for row in back] == \
+            back = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            assert [tuple(obj) for obj in back] == [row._fields for row in rows]
+            assert [[repr(v) for v in obj.values()] for obj in back] == \
                 [[repr(v) for v in row] for row in rows]
 
 

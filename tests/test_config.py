@@ -92,7 +92,16 @@ class TestConfigFile:
         assert config.quadrant_share_threshold == 0.4
         assert config.aggregation_na_policy == "renormalize"
         assert config.capacity_multipliers == {"ING-INF/01": 1.5}
-        assert config.keep_unresolvable is True
+        # keep_unresolvable is retired: still accepted, with no effect.
+        retired = cfg.read_text(encoding="utf-8")
+        cfg.write_text(retired.replace("keep_unresolvable = true\n", ""), encoding="utf-8")
+        assert load_config(cfg) == config
+
+    def test_retired_key_still_needs_a_boolean(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("keep_unresolvable = maybe\n", encoding="utf-8")
+        with pytest.raises(UsageError, match="expected a boolean, got 'maybe'"):
+            load_config(cfg)
 
     def test_unknown_key_names_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -122,11 +131,11 @@ class TestConfigFile:
             quadrant_share_threshold=0.4,
             aggregation_na_policy="renormalize",
             capacity_multipliers={"ING-INF/01": 1.5},
-            keep_unresolvable=True,
         )
         dumped = tmp_path / "effective.cfg"
         dumped.write_text(dump_config(original), encoding="utf-8")
         assert load_config(dumped) == original
+        assert "keep_unresolvable" not in dumped.read_text(encoding="utf-8")
 
     def test_dump_is_sorted_and_newline_terminated(self, tmp_path):
         text = dump_config(RunConfig())

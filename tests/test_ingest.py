@@ -518,14 +518,6 @@ class TestFilters:
         assert report.dropped_unresolvable == 1
         assert len(report.warnings) == 1
 
-    def test_partition_keep_unresolvable(self, registry):
-        pubs = [make_pub("P3", ["Nowhere Institute"])]
-        _, resolutions, _ = self._setup(registry, pubs)
-        kept, report = partition_resolvable(pubs, resolutions, keep_unresolvable=True)
-        assert kept == pubs
-        assert report.dropped_unresolvable == 0
-        assert len(report.warnings) == 1
-
     def test_hard_science_filter_needs_attribution_and_enterprise(self, registry):
         pubs = [
             # attributed author + enterprise: kept

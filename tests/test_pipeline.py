@@ -159,7 +159,7 @@ def _staged_reference(config: RunConfig):
         pub.pub_id: attribute_authors(pub, org_ids[pub.pub_id][0], resolver, config.ambiguity)
         for pub in publications
     }
-    kept, load_report = partition_resolvable(publications, resolutions, config.keep_unresolvable)
+    kept, load_report = partition_resolvable(publications, resolutions)
     retained = filter_hard_sciences(kept, attributions, resolutions, registry)
     ue_events, sds_events = [], []
     for pub in retained:
@@ -186,22 +186,21 @@ AMBIGUOUS_ACROSS_SECTORS = (
     corpus=corpora(),
     ambiguity=st.sampled_from(("strict", "all")),
     split=st.sampled_from(("per-region", "single")),
-    keep_unresolvable=st.booleans(),
 )
-@example(corpus=AMBIGUOUS_ACROSS_SECTORS, ambiguity="all", split="per-region",
-         keep_unresolvable=False)
-def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split, keep_unresolvable):
+@example(corpus=AMBIGUOUS_ACROSS_SECTORS, ambiguity="all", split="per-region")
+def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split):
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_corpus(Path(tmp), corpus)
         config = RunConfig(
             **paths, out=Path(tmp) / "out", window=WINDOW, regions=REGIONS,
-            ambiguity=ambiguity, sds_region_split=split, keep_unresolvable=keep_unresolvable,
+            ambiguity=ambiguity, sds_region_split=split,
         )
         result = run_pipeline(config)
         rows, load_report, retained, ue_events, sds_events = _staged_reference(config)
 
     assert result.report_rows == rows
-    assert result.load_report == load_report
+    assert result.in_window == load_report.publications_read
+    assert result.warnings == load_report.warnings
     assert result.retained == retained
     assert Counter(result.ue_events) == Counter(ue_events)
     assert Counter(result.sds_events) == Counter(sds_events)
@@ -245,7 +244,7 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "iter_publications", counting_parse)
     monkeypatch.setattr(cli, "resolve_publication", counting_resolve)
     result = run_pipeline(config)
-    in_window = result.load_report.publications_read
+    in_window = result.in_window
     assert in_window > 1
     assert seen_at_yield == list(range(in_window))
     assert resolved == [pub.pub_id for pub in load_publications(config.publications,
