@@ -36,6 +36,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -48,8 +49,8 @@ from .collab import (
     export_ue_events,
     write_csv,
 )
-from .config import RunConfig, dump_config, load_config, with_overrides
-from .errors import CollabMarketError, DiffError, UsageError
+from .config import RunConfig, apply_setting, dump_config, load_config
+from .errors import CollabMarketError, ComputationError, DiffError, UsageError
 from .indicators import (
     IndicatorSnapshot,
     SectorCorrespondenceRow,
@@ -275,6 +276,38 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
+def _check_rows(
+    correspondence: Mapping[str, Sequence[SectorCorrespondenceRow]],
+    flows: Mapping[str, Sequence[SectorFlowsRow]],
+) -> None:
+    """Raise a ``ComputationError`` naming the table, sector, region and
+    column of the first value that is neither a finite number nor NA, or of
+    a table2 row with scientists but no demand per scientist: a roster weight
+    or capacity multiplier so small that their capacity underflows to zero.
+
+    The sum of a sector's numbers is finite when each of them is, so one sum
+    in C screens the sector; only a sum that is not looks at each value.
+    """
+    for table, rows_by_sds in (("table2", correspondence), ("table3", flows)):
+        for sds, rows in rows_by_sds.items():
+            if math.isfinite(sum(filter(None, chain.from_iterable(row[1:] for row in rows)))):
+                continue
+            for row in rows:
+                for name, value in zip(row._fields[1:], row[1:]):
+                    if value is not None and not math.isfinite(value):
+                        raise ComputationError(
+                            f"{table} of sector {sds!r}, region {row.region!r}: "
+                            f"{name} is {value!r}, not a finite number"
+                        )
+    for sds, rows in correspondence.items():
+        for row in rows:
+            if row.scientists > 0 and row.demand_per_scientist is None:
+                raise ComputationError(
+                    f"table2 of sector {sds!r}, region {row.region!r}: demand_per_scientist "
+                    f"is NA for {row.scientists!r} scientists, whose capacity underflows to 0"
+                )
+
+
 def _write_indicators(
     config: RunConfig, result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
 ) -> tuple[
@@ -284,18 +317,16 @@ def _write_indicators(
     of ``regions``, the files of ``analyze``, ``sector`` and ``region`` alike.
 
     First checks that no two configured regions, and no two of the active and
-    the requested sectors, share a file-name stem, and that no headcount sum,
-    nor its product with the capacity multiplier, overflows; only then is
-    ``--out`` created. A region card spans every taxonomy sector, so only a
-    card makes it compute them all. Returns the sectors' stems, correspondence
-    rows and flows rows.
+    the requested sectors, share a file-name stem, that no headcount sum, nor
+    its product with the capacity multiplier, overflows, and that the table2
+    and table3 rows pass ``_check_rows``; only then is ``--out`` created. A
+    region card spans every taxonomy sector, so only a card makes it compute
+    them all. Returns the sectors' stems, correspondence rows and flows rows.
     """
     cube = result.cube
     output_stems(config.regions, "regions")
     stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
     headcounts = all_headcounts(result.registry, config.capacity_multipliers)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     correspondence = {
         sds: sector_correspondence(
             sds,
@@ -306,9 +337,11 @@ def _write_indicators(
         )
         for sds in (result.registry.taxonomy.sds_codes if regions else sectors)
     }
-    flows: dict[str, list[SectorFlowsRow]] = {}
+    flows = {sds: sector_flows(sds, headcounts[sds], cube, config.regions) for sds in sectors}
+    _check_rows(correspondence, flows)
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for sds in sectors:
-        flows[sds] = sector_flows(sds, headcounts[sds], cube, config.regions)
         _write_table(out_dir, sector_correspondence_table(sds, correspondence[sds]))
         _write_table(out_dir, sector_flows_table(sds, flows[sds]))
         positions = quadrant_positions(
@@ -511,38 +544,39 @@ def cmd_diff(t0: str, t1: str, out: str) -> int:
     return 0
 
 
+# Each run flag, the config key it sets (its argparse dest) and its help.
+_RUN_FLAGS = (
+    ("--publications", "publications", "publications file (line-delimited records)"),
+    ("--organizations", "organizations", "organization registry CSV"),
+    ("--roster", "roster", "scientist roster CSV"),
+    ("--taxonomy", "taxonomy", "sector taxonomy CSV"),
+    ("--out", "out", "output directory"),
+    ("--window", "window", "inclusive year window, e.g. 2001:2003"),
+    ("--regions", "regions", "|-separated region set override"),
+    ("--ambiguity", "ambiguity", f"ambiguous author policy: {' or '.join(AMBIGUITY_POLICIES)}"),
+    ("--share-threshold", "quadrant_share_threshold", "quadrant share divider, between 0 and 1"),
+)
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--publications", help="publications file (line-delimited records)")
-    parser.add_argument("--organizations", help="organization registry CSV")
-    parser.add_argument("--roster", help="scientist roster CSV")
-    parser.add_argument("--taxonomy", help="sector taxonomy CSV")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--window", help="inclusive year window, e.g. 2001:2003")
-    parser.add_argument("--regions", help="|-separated region set override")
-    parser.add_argument("--ambiguity", choices=AMBIGUITY_POLICIES, help="ambiguous author policy")
-    parser.add_argument(
-        "--share-threshold",
-        type=float,
-        dest="share_threshold",
-        help="market share dividing the quadrant plane (fraction, default 0.5)",
-    )
+    for flag, key, text in _RUN_FLAGS:
+        parser.add_argument(flag, dest=key, help=text)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file's settings, then each flag given, parsed as its
+    config key is but with a relative path resolved against the working
+    directory."""
     config = load_config(args.config) if args.config else RunConfig()
-    return with_overrides(
-        config,
-        publications=args.publications,
-        organizations=args.organizations,
-        roster=args.roster,
-        taxonomy=args.taxonomy,
-        out=args.out,
-        window=args.window,
-        regions=args.regions,
-        ambiguity=args.ambiguity,
-        share_threshold=args.share_threshold,
-    )
+    for flag, key, _ in _RUN_FLAGS:
+        value = getattr(args, key)
+        if value is not None:
+            try:
+                config = apply_setting(config, key, value)
+            except UsageError as exc:
+                raise UsageError(f"{flag}: {exc}") from None
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,14 @@
 """Run configuration: defaults, file parsing, and the effective-config echo.
 
 A config file is a flat key-value text file (``key = value``, ``#`` comments).
-Relative paths are resolved against the directory of the config file itself.
-Command line flags override file values; the fully resolved configuration is
-echoed into every output directory so a run can be reproduced from its
-artifacts alone.
+Each of its lines, and each command line flag after it, goes through
+``apply_setting``: a flag takes its key's text and means the same, and a
+later value replaces an earlier one. Relative paths resolve against the
+config file's directory, or for a flag against the working directory. The
+fully resolved configuration is echoed into every output directory so a run
+can be reproduced from its artifacts alone. A value that does not parse or
+does not pass ``RunConfig``'s checks is a ``UsageError`` naming its line or
+its flag.
 """
 
 from __future__ import annotations
@@ -97,29 +101,50 @@ class RunConfig:
                 raise UsageError(f"{key} input {path} does not exist or is not a file")
 
 
-def _parse_window(value: str) -> tuple[int, int]:
+def apply_setting(config: RunConfig, key: str, value: str, base: Path = Path()) -> RunConfig:
+    """``config`` with the setting ``key`` parsed from its text ``value``.
+
+    Config file lines and command line flags both come through here, so a
+    setting means the same wherever it is given. A relative path resolves
+    against ``base``; an empty path or window is unset, back to its default.
+    ``RunConfig`` checks the new value.
+    """
+    value = value.strip()
     try:
-        first, last = value.split(":")
-        return int(first), int(last)
-    except ValueError as exc:
-        raise UsageError(f"window must look like 2001:2003, got {value!r}") from exc
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise UsageError(f"expected a boolean, got {value!r}")
+        if key in _PATH_KEYS or key == "window":
+            if not value:
+                parsed: object = getattr(RunConfig, key)  # the field's default
+            elif key == "window":
+                first, last = value.split(":")
+                parsed = int(first), int(last)
+            else:
+                parsed = (base / value).resolve()
+        elif key == "regions":
+            parsed = tuple(r.strip() for r in value.split("|") if r.strip())
+        elif key in ("ambiguity", "sds_region_split", "aggregation_na_policy"):
+            parsed = value
+        elif key == "quadrant_share_threshold":
+            parsed = float(value)
+        elif key.startswith("capacity."):
+            parsed = {**config.capacity_multipliers, key[len("capacity."):]: float(value)}
+            key = "capacity_multipliers"
+        elif key == "keep_unresolvable":  # retired: still checked, so older configs load
+            if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+                raise UsageError(f"expected a boolean, got {value!r}")
+            return config
+        else:
+            raise UsageError(f"unknown config key {key!r}")
+    except ValueError:
+        if key in _PATH_KEYS:  # resolve() refuses a NUL byte
+            raise UsageError(f"{key} is not a valid path: {value!r}") from None
+        form = "look like 2001:2003" if key == "window" else "be a number"
+        raise UsageError(f"{key} must {form}, got {value!r}") from None
+    return replace(config, **{key: parsed})
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat key-value config file into a RunConfig."""
+    """Parse a flat key-value config file into a RunConfig, line by line."""
     path = Path(path)
-    base = path.parent
-    values: dict[str, object] = {}
-    capacity: dict[str, float] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -127,41 +152,19 @@ def load_config(path: str | Path) -> RunConfig:
     except UnicodeDecodeError:
         line_no, message = not_utf8(path)
         raise UsageError(f"{path}:{line_no}: {message}") from None
+    config = RunConfig()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _PATH_KEYS:
-            values[key] = (base / value).resolve() if value else None
-        elif key == "window":
-            values[key] = _parse_window(value) if value else None
-        elif key == "regions":
-            values[key] = tuple(r.strip() for r in value.split("|") if r.strip())
-        elif key in ("ambiguity", "sds_region_split", "aggregation_na_policy"):
-            values[key] = value
-        elif key == "quadrant_share_threshold":
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: {key} must be a number") from exc
-        elif key == "keep_unresolvable":
-            _parse_bool(value)  # retired: still checked, so older configs load; no effect
-        elif key.startswith("capacity."):
-            sds = key[len("capacity."):]
-            try:
-                capacity[sds] = float(value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: capacity multiplier must be a number") from exc
-        else:
-            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-    if capacity:
-        values["capacity_multipliers"] = capacity
-    return RunConfig(**values)  # type: ignore[arg-type]
+        key, equals, value = line.partition("=")
+        try:
+            if not equals:
+                raise UsageError(f"expected 'key = value', got {line!r}")
+            config = apply_setting(config, key.strip(), value, path.parent)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{line_no}: {exc}") from None
+    return config
 
 
 def dump_config(config: RunConfig) -> str:
@@ -182,38 +185,3 @@ def dump_config(config: RunConfig) -> str:
         entries[f"capacity.{sds}"] = repr(config.capacity_multipliers[sds])
     lines = [f"{key} = {value}" for key, value in sorted(entries.items())]
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(
-    config: RunConfig,
-    *,
-    publications: str | None = None,
-    organizations: str | None = None,
-    roster: str | None = None,
-    taxonomy: str | None = None,
-    out: str | None = None,
-    window: str | None = None,
-    regions: str | None = None,
-    ambiguity: str | None = None,
-    share_threshold: float | None = None,
-) -> RunConfig:
-    """Apply command line overrides on top of a loaded config; flags win."""
-    updates: dict[str, object] = {}
-    for key, value in (
-        ("publications", publications),
-        ("organizations", organizations),
-        ("roster", roster),
-        ("taxonomy", taxonomy),
-        ("out", out),
-    ):
-        if value is not None:
-            updates[key] = Path(value).resolve()
-    if window is not None:
-        updates["window"] = _parse_window(window)
-    if regions is not None:
-        updates["regions"] = tuple(r.strip() for r in regions.split("|") if r.strip())
-    if ambiguity is not None:
-        updates["ambiguity"] = ambiguity
-    if share_threshold is not None:
-        updates["quadrant_share_threshold"] = share_threshold
-    return replace(config, **updates) if updates else config

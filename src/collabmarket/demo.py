@@ -12,10 +12,10 @@ data for the tests of the indicator maths.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Mapping
 
+from .collab import write_csv
 from .ingest import ORG_COLUMNS, ROSTER_COLUMNS, TAXONOMY_COLUMNS, write_publications
 from .model import AuthorName, PublicationRecord
 
@@ -294,15 +294,9 @@ def write_demo_corpus(directory: str | Path) -> dict[str, Path]:
         "config": directory / "demo.cfg",
     }
     write_publications(publications, paths["publications"])
-    for key, columns, rows in (
-        ("organizations", ORG_COLUMNS, organizations),
-        ("roster", ROSTER_COLUMNS, roster),
-        ("taxonomy", TAXONOMY_COLUMNS, taxonomy),
-    ):
-        with paths[key].open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
+    write_csv(paths["organizations"], ORG_COLUMNS, organizations)
+    write_csv(paths["roster"], ROSTER_COLUMNS, roster)
+    write_csv(paths["taxonomy"], TAXONOMY_COLUMNS, taxonomy)
     config_lines = [
         "# demo corpus configuration",
         "publications = publications.jsonl",

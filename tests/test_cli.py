@@ -6,18 +6,20 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collabmarket.cli import _write_delta_report, main, run_pipeline
-from collabmarket.config import load_config, with_overrides
+from collabmarket.cli import _check_rows, _write_delta_report, main, run_pipeline
+from collabmarket.config import load_config
 from collabmarket.demo import demo_corpus, write_demo_corpus
-from collabmarket.errors import CollabMarketError
+from collabmarket.errors import CollabMarketError, ComputationError
 from collabmarket.indicators import (
     MetricDelta,
     SectorCorrespondenceRow,
@@ -231,6 +233,58 @@ class TestNotFinite:
                 f"{problem}") in err
         assert "Traceback" not in err
         assert out.exists() == (command == ["validate"])
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Trentino Alto Adige"]
+    ], ids=["analyze", "sector", "region"])
+    @pytest.mark.parametrize("rows, weight, capacity, problem", [
+        ("U-ABR", "5e-324", None, "table2 of sector 'ING-INF/01', region 'Abruzzo': "
+         "demand_per_scientist is inf, not a finite number"),
+        ("U-ABR", "1", "1e-320", "table2 of sector 'ING-INF/01', region 'Abruzzo': "
+         "demand_per_scientist is inf, not a finite number"),
+        ("U-", "0.2", "5e-324", "table2 of sector 'ING-INF/01', region 'Abruzzo': "
+         "demand_per_scientist is inf, not a finite number"),
+        ("U-", "0.005", "5e-324", "table2 of sector 'ING-INF/01', region 'Abruzzo': "
+         "demand_per_scientist is NA for 0.025 scientists, whose capacity underflows to 0"),
+    ], ids=["weight", "capacity", "capacity-and-weights", "capacity-underflow"])
+    def test_capacity_too_small_for_a_ratio(self, corpus, tmp_path, capsys, command, rows,
+                                            weight, capacity, problem):
+        """A finite, positive capacity so small that demand over it passes the
+        float range, or that it underflows to zero, exits 1 naming the table,
+        sector, region and column before --out is created."""
+        copied = _copy_corpus(corpus, tmp_path)
+        lines = copied["roster"].read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if f",{rows}" in line and ",ING-INF/01," in line:
+                lines[i] = line.rsplit(",", 1)[0] + "," + weight
+        copied["roster"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if capacity:
+            with copied["config"].open("a", encoding="utf-8") as handle:
+                handle.write(f"capacity.ING-INF/01 = {capacity}\n")
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(copied["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {problem}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_supply_per_scientist_past_the_float_range(self, corpus, tmp_path, capsys):
+        """A capacity multiplier can keep table2 finite while table3, which
+        divides by the raw headcount, is not."""
+        copied = _copy_corpus(corpus, tmp_path)
+        lines = copied["roster"].read_text(encoding="utf-8").splitlines()
+        lines = [line.rsplit(",", 1)[0] + ",5e-324" if ",U-ABR,ING-INF/01," in line else line
+                 for line in lines]
+        copied["roster"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            handle.write("capacity.ING-INF/01 = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(copied["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("error: table3 of sector 'ING-INF/01', region 'Abruzzo': "
+                "national_supply_per_scientist is inf, not a finite number") in err
+        assert not out.exists()
 
     def test_large_finite_weight_is_rendered(self, corpus, tmp_path, capsys):
         copied = _copy_corpus(corpus, tmp_path)
@@ -666,6 +720,29 @@ def test_delta_report_streams_the_bytes_of_render_table(deltas):
             assert (Path(tmp) / f"diff_report.{fmt}").read_bytes() == expected
 
 
+@settings(max_examples=60)
+@given(st.lists(
+    st.lists(st.sampled_from([None, 0.0, 1e308, -1e308, 5e-324]) | st.floats(),
+             min_size=7, max_size=7),
+    min_size=1, max_size=4,
+))
+@example([[1e308, 1e308, 1e308, 0.0, None, -0.0, 1.0]])
+def test_row_check_refuses_exactly_the_values_that_are_not_finite(values):
+    """``_check_rows`` screens a sector with one sum before it looks at each
+    value: it must refuse a table exactly when some value is neither a finite
+    number nor NA, also when finite values sum past the float range."""
+    rows = [SectorFlowsRow(f"R{i}", 1, 1, 0, *row) for i, row in enumerate(values)]
+    bad = [(row.region, name) for row in rows for name, value in zip(row._fields[4:], row[4:])
+           if value is not None and not math.isfinite(value)]
+    if not bad:
+        _check_rows({}, {"S1": rows})
+        return
+    region, name = bad[0]
+    with pytest.raises(ComputationError, match=f"^table3 of sector 'S1', region '{region}': "
+                                               f"{name} is "):
+        _check_rows({}, {"S1": rows})
+
+
 @given(st.lists(st.floats() | st.none(), min_size=15, max_size=15),
        st.lists(st.integers(0, 10**12), min_size=4, max_size=4))
 def test_jsonl_rows_read_back_as_rendered(numbers, counts):
@@ -840,7 +917,7 @@ class TestPipeline:
 
 def test_pipeline_leaves_the_garbage_collector_as_it_found_it(corpus, tmp_path):
     config = load_config(corpus["config"])
-    missing = with_overrides(config, roster=str(tmp_path / "absent.csv"))
+    missing = replace(config, roster=tmp_path / "absent.csv")
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         try:

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, validation, file round-trip, overrides."""
+"""Run configuration: defaults, validation, file round-trip, file lines and flags."""
 
 from __future__ import annotations
 
@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from collabmarket.cli import _RUN_FLAGS, _config_from_args, build_parser, main
 from collabmarket.config import (
     ITALIAN_REGIONS,
     RunConfig,
+    apply_setting,
     dump_config,
     load_config,
-    with_overrides,
 )
 from collabmarket.errors import UsageError
 
@@ -145,20 +146,52 @@ class TestConfigFile:
         assert text.endswith("\n")
 
 
+# Each run flag, its config key and a valid text for both.
+FLAG_SETTINGS = [
+    ("--publications", "publications", "pubs.jsonl"),
+    ("--organizations", "organizations", "orgs.csv"),
+    ("--roster", "roster", "roster.csv"),
+    ("--taxonomy", "taxonomy", "taxonomy.csv"),
+    ("--out", "out", "results"),
+    ("--window", "window", "2001:2003"),
+    ("--regions", "regions", "Lazio|Veneto"),
+    ("--ambiguity", "ambiguity", "all"),
+    ("--share-threshold", "quadrant_share_threshold", "0.4"),
+]
+
+BAD_SETTINGS = [
+    ("--window", "window", "2003:2001", "window 2003:2001 is empty"),
+    ("--window", "window", "2001-2003", "window must look like 2001:2003"),
+    ("--regions", "regions", "", "the region set must not be empty"),
+    ("--ambiguity", "ambiguity", "maybe", "ambiguity must be one of strict, all"),
+    ("--share-threshold", "quadrant_share_threshold", "2", "must lie strictly between 0 and 1"),
+    ("--share-threshold", "quadrant_share_threshold", "half", "must be a number, got 'half'"),
+    (None, "capacity.ING-INF/01", "0", "capacity multiplier for 'ING-INF/01' must be positive"),
+    (None, "roster", "roster\0.csv", "roster is not a valid path: 'roster\\x00.csv'"),
+]
+
+
+def _from_flags(*argv: str) -> RunConfig:
+    return _config_from_args(build_parser().parse_args(["analyze", *argv]))
+
+
 class TestOverrides:
+    def _base(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"publications = {tmp_path / 'a.jsonl'}\nwindow = 2001:2003\n", encoding="utf-8"
+        )
+        return cfg
+
     def test_flags_win_over_file_values(self, tmp_path):
-        base = RunConfig(publications=tmp_path / "a.jsonl", window=(2001, 2003))
-        merged = with_overrides(
-            base,
-            publications=str(tmp_path / "b.jsonl"),
-            organizations=None,
-            roster=None,
-            taxonomy=None,
-            out=str(tmp_path / "out2"),
-            window="1999:2000",
-            regions="Lazio|Veneto",
-            ambiguity="all",
-            share_threshold=0.25,
+        merged = _from_flags(
+            "--config", str(self._base(tmp_path)),
+            "--publications", str(tmp_path / "b.jsonl"),
+            "--out", str(tmp_path / "out2"),
+            "--window", "1999:2000",
+            "--regions", "Lazio|Veneto",
+            "--ambiguity", "all",
+            "--share-threshold", "0.25",
         )
         assert merged.publications == tmp_path / "b.jsonl"
         assert merged.out == tmp_path / "out2"
@@ -168,10 +201,62 @@ class TestOverrides:
         assert merged.quadrant_share_threshold == 0.25
 
     def test_none_overrides_keep_base(self, tmp_path):
-        base = RunConfig(publications=tmp_path / "a.jsonl", window=(2001, 2003))
-        merged = with_overrides(
-            base, publications=None, organizations=None, roster=None,
-            taxonomy=None, out=None, window=None, regions=None,
-            ambiguity=None, share_threshold=None,
-        )
-        assert merged == base
+        cfg = self._base(tmp_path)
+        assert _from_flags("--config", str(cfg)) == load_config(cfg)
+        assert load_config(cfg) == RunConfig(publications=tmp_path / "a.jsonl", window=(2001, 2003))
+
+
+class TestSettingsFromFlagsAndFile:
+    def test_every_run_flag_is_listed(self):
+        assert [(flag, key) for flag, key, _ in FLAG_SETTINGS] == [
+            (flag, key) for flag, key, _ in _RUN_FLAGS
+        ]
+
+    @pytest.mark.parametrize("flag, key, text", FLAG_SETTINGS)
+    def test_flag_means_what_its_file_key_means(self, tmp_path, monkeypatch, flag, key, text):
+        # From the config file's own directory a relative path resolves the
+        # same whether it is read from the file or from the working directory.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        from_file = load_config(cfg)
+        from_flag = _from_flags(flag, text)
+        assert from_flag == from_file != RunConfig()
+        assert dump_config(from_flag) == dump_config(from_file)
+        assert apply_setting(RunConfig(), key, text, tmp_path) == from_file
+
+    def test_empty_value_is_unset(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out = results\nout =\nwindow = 2001:2003\nwindow =\n", encoding="utf-8")
+        assert load_config(cfg) == RunConfig()
+        cfg.write_text("window = 2001:2003\n", encoding="utf-8")
+        assert _from_flags("--config", str(cfg), "--window", "", "--out", "") == RunConfig()
+
+    @pytest.mark.parametrize("flag, key, text, message", BAD_SETTINGS)
+    def test_bad_value_names_its_line_or_flag(self, tmp_path, capsys, flag, key, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\nambiguity = all\n{key} = {text}\n", encoding="utf-8")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: ") and message in err
+        if flag is not None:
+            assert main(["analyze", flag, text]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flag}: ") and message in err
+
+    def test_a_key_set_twice_is_checked_line_by_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ambiguity = maybe\nambiguity = all\n", encoding="utf-8")
+        with pytest.raises(UsageError, match="run.cfg:1: ambiguity must be one of"):
+            load_config(cfg)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block.replace("|...", "|Lazio"), encoding="utf-8")
+    config = load_config(cfg)
+    assert config.regions == ("Abruzzo", "Basilicata", "Lazio")
+    assert config.capacity_multipliers == {"ING-INF/01": 1.25}
+    assert config.publications == tmp_path / "publications.jsonl"

@@ -27,7 +27,7 @@ from collabmarket.collab import (
     derive_ue_events,
     events_by_sds,
 )
-from collabmarket.config import RunConfig, load_config, with_overrides
+from collabmarket.config import RunConfig, apply_setting, load_config
 from collabmarket.demo import SECTOR, demo_corpus, write_demo_corpus
 from collabmarket.indicators import (
     all_headcounts,
@@ -261,7 +261,7 @@ def demo(tmp_path_factory):
 
 def _cube_of(config: RunConfig, publications: list[PublicationRecord], path: Path) -> FlowCube:
     write_publications(publications, path)
-    return run_pipeline(with_overrides(config, publications=str(path))).cube
+    return run_pipeline(apply_setting(config, "publications", str(path))).cube
 
 
 def _sum_cubes(a: FlowCube, b: FlowCube) -> FlowCube:
