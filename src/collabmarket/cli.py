@@ -16,6 +16,12 @@ and count them into a ``collab.FlowCube``. No list of the corpus is kept, so
 memory follows the registries and the events, not the corpus. Every indicator
 reads the cube's counts; only the event exports read the event lists.
 
+Before anything is written, the run subcommands and ``validate`` go through one
+refusal stage (``_indicator_rows``): file-name stems, headcounts, the table2
+and table3 rows, and a check of every number in them. The run subcommands stop
+at its first problem; ``validate`` lists them all, so it exits 1 exactly when
+``analyze`` would.
+
 ``diff`` reads each snapshot's JSONL tables one file at a time and keeps only
 the four values of each (sector, region) cell that it compares. A table must
 list each region of its manifest exactly once, with finite compared numbers.
@@ -50,7 +56,7 @@ from .collab import (
     write_csv,
 )
 from .config import RunConfig, apply_setting, dump_config, load_config
-from .errors import CollabMarketError, ComputationError, DiffError, UsageError
+from .errors import CollabMarketError, ComputationError, DiffError, UsageError, ValidationError
 from .indicators import (
     IndicatorSnapshot,
     SectorCorrespondenceRow,
@@ -129,9 +135,9 @@ class PipelineResult:
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore its state.
 
-    The pipeline allocates its records in bulk and keeps them: immutable
-    tuples that form no reference cycles, yet tuple subclasses are never
-    untracked, so every full collection walks all of them again.
+    The pipeline and the refusal stage allocate their records in bulk and
+    keep them: immutable tuples that form no reference cycles, yet tuple
+    subclasses are never untracked, so every full collection walks them all.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -253,7 +259,8 @@ def _warn_registry_ambiguities(ambiguous_aliases: Mapping[str, tuple[str, ...]])
 def cmd_validate(config: RunConfig) -> int:
     diagnostics: list[str] = []
     result = run_pipeline(config, diagnostics)
-    all_headcounts(result.registry, config.capacity_multipliers, diagnostics)
+    *_, problems = _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions)
+    diagnostics += map(str, problems)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolution_report(result, out_dir)
@@ -279,11 +286,11 @@ def cmd_validate(config: RunConfig) -> int:
 def _check_rows(
     correspondence: Mapping[str, Sequence[SectorCorrespondenceRow]],
     flows: Mapping[str, Sequence[SectorFlowsRow]],
-) -> None:
-    """Raise a ``ComputationError`` naming the table, sector, region and
-    column of the first value that is neither a finite number nor NA, or of
-    a table2 row with scientists but no demand per scientist: a roster weight
-    or capacity multiplier so small that their capacity underflows to zero.
+) -> Iterator[str]:
+    """Name the table, sector, region and column of each value that is
+    neither a finite number nor NA, then of each table2 row with scientists
+    but no demand per scientist: a roster weight or capacity multiplier so
+    small that their capacity underflows to zero.
 
     The sum of a sector's numbers is finite when each of them is, so one sum
     in C screens the sector; only a sum that is not looks at each value.
@@ -295,38 +302,48 @@ def _check_rows(
             for row in rows:
                 for name, value in zip(row._fields[1:], row[1:]):
                     if value is not None and not math.isfinite(value):
-                        raise ComputationError(
+                        yield (
                             f"{table} of sector {sds!r}, region {row.region!r}: "
                             f"{name} is {value!r}, not a finite number"
                         )
     for sds, rows in correspondence.items():
         for row in rows:
             if row.scientists > 0 and row.demand_per_scientist is None:
-                raise ComputationError(
+                yield (
                     f"table2 of sector {sds!r}, region {row.region!r}: demand_per_scientist "
                     f"is NA for {row.scientists!r} scientists, whose capacity underflows to 0"
                 )
 
 
-def _write_indicators(
+@_collector_paused()
+def _indicator_rows(
     config: RunConfig, result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
 ) -> tuple[
-    dict[str, str], dict[str, list[SectorCorrespondenceRow]], dict[str, list[SectorFlowsRow]]
+    dict[str, str],
+    dict[str, list[SectorCorrespondenceRow]],
+    dict[str, list[SectorFlowsRow]],
+    list[CollabMarketError],
 ]:
-    """Write table2, table3 and fig1 of each of ``sectors`` and table4 of each
-    of ``regions``, the files of ``analyze``, ``sector`` and ``region`` alike.
+    """The refusal stage of the run commands and ``validate``.
 
-    First checks that no two configured regions, and no two of the active and
-    the requested sectors, share a file-name stem, that no headcount sum, nor
-    its product with the capacity multiplier, overflows, and that the table2
-    and table3 rows pass ``_check_rows``; only then is ``--out`` created. A
-    region card spans every taxonomy sector, so only a card makes it compute
-    them all. Returns the sectors' stems, correspondence rows and flows rows.
+    Computes table2 of ``sectors`` (of every taxonomy sector when ``regions``
+    asks for cards, which span them all) and table3 of ``sectors``. Returns
+    the sectors' file-name stems, those rows and every problem, in order: a
+    stem shared by two configured regions, or by two of the active and the
+    requested sectors, then each message of ``_check_rows``.
     """
     cube = result.cube
-    output_stems(config.regions, "regions")
-    stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
-    headcounts = all_headcounts(result.registry, config.capacity_multipliers)
+    problems: list[CollabMarketError] = []
+    try:
+        output_stems(config.regions, "regions")
+    except ValidationError as exc:
+        problems.append(exc)
+    try:
+        stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
+    except ValidationError as exc:
+        problems.append(exc)
+        stems = {}
+    headcounts = all_headcounts(result.registry)
     correspondence = {
         sds: sector_correspondence(
             sds,
@@ -338,7 +355,24 @@ def _write_indicators(
         for sds in (result.registry.taxonomy.sds_codes if regions else sectors)
     }
     flows = {sds: sector_flows(sds, headcounts[sds], cube, config.regions) for sds in sectors}
-    _check_rows(correspondence, flows)
+    problems += map(ComputationError, _check_rows(correspondence, flows))
+    return stems, correspondence, flows, problems
+
+
+def _write_indicators(
+    config: RunConfig, result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
+) -> tuple[
+    dict[str, str], dict[str, list[SectorCorrespondenceRow]], dict[str, list[SectorFlowsRow]]
+]:
+    """Write table2, table3 and fig1 of each of ``sectors`` and table4 of each
+    of ``regions``, the files of ``analyze``, ``sector`` and ``region`` alike.
+
+    Raises the first problem of ``_indicator_rows`` before ``--out`` is
+    created. Returns the sectors' stems, correspondence rows and flows rows.
+    """
+    stems, correspondence, flows, problems = _indicator_rows(config, result, sectors, regions)
+    if problems:
+        raise problems[0]
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for sds in sectors:

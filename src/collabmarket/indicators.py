@@ -27,7 +27,7 @@ import statistics
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .collab import FlowCube
@@ -234,6 +234,9 @@ def distribution_mean(
         value = values.get(region)
         if value is not None:
             total += value
+    if not isfinite(total):
+        # Finite values can sum past the float range; their mean cannot.
+        return sum(values[r] / len(pool) for r in pool if values.get(r) is not None)
     return total / len(pool)
 
 
@@ -249,46 +252,20 @@ def _rel_to_mean(
 
 def roster_headcounts(registry: Registry, sds: str) -> dict[str, float]:
     """Fractional scientist headcount of one sector, grouped by region."""
-    totals: dict[str, float] = {}
-    for entry in registry.roster:
-        if entry.sds != sds:
-            continue
-        region = registry.region_of(entry.university_id)
-        totals[region] = totals.get(region, 0.0) + entry.headcount_weight
-    return totals
+    return all_headcounts(registry).get(sds, {})
 
 
-def all_headcounts(
-    registry: Registry,
-    capacity_multipliers: Mapping[str, float] | None = None,
-    diagnostics: list[str] | None = None,
-) -> dict[str, dict[str, float]]:
+def all_headcounts(registry: Registry) -> dict[str, dict[str, float]]:
     """Headcounts of every taxonomy sector in one pass: sds -> region -> n.
 
-    Roster weights and capacity multipliers are finite, but a headcount sum,
-    or its product with the sector's capacity multiplier, can pass the float
-    range. That raises a ``ValidationError`` naming the sector and the region
-    or, given ``diagnostics``, is appended to it as a message.
+    A sum past the float range is ``inf``; the table2 row that shows it is
+    what a run refuses.
     """
-    multipliers = capacity_multipliers or {}
     totals: dict[str, dict[str, float]] = {sds: {} for sds in registry.taxonomy.sds_codes}
     for entry in registry.roster:
         region = registry.region_of(entry.university_id)
         per_region = totals[entry.sds]
         per_region[region] = per_region.get(region, 0.0) + entry.headcount_weight
-    for sds, per_region in totals.items():
-        multiplier = multipliers.get(sds, 1.0)
-        for region, headcount in per_region.items():
-            if headcount > _LARGEST_FLOAT:
-                problem = "sums past the float range"
-            elif headcount * multiplier > _LARGEST_FLOAT:
-                problem = f"times the capacity multiplier {multiplier!r} passes the float range"
-            else:
-                continue
-            message = f"roster headcount of sector {sds!r} in region {region!r} {problem}"
-            if diagnostics is None:
-                raise ValidationError(message)
-            diagnostics.append(message)
     return totals
 
 
@@ -309,26 +286,15 @@ def sector_correspondence(
     for (_, e_region), n in cube.sds_flows.get(sds, {}).items():
         demand[e_region] += n
     scientists = {r: float(headcounts.get(r, 0.0)) for r in regions}
-    ratios: dict[str, float | None] = {}
-    for region in regions:
-        capacity = scientists[region] * capacity_multiplier
-        ratios[region] = demand[region] / capacity if capacity > 0 else None
-    eligible = [r for r in regions if scientists[r] > 0]
-    rel = _rel_to_mean(ratios, eligible)
-    rows = []
-    for region in sorted(regions):
-        capacity = scientists[region] * capacity_multiplier
-        rows.append(
-            SectorCorrespondenceRow(
-                region,
-                scientists[region],
-                demand[region],
-                capacity - demand[region],
-                ratios[region],
-                rel[region],
-            )
+    capacity = {r: scientists[r] * capacity_multiplier for r in regions}
+    ratios = {r: demand[r] / capacity[r] if capacity[r] > 0 else None for r in regions}
+    rel = _rel_to_mean(ratios, [r for r in regions if scientists[r] > 0])
+    return [
+        SectorCorrespondenceRow(
+            r, scientists[r], demand[r], capacity[r] - demand[r], ratios[r], rel[r]
         )
-    return rows
+        for r in sorted(regions)
+    ]
 
 
 def sector_flows(

@@ -67,24 +67,23 @@ class RenderedTable:
     rows: tuple[tuple, ...]
 
 
-# Precision for every finite float at up to six decimals: the largest has 309
-# integer digits. The default 28 digits would fail on values from 1e22 up.
+# Precision for every finite float at up to six decimals: the largest has 311
+# integer digits at percent scale. The default 28 digits would fail on values
+# from 1e22 up.
 _WIDE = Context(prec=320)
 
 
-def round_half_away(value: float, digits: int) -> Decimal:
+def round_half_away(value: float | Decimal, digits: int) -> Decimal:
     """Round to ``digits`` decimals with ties going away from zero.
 
     Works on the shortest decimal representation of the float, so a value
-    printed as 0.565 rounds up to 0.57 regardless of its binary expansion.
+    printed as 0.565 rounds up to 0.57 regardless of its binary expansion;
+    a ``Decimal`` is taken as it is.
     """
-    quantum = Decimal(1).scaleb(-digits)
-    result = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP, context=_WIDE)
+    if not isinstance(value, Decimal):
+        value = Decimal(repr(float(value)))
+    result = value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP, context=_WIDE)
     return abs(result) if result == 0 else result  # avoid "-0.00"
-
-
-def _decimal_string(value: float, digits: int) -> str:
-    return str(round_half_away(value, digits))
 
 
 def format_cell(value, kind: str) -> str:
@@ -104,18 +103,18 @@ def format_cell(value, kind: str) -> str:
     raise UsageError(f"unknown column kind {kind!r}")
 
 
+_DIGITS = {NUM2: 2, NUM3: 3, PCT0: 0, PCT2: 2, PCT3: 3}
+
+
 def _format_number(value: float, kind: str) -> str:
-    if kind == NUM2:
-        return _decimal_string(value, 2)
-    if kind == NUM3:
-        return _decimal_string(value, 3)
     if kind == NUM6:
         return format(round_half_away(value, 6).normalize(_WIDE), "f")
-    if kind == PCT0:
-        return str(round_half_away(value * 100.0, 0))
-    if kind == PCT2:
-        return _decimal_string(value * 100.0, 2)
-    return _decimal_string(value * 100.0, 3)
+    if kind in (PCT0, PCT2, PCT3):
+        scaled = value * 100.0
+        # A share per scientist can pass the float range only as a float
+        # percentage; its exact decimal one is written instead.
+        value = scaled if math.isfinite(scaled) else Decimal(repr(value)).scaleb(2)
+    return str(round_half_away(value, _DIGITS[kind]))
 
 
 # Distinct values per kind in one run are a few thousand.

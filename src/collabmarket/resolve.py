@@ -144,10 +144,8 @@ class Resolver:
         roster_index: dict[tuple[str, str], list[ScientistRosterEntry]] = {}
         for entry in registry.roster:
             roster_index.setdefault((entry.surname, entry.initials), []).append(entry)
-        frozen_roster = {
-            key: tuple(sorted(entries, key=lambda e: (e.university_id, e.sds)))
-            for key, entries in roster_index.items()
-        }
+        # Roster order: ``attribute_authors`` reads each group into a set.
+        frozen_roster = {key: tuple(entries) for key, entries in roster_index.items()}
         return cls(canonical_index, alias_index, ambiguous, frozen_roster)
 
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import random
+import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 from collabmarket.cli import _check_rows, _write_delta_report, main, run_pipeline
 from collabmarket.config import load_config
 from collabmarket.demo import demo_corpus, write_demo_corpus
-from collabmarket.errors import CollabMarketError, ComputationError
+from collabmarket.errors import CollabMarketError
 from collabmarket.indicators import (
     MetricDelta,
     SectorCorrespondenceRow,
@@ -211,8 +215,8 @@ class TestNotFinite:
     def test_headcount_sum_past_the_float_range(self, corpus, tmp_path, capsys, command,
                                                 capacity):
         """Two finite weights whose sum overflows, or one weight times a finite
-        capacity multiplier, exit 1 naming the sector and the region; the run
-        commands stop before --out is created."""
+        capacity multiplier, exit 1 naming the table, the sector, the region
+        and the column; the run commands stop before --out is created."""
         copied = _copy_corpus(corpus, tmp_path)
         lines = copied["roster"].read_text(encoding="utf-8").splitlines()
         rows = [i for i, line in enumerate(lines) if ",U-ABR,ING-INF/01," in line][:2]
@@ -227,10 +231,9 @@ class TestNotFinite:
         rc = main([*command, "--config", str(copied["config"]), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        problem = ("times the capacity multiplier 10.0 passes" if capacity
-                   else "sums past") + " the float range"
-        assert ("error: roster headcount of sector 'ING-INF/01' in region 'Abruzzo' "
-                f"{problem}") in err
+        column = "surplus" if capacity else "scientists"
+        assert ("error: table2 of sector 'ING-INF/01', region 'Abruzzo': "
+                f"{column} is inf, not a finite number") in err
         assert "Traceback" not in err
         assert out.exists() == (command == ["validate"])
 
@@ -286,6 +289,47 @@ class TestNotFinite:
                 "national_supply_per_scientist is inf, not a finite number") in err
         assert not out.exists()
 
+    def test_sector_computes_only_its_own_rows(self, corpus, analyzed_dir, tmp_path, capsys):
+        """A headcount past the float range in CHIM/07 stops analyze, whose
+        table4 cards span every sector, but not ``sector --sds ING-INF/01``:
+        it writes analyze's files of that sector on the clean corpus."""
+        copied = _copy_corpus(corpus, tmp_path)
+        with copied["roster"].open("a", encoding="utf-8") as handle:
+            for name in ("overflow01", "overflow02"):
+                handle.write(f"{name},A,U-ABR,CHIM/07,03,2001|2002|2003,1e308\n")
+        run = ["--config", str(copied["config"])]
+        assert main(["analyze", *run, "--out", str(tmp_path / "analyze")]) == 1
+        assert ("error: table2 of sector 'CHIM/07', region 'Abruzzo': scientists is inf, "
+                "not a finite number") in capsys.readouterr().err
+        out = tmp_path / "sector"
+        assert main(["sector", *run, "--sds", "ING-INF/01", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        expected = {name: data for name, data in _files(analyzed_dir).items()
+                    if name.split(".")[0].endswith("_ING-INF-01")}
+        assert len(expected) == 5
+        assert _files(out) == expected
+
+    def test_rel_to_mean_of_ratios_that_sum_past_the_float_range(self, corpus, tmp_path):
+        """With a capacity multiplier of 1e-308 every demand per scientist is
+        finite but their sum is not; each rel value is still its ratio over
+        the exact mean of the eligible regions, never 0 for a positive ratio."""
+        copied = _copy_corpus(corpus, tmp_path)
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            handle.write("capacity.ING-INF/01 = 1e-308\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(copied["config"]), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in
+                (out / "table2_ING-INF-01.jsonl").read_text(encoding="utf-8").splitlines()]
+        eligible = [row for row in rows if row["scientists"] > 0]
+        ratios = [row["demand_per_scientist"] for row in eligible]
+        assert math.isinf(sum(ratios))
+        mean = float(sum(map(Fraction, ratios)) / len(eligible))
+        abruzzo = next(row for row in rows if row["region"] == "Abruzzo")
+        assert abruzzo["demand_per_scientist"] > 1e307
+        for row in eligible:
+            assert row["demand_per_scientist_rel"] == pytest.approx(
+                row["demand_per_scientist"] / mean, rel=1e-12), row["region"]
+
     def test_large_finite_weight_is_rendered(self, corpus, tmp_path, capsys):
         copied = _copy_corpus(corpus, tmp_path)
         self._set_first_weight(copied["roster"], "1e30")
@@ -294,6 +338,70 @@ class TestNotFinite:
         assert "Traceback" not in capsys.readouterr().err
         rows = (out / "table2_ING-INF-01.csv").read_text(encoding="utf-8").splitlines()
         assert rows[1].startswith("Abruzzo,1000000000000000000000000000000,")
+
+
+# Every positive finite float, subnormals included.
+_POSITIVE_FINITE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+_DEMO_ROSTER = demo_corpus()[2]  # surname, initials, university_id, sds, ...
+_ROSTER_GROUPS = sorted({(row[2], row[3]) for row in _DEMO_ROSTER})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.dictionaries(st.sampled_from(_ROSTER_GROUPS), _POSITIVE_FINITE, max_size=4),
+    capacity=st.dictionaries(
+        st.sampled_from(sorted({sds for _, sds in _ROSTER_GROUPS})), _POSITIVE_FINITE, max_size=3
+    ),
+)
+@example(weights={("U-ABR", "ING-INF/01"): 5e-324}, capacity={})
+@example(weights={}, capacity={"ING-INF/01": 1e-320})
+@example(weights={("U-ABR", "ING-INF/01"): 1e308}, capacity={})
+@example(weights={}, capacity={"ING-INF/01": 1e-308})
+def test_validate_refuses_exactly_what_analyze_refuses(corpus, weights, capacity):
+    """Roster weights, set per university and sector, and capacity
+    multipliers from the whole positive finite range: analyze exits 0 or 1
+    with no traceback and no --out after a refusal, and validate exits 1
+    exactly when analyze does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        copied = _copy_corpus(corpus, tmp)
+        lines = copied["roster"].read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            weight = weights.get(tuple(line.split(",")[2:4]))
+            if weight is not None:
+                lines[i] = line.rsplit(",", 1)[0] + f",{weight!r}"
+        copied["roster"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            for sds, multiplier in capacity.items():
+                handle.write(f"capacity.{sds} = {multiplier!r}\n")
+        runs = {}
+        for command in ("analyze", "validate"):
+            out = tmp / command
+            err = io.StringIO()  # capsys is a function fixture, which @given cannot take
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--config", str(copied["config"]), "--out", str(out)])
+            assert "Traceback" not in err.getvalue()
+            runs[command] = rc, out.exists()
+    assert runs["analyze"] in ((0, True), (1, False))
+    assert runs["validate"][0] == runs["analyze"][0]
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Lombardy"], ["validate"]
+], ids=["analyze", "sector", "region", "validate"])
+def test_regions_that_share_a_file_name(corpus, tmp_path, capsys, command):
+    """Two configured regions with one file-name stem stop every run command
+    before --out exists, and validate reports the same message."""
+    regions = load_config(corpus["config"]).regions
+    out = tmp_path / "out"
+    rc = main([*command, "--config", str(corpus["config"]), "--out", str(out),
+               "--regions", "|".join([*regions, "Emilia-Romagna"])])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert ("error: regions 'Emilia Romagna' and 'Emilia-Romagna' would both write their "
+            "outputs under the name 'Emilia-Romagna'") in err
+    assert "Traceback" not in err
+    assert out.exists() == (command == ["validate"])
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])
@@ -729,18 +837,17 @@ def test_delta_report_streams_the_bytes_of_render_table(deltas):
 @example([[1e308, 1e308, 1e308, 0.0, None, -0.0, 1.0]])
 def test_row_check_refuses_exactly_the_values_that_are_not_finite(values):
     """``_check_rows`` screens a sector with one sum before it looks at each
-    value: it must refuse a table exactly when some value is neither a finite
-    number nor NA, also when finite values sum past the float range."""
+    value: it must name exactly the values that are neither a finite number
+    nor NA, in row and column order, also when finite values sum past the
+    float range."""
     rows = [SectorFlowsRow(f"R{i}", 1, 1, 0, *row) for i, row in enumerate(values)]
-    bad = [(row.region, name) for row in rows for name, value in zip(row._fields[4:], row[4:])
+    bad = [(row.region, name, value) for row in rows
+           for name, value in zip(row._fields[4:], row[4:])
            if value is not None and not math.isfinite(value)]
-    if not bad:
-        _check_rows({}, {"S1": rows})
-        return
-    region, name = bad[0]
-    with pytest.raises(ComputationError, match=f"^table3 of sector 'S1', region '{region}': "
-                                               f"{name} is "):
-        _check_rows({}, {"S1": rows})
+    assert list(_check_rows({}, {"S1": rows})) == [
+        f"table3 of sector 'S1', region '{region}': {name} is {value!r}, not a finite number"
+        for region, name, value in bad
+    ]
 
 
 @given(st.lists(st.floats() | st.none(), min_size=15, max_size=15),

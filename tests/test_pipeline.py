@@ -4,7 +4,9 @@ The equivalence oracle runs small generated corpora through ``run_pipeline``
 and through the staged chain it replaced (resolve every publication, then
 attribute, partition, filter, derive and tally). The additivity oracle splits
 the demo corpus into two shards: their cubes, and the count columns of the
-tables read from them, add up to those of the whole corpus.
+tables read from them, add up to those of the whole corpus. The scaling
+oracle adds a copy of every demo publication and checks how each column of
+table1, table2 and table3 moves.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import tempfile
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -310,3 +313,49 @@ def test_cubes_and_count_columns_add_across_shards(demo, data):
     columns_b = _count_columns(config, headcounts, cube_b)
     for name, column in _count_columns(config, headcounts, whole).items():
         assert column == [x + y for x, y in zip(columns_a[name], columns_b[name])], name
+
+
+_DOUBLED = ("national_demand", "national_supply", "intra_supply", "supply_intra", "supply_extra",
+            "supply_national", "demand_intra", "demand_extra", "demand_national",
+            "net_difference", "demand_per_scientist", "national_supply_per_scientist",
+            "intra_supply_per_scientist")
+_UNCHANGED = ("region", "scientists", "market_share", "market_share_per_scientist",
+              "intra_over_national_supply", "demand_per_scientist_rel",
+              "national_supply_per_scientist_rel", "intra_supply_per_scientist_rel")
+
+
+def test_a_copy_of_every_publication_doubles_the_counts(demo, tmp_path):
+    """Scaling: with every publication copied under a fresh id, each count
+    column and each per-scientist ratio doubles, each share and rel-to-mean
+    column stays, and the surplus is the capacity minus twice the old demand.
+    A capacity multiplier other than 1 keeps capacity and headcount apart."""
+    config, publications, whole = demo
+    config = apply_setting(config, f"capacity.{SECTOR}", "1.25")
+    copies = [pub._replace(pub_id=f"{pub.pub_id}/copy") for pub in publications]
+    doubled = _cube_of(config, publications + copies, tmp_path / "doubled.jsonl")
+    headcounts = all_headcounts(load_registries(config.organizations, config.roster,
+                                                config.taxonomy, config.regions))
+
+    def tables(cube):
+        """Each row of table1, then of table2 and table3 of every taxonomy
+        sector, with the capacity multiplier of its sector."""
+        rows = [(1.0, row) for row in regional_summary(cube, config.regions)]
+        for sds in sorted(headcounts):
+            multiplier = config.capacity_multipliers.get(sds, 1.0)
+            rows += [(multiplier, row) for row in chain(
+                sector_correspondence(sds, headcounts[sds], cube, config.regions, multiplier),
+                sector_flows(sds, headcounts[sds], cube, config.regions),
+            )]
+        return rows
+
+    checked = set()
+    for (multiplier, old), (_, new) in zip(tables(whole), tables(doubled), strict=True):
+        for name, before, after in zip(old._fields, old, new):
+            if name == "surplus":
+                assert after == old.scientists * multiplier - 2 * old.national_demand
+            elif name in _DOUBLED:
+                assert after == (None if before is None else 2 * before), (old.region, name)
+            else:
+                assert name in _UNCHANGED and after == before, (old.region, name)
+            checked.add(name)
+    assert checked == {*_DOUBLED, *_UNCHANGED, "surplus"}

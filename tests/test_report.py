@@ -95,6 +95,14 @@ class TestFormatCell:
         assert format_cell(0.41772, PCT2) == "41.77"
         assert format_cell(1.0, PCT0) == "100"
 
+    @pytest.mark.parametrize("kind, decimals", [(PCT0, ""), (PCT2, ".00"), (PCT3, ".000")])
+    def test_percent_past_the_float_range_is_written_in_full(self, kind, decimals):
+        """A share per scientist over a subnormal headcount is a finite float
+        whose float percentage is not; its exact percentage is written."""
+        assert format_cell(-1.7976931348623157e308, kind) == (
+            "-17976931348623157" + "0" * 294 + decimals
+        )
+
     def test_no_negative_zero(self):
         assert format_cell(-0.0001, NUM2) == "0.00"
         assert format_cell(-0.004, NUM2) == "0.00"
