@@ -24,8 +24,10 @@ at its first problem; ``validate`` lists them all, so it exits 1 exactly when
 
 ``diff`` reads each snapshot's JSONL tables one file at a time and keeps only
 the four values of each (sector, region) cell that it compares. A table must
-list each region of its manifest exactly once, with finite compared numbers.
-The delta report goes to its two files line by line as its rows are made.
+list each region of its manifest exactly once, with finite compared numbers;
+a line as ``analyze`` writes it passes one accept check, and any other goes
+through the checks that name its problem. The delta report goes to its two
+files a bounded chunk of cells at a time, rendered column by column.
 
 Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
 run completed without hard errors, 1 for data errors and 2 for usage problems,
@@ -73,7 +75,7 @@ from .indicators import (
     sector_flows,
     snapshot_diff,
 )
-from .ingest import _json_line, iter_publications, load_registries, not_utf8
+from .ingest import _json_line, _scan_json, iter_publications, load_registries, not_utf8
 from .model import (
     AffiliationResolution,
     AuthorAttribution,
@@ -469,11 +471,33 @@ def _read_compared(
     number or null in each compared field; any other value, a boolean
     included, would fail inside snapshot_diff. Each of ``regions`` must be on
     exactly one line.
+
+    A line as ``render_table`` writes it is accepted by one check: the whole
+    line is one object with those keys, a region of the manifest not seen
+    yet, and a finite float or null in each compared field. Any other line
+    takes the checks in order, and the first that fails names the problem.
     """
+    first, second = compared
     cells: dict[str, tuple] = {}
     try:
         with path.open(encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
+                try:
+                    obj, end = _scan_json(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    obj = end = None
+                if (
+                    type(obj) is dict
+                    and line[end:] in ("\n", "")
+                    and tuple(obj) == fields
+                    and type(region := obj["region"]) is str
+                    and region in regions
+                    and region not in cells
+                    and ((a := obj[first]) is None or type(a) is float and math.isfinite(a))
+                    and ((b := obj[second]) is None or type(b) is float and math.isfinite(b))
+                ):
+                    cells[regions[region]] = a, b
+                    continue
                 if not line.strip():
                     continue
                 where = f"{path}:{line_no}"
@@ -485,7 +509,7 @@ def _read_compared(
                     keys = ", ".join(fields)
                     raise DiffError(f"{where}: expected an object with the keys {keys}")
                 region = obj["region"]
-                values = obj[compared[0]], obj[compared[1]]
+                values = obj[first], obj[second]
                 if type(region) is not str:
                     kind = _JSON_TYPE_NAMES[type(region)]
                     raise DiffError(f"{where}: region is {kind}, expected a string")

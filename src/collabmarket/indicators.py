@@ -416,17 +416,36 @@ def region_sector_stats(
     if not ratios:
         return RegionSectorStats(region, 0, None, None, None, None, None, 0)
     n = len(ratios)
-    std_error = statistics.stdev(ratios) / sqrt(n) if n > 1 else None
+    std_error = _in_range(statistics.stdev, ratios) / sqrt(n) if n > 1 else None
     return RegionSectorStats(
         region,
         n,
-        statistics.fmean(ratios),
+        _in_range(statistics.fmean, ratios),
         std_error,
-        statistics.median(ratios),
+        _in_range(statistics.median, ratios),
         min(ratios),
         max(ratios),
         zero_demand,
     )
+
+
+# A power of two small enough that the square of any finite float times it
+# stays in the float range; scaling by it is exact for all but tiny values.
+_SCALE = 2.0 ** -600
+
+
+def _in_range(statistic, values: Sequence[float]) -> float:
+    """``statistic(values)``, or, when finite values take it or its
+    intermediates past the float range (fmean of two values near the float
+    maximum raises, their median is inf, and Python 3.10's stdev raises), the
+    statistic of the values scaled down by a power of two, scaled back up."""
+    try:
+        result = statistic(values)
+        if isfinite(result):
+            return result
+    except OverflowError:
+        pass
+    return statistic([value * _SCALE for value in values]) / _SCALE
 
 
 def sds_weights(cube: FlowCube) -> dict[str, float]:

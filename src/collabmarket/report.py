@@ -7,21 +7,26 @@ NA as ``null``) so downstream tooling, including the snapshot diff, loses
 nothing to display rounding. Rendering the same table twice yields identical
 bytes.
 
-``render_lines`` yields a table's lines one at a time and ``render_table``
-joins them. The delta report of ``diff`` is written from those lines as its
-rows are made (``delta_lines``); ``delta_table`` builds the same table whole.
+A table is rendered a column at a time, not a cell at a time: its rows are
+transposed once, each column's encoder maps over the whole column, and the
+rows are emitted from the encoded columns by ``csv.writer`` or a per-table
+``%`` template. ``render_table`` renders a whole table this way. The delta
+report of ``diff`` is rendered from bounded chunks of its cells, each built
+straight into its seven columns (``delta_lines``), so the whole table never
+exists; ``delta_table`` builds it row by row, the reference for that.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import UsageError, ValidationError
 from .indicators import (
@@ -146,10 +151,10 @@ _CSV_ENCODERS = {
 }
 
 
-# JSON cells are encoded one by one, exactly as ``json.dumps`` writes them:
-# JSON scalars need no context, only the object framing around them, which a
-# per-table template adds. Numbers are not cached: 0.0 and -0.0 compare equal
-# but json writes them differently.
+# JSON cells are encoded exactly as ``json.dumps`` writes them: JSON scalars
+# need no context, only the object framing around them, which a per-table
+# template adds. Numbers are not cached: 0.0 and -0.0 compare equal but json
+# writes them differently.
 
 
 def _json_text(value) -> str:
@@ -170,11 +175,43 @@ def _json_float(value) -> str:
     return float.__repr__(number) if math.isfinite(number) else json.dumps(number)
 
 
-_JSON_ENCODERS = {
-    TEXT: _json_text,
-    INT: _json_int,
-    RANK: _json_int,
-    **{kind: _json_float for kind in _NUMERIC_KINDS},
+_FLOAT_OR_NA = frozenset((float, type(None)))
+_float_repr = float.__repr__
+
+
+def _json_numbers(values: Sequence) -> Iterable[str]:
+    """A number column in one pass when each cell is NA or a float and their
+    sum is finite, so that each is; otherwise cell by cell."""
+    if _FLOAT_OR_NA.issuperset(map(type, values)) and math.isfinite(sum(filter(None, values))):
+        return ["null" if value is None else _float_repr(value) for value in values]
+    return map(_json_float, values)
+
+
+def _each(encode, fast=None, types=()):
+    """The column encoder that applies ``encode`` to each cell, or the faster
+    ``fast`` when every cell is of one of ``types`` (the common case)."""
+    types = frozenset(types)
+
+    def encode_column(values: Sequence) -> Iterable[str]:
+        if fast is not None and types.issuperset(map(type, values)):
+            return map(fast, values)
+        return map(encode, values)
+
+    return encode_column
+
+
+# Column encoders by format and kind: each maps a column's cells to their text.
+_COLUMN_ENCODERS = {
+    "csv": {
+        **{kind: _each(encode) for kind, encode in _CSV_ENCODERS.items()},
+        TEXT: _each(_csv_text, str, (str,)),
+    },
+    "jsonl": {
+        TEXT: _each(_json_text, encode_basestring, (str,)),
+        INT: _each(_json_int, int.__repr__, (int,)),
+        RANK: _each(_json_int, int.__repr__, (int,)),
+        **{kind: _json_numbers for kind in _NUMERIC_KINDS},
+    },
 }
 
 
@@ -186,42 +223,41 @@ def _bind(columns: Sequence[Column], encoders: dict) -> list:
         raise UsageError(f"unknown column kind {exc.args[0]!r}") from None
 
 
-class _LineSink:
-    """A file whose ``write`` hands the text back, so that ``csv.writer``'s
-    ``writerow``, which returns what ``write`` returns, yields the line."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
+def _csv_text_of(rows: Iterable[Sequence[str]]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
-def render_lines(columns: Sequence[Column], rows: Iterable[tuple], fmt: str) -> Iterator[str]:
-    """The lines of a table in ``csv`` or ``jsonl``, each with its newline.
-
-    Takes the rows one at a time, so a caller can write them out as they
-    come; ``render_table`` joins them.
-    """
+@lru_cache(maxsize=64)
+def _renderer(columns: tuple[Column, ...], fmt: str) -> tuple[str, Callable[[Sequence], str]]:
+    """The header of a table in ``csv`` or ``jsonl`` (empty for ``jsonl``),
+    and a function from the cells of some of its rows, given column by
+    column, to the text of those rows, each ending in a newline."""
+    if fmt not in FORMATS:
+        raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    encoders = _bind(columns, _COLUMN_ENCODERS[fmt])
     if fmt == "csv":
-        encoders = _bind(columns, _CSV_ENCODERS)
-        writerow = csv.writer(_LineSink, lineterminator="\n").writerow
-        yield writerow([c.name for c in columns])
-        for row in rows:
-            yield writerow([encode(v) for encode, v in zip(encoders, row)])
-    elif fmt == "jsonl":
-        encoders = _bind(columns, _JSON_ENCODERS)
+        emit = _csv_text_of
+        header = emit([[c.name for c in columns]])
+    else:
         # json.dumps's default separators: ", " between items, ": " after keys.
         template = "{" + ", ".join(
             encode_basestring(c.name).replace("%", "%%") + ": %s" for c in columns
         ) + "}\n"
-        for row in rows:
-            yield template % tuple([encode(v) for encode, v in zip(encoders, row)])
-    else:
-        raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
+        emit = lambda rows: "".join(map(template.__mod__, rows))  # noqa: E731
+        header = ""
+
+    def render(cells_by_column: Sequence) -> str:
+        return emit(zip(*[encode(cells) for encode, cells in zip(encoders, cells_by_column)]))
+
+    return header, render
 
 
 def render_table(table: RenderedTable, fmt: str) -> str:
     """Serialize a table to ``csv`` or ``jsonl``; deterministic byte output."""
-    return "".join(render_lines(table.columns, table.rows, fmt))
+    header, render = _renderer(table.columns, fmt)
+    return header + render(list(zip(*table.rows)))
 
 
 _REGIONAL_COLUMNS = (
@@ -319,24 +355,45 @@ def aggregate_table(rows: Sequence[AggregateRow]) -> RenderedTable:
     return RenderedTable("table5_aggregate", _AGGREGATE_COLUMNS, tuple(rows))
 
 
-def delta_rows(deltas: Iterable[SnapshotDelta]) -> Iterator[tuple]:
-    """Long-format diff rows, one per (region, sds, metric), made as read."""
-    metrics = SnapshotDelta._fields[2:]
-    for cell in deltas:
-        for metric, entry in zip(metrics, cell[2:]):
-            yield (cell.region, cell.sds, metric, entry.value_t0, entry.value_t1, entry.delta,
-                   entry.flag or "")
+_METRICS = SnapshotDelta._fields[2:]
+# Cells of the delta report rendered at once: a bound on the text ``diff``
+# holds while it streams the report.
+_DELTA_CHUNK = 128
 
 
 def delta_table(deltas: Sequence[SnapshotDelta]) -> RenderedTable:
     """Long-format diff: one row per (region, sds, metric)."""
-    return RenderedTable(DELTA_REPORT, _DELTA_COLUMNS, tuple(delta_rows(deltas)))
+    rows = tuple(
+        (cell.region, cell.sds, metric, entry.value_t0, entry.value_t1, entry.delta,
+         entry.flag or "")
+        for cell in deltas
+        for metric, entry in zip(_METRICS, cell[2:])
+    )
+    return RenderedTable(DELTA_REPORT, _DELTA_COLUMNS, rows)
+
+
+def _delta_columns(cells: Sequence[SnapshotDelta]) -> tuple[Sequence, ...]:
+    """The seven columns of ``delta_table(cells)``, made without its rows."""
+    value_t0, value_t1, delta, flags = zip(*[entry for cell in cells for entry in cell[2:]])
+    return (
+        [cell.region for cell in cells for _ in _METRICS],
+        [cell.sds for cell in cells for _ in _METRICS],
+        _METRICS * len(cells),
+        value_t0,
+        value_t1,
+        delta,
+        [flag or "" for flag in flags],
+    )
 
 
 def delta_lines(deltas: Sequence[SnapshotDelta], fmt: str) -> Iterator[str]:
-    """The lines of ``render_table(delta_table(deltas), fmt)``, one at a time,
-    without building the table."""
-    return render_lines(_DELTA_COLUMNS, delta_rows(deltas), fmt)
+    """The text of ``render_table(delta_table(deltas), fmt)``: its header, then
+    the lines of a bounded chunk of cells at a time, without building the
+    table."""
+    header, render = _renderer(_DELTA_COLUMNS, fmt)
+    yield header
+    for start in range(0, len(deltas), _DELTA_CHUNK):
+        yield render(_delta_columns(deltas[start:start + _DELTA_CHUNK]))
 
 
 def sanitize_code(code: str) -> str:

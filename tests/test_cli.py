@@ -32,7 +32,9 @@ from collabmarket.indicators import (
 )
 from collabmarket.ingest import load_publications, load_registries, write_publications
 from collabmarket.report import (
+    NUM6,
     delta_table,
+    format_cell,
     render_table,
     sanitize_code,
     sector_correspondence_table,
@@ -329,6 +331,50 @@ class TestNotFinite:
         for row in eligible:
             assert row["demand_per_scientist_rel"] == pytest.approx(
                 row["demand_per_scientist"] / mean, rel=1e-12), row["region"]
+
+    @pytest.mark.parametrize("command", [["analyze"], ["region", "--name", "Lombardy"]],
+                             ids=["analyze", "region"])
+    def test_region_statistics_of_ratios_near_the_float_maximum(self, corpus, tmp_path, capsys,
+                                                                command):
+        """CHIM/07 is made a copy of ING-INF/01, with its own scientists and
+        publications, and both sectors get a capacity multiplier of 1e-308:
+        Lombardy's demand per scientist is about 1.68e308 in each. Their mean
+        and median are finite, and so is every value of table4 and table5."""
+        copied = _copy_corpus(corpus, tmp_path)
+        roster = copied["roster"].read_text(encoding="utf-8").splitlines()
+        with copied["roster"].open("a", encoding="utf-8") as handle:
+            for line in roster[1:]:
+                surname, rest = line.split(",", 1)
+                handle.write(f"chim{surname},{rest.replace(',ING-INF/01,09,', ',CHIM/07,03,')}\n")
+        publications = copied["publications"].read_text(encoding="utf-8").splitlines()
+        with copied["publications"].open("a", encoding="utf-8") as handle:
+            for line in publications:
+                record = json.loads(line)
+                record["pub_id"] = "C" + record["pub_id"]
+                for author in record["authors"]:
+                    author["surname"] = "chim" + author["surname"]
+                handle.write(json.dumps(record) + "\n")
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            handle.write("capacity.ING-INF/01 = 1e-308\ncapacity.CHIM/07 = 1e-308\n")
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(copied["config"]), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert rc == 0
+        (card,) = [json.loads(line) for line in
+                   (out / "table4_Lombardy.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert card["observations"] == 2
+        ratio = 79 / 47 / 1e-308
+        for name in ("mean", "median", "minimum", "maximum"):
+            assert card[name] == pytest.approx(ratio, rel=1e-12), name
+        assert card["standard_error"] == 0.0
+        tables = [out / "table4_Lombardy.jsonl"]
+        if command == ["analyze"]:
+            tables += [out / "table5_aggregate.jsonl", *out.glob("table4_*.jsonl")]
+            assert len(tables) == 2 + 19
+        for path in tables:
+            for line in path.read_text(encoding="utf-8").splitlines():
+                for value in json.loads(line).values():
+                    assert not isinstance(value, float) or math.isfinite(value), path
 
     def test_large_finite_weight_is_rendered(self, corpus, tmp_path, capsys):
         copied = _copy_corpus(corpus, tmp_path)
@@ -816,16 +862,47 @@ _METRIC_DELTAS = st.builds(
 )
 
 
+def _long_delta_report(cells: int) -> list[SnapshotDelta]:
+    """More cells than two of the chunks the report is written in, with NA,
+    -0.0, integers and booleans in the numeric columns."""
+    values = [None, -0.0, 0.0, 3, True, False, 0.565, -2.5, 1e21, None, 5e-324]
+    flags = [None, "emergent", "vanished"]
+    return [
+        SnapshotDelta(f"R{i % 7}", f"S{i}", *(
+            MetricDelta(*(values[(i + m + k) % len(values)] for k in range(3)),
+                        flags[(i + m) % 3])
+            for m in range(4)
+        ))
+        for i in range(cells)
+    ]
+
+
+@settings(deadline=None)
 @given(st.lists(st.builds(SnapshotDelta, _NAMES, _NAMES, *[_METRIC_DELTAS] * 4), max_size=5))
 @example([])
+@example(_long_delta_report(257))
+@example(_long_delta_report(300))
 def test_delta_report_streams_the_bytes_of_render_table(deltas):
     """The streamed delta report is ``render_table(delta_table(deltas))``,
-    byte for byte, in both formats."""
+    byte for byte, in both formats, and that is each row's cells written by
+    ``format_cell`` and ``csv.writer``, or by ``json.dumps``."""
+    names = ("region", "sds", "metric", "value_t0", "value_t1", "delta", "flag")
+    rows = delta_table(deltas).rows
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([*row[:3], *(format_cell(v, NUM6) for v in row[3:6]), row[6]] for row in rows)
+    jsonl = "".join(
+        json.dumps(dict(zip(names, (*row[:3], *(None if v is None else float(v) for v in row[3:6]),
+                                    row[6]))), ensure_ascii=False) + "\n"
+        for row in rows
+    )
     with tempfile.TemporaryDirectory() as tmp:
         _write_delta_report(Path(tmp), deltas)
-        for fmt in ("csv", "jsonl"):
-            expected = render_table(delta_table(deltas), fmt).encode("utf-8")
-            assert (Path(tmp) / f"diff_report.{fmt}").read_bytes() == expected
+        for fmt, reference in (("csv", buffer.getvalue()), ("jsonl", jsonl)):
+            expected = render_table(delta_table(deltas), fmt)
+            assert expected == reference
+            assert (Path(tmp) / f"diff_report.{fmt}").read_bytes() == expected.encode("utf-8")
 
 
 @settings(max_examples=60)

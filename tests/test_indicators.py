@@ -17,6 +17,7 @@ from collabmarket.indicators import (
     QUADRANT_III,
     QUADRANT_IV,
     IndicatorSnapshot,
+    RegionSectorStats,
     SectorCorrespondenceRow,
     SectorFlowsRow,
     SnapshotCell,
@@ -308,6 +309,20 @@ class TestRegionStats:
         assert stats.observations == 1
         assert stats.standard_error is None
         assert stats.mean == pytest.approx(2.0)
+
+    def test_ratios_near_the_float_maximum(self):
+        """Two finite ratios whose sum passes the float range: fmean of them
+        raises and their median is inf, yet each statistic is finite."""
+        rows = {sds: SectorCorrespondenceRow("Lazio", 2.0, 3, -1.0, 1.5e308, 1.0)
+                for sds in ("S1", "S2")}
+        stats = region_sector_stats("Lazio", rows)
+        assert stats == RegionSectorStats("Lazio", 2, 1.5e308, 0.0, 1.5e308, 1.5e308, 1.5e308, 0)
+        rows["S3"] = SectorCorrespondenceRow("Lazio", 2.0, 0, 2.0, 0.0, 0.0)
+        stats = region_sector_stats("Lazio", rows)
+        assert stats.mean == pytest.approx(1e308, rel=1e-15)
+        assert stats.median == 1.5e308
+        assert stats.standard_error == pytest.approx(
+            1.5e308 * statistics.stdev([1.0, 1.0, 0.0]) / 3 ** 0.5, rel=1e-15)
 
     def test_empty(self):
         stats = region_sector_stats("Lazio", {})
