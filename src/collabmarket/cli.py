@@ -57,7 +57,7 @@ from .collab import (
     export_ue_events,
     write_csv,
 )
-from .config import RunConfig, apply_setting, dump_config, load_config
+from .config import AMBIGUITY_POLICIES, RunConfig, apply_setting, dump_config, load_config
 from .errors import CollabMarketError, ComputationError, DiffError, UsageError, ValidationError
 from .indicators import (
     IndicatorSnapshot,
@@ -100,7 +100,6 @@ from .report import (
 )
 from .resolve import (
     ALIAS,
-    AMBIGUITY_POLICIES,
     EXACT,
     UNIQUE,
     Resolver,
@@ -260,7 +259,14 @@ def _warn_registry_ambiguities(ambiguous_aliases: Mapping[str, tuple[str, ...]])
 
 def cmd_validate(config: RunConfig) -> int:
     diagnostics: list[str] = []
-    result = run_pipeline(config, diagnostics)
+    try:
+        result = run_pipeline(config, diagnostics)
+    except UsageError:
+        raise
+    except CollabMarketError as exc:  # it ends the pass: print what came before, then it
+        _print_diagnostics(diagnostics)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     *_, problems = _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions)
     diagnostics += map(str, problems)
     out_dir = Path(config.out)

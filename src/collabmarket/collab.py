@@ -25,8 +25,6 @@ from .model import (
     UECollaboration,
 )
 
-SDS_REGION_SPLITS = ("per-region", "single")
-
 
 def derive_ue_events(
     pub: PublicationRecord,
@@ -37,14 +35,9 @@ def derive_ue_events(
     """University-enterprise events for one publication (all distinct pairs).
 
     ``universities`` and ``enterprises`` are the publication's distinct
-    resolved ids of each kind, sorted (see ``resolve.split_org_ids``).
+    resolved ids of each kind, sorted (see ``resolve.split_org_ids``). The
+    caller passes only a retained publication, which has both kinds.
     """
-    if not universities or not enterprises:
-        raise ValueError(
-            f"publication {pub.pub_id!r} reached event derivation without both a "
-            "resolved university and a resolved enterprise; the corpus filter "
-            "should have excluded it"
-        )
     by_id = registry.by_id
     pub_id, year = pub.pub_id, pub.year
     enterprise_regions = [(e, by_id[e].region) for e in enterprises]
@@ -63,7 +56,8 @@ def derive_sds_events(
     registry: Registry,
     region_split: str = "per-region",
 ) -> list[SDSCollaboration]:
-    """Sector-enterprise events for one publication.
+    """Sector-enterprise events for one retained publication: the caller
+    passes only one with an enterprise and an author attributed to a sector.
 
     ``enterprises`` are the publication's distinct resolved enterprise ids,
     sorted. With ``region_split="per-region"`` (default) a sector attributed
@@ -72,24 +66,12 @@ def derive_sds_events(
     pair yields one event, attributed to the alphabetically first supplying
     region.
     """
-    if region_split not in SDS_REGION_SPLITS:
-        raise ValueError(f"unknown region split {region_split!r}")
     by_id = registry.by_id
     pairs = {
         (a.sds, by_id[a.university_id].region)
         for a in attributions
         if a.sds is not None and a.university_id is not None
     }
-    if not pairs:
-        raise ValueError(
-            f"publication {pub.pub_id!r} has no sector attribution; the corpus "
-            "filter should have excluded it"
-        )
-    if not enterprises:
-        raise ValueError(
-            f"publication {pub.pub_id!r} has no resolved enterprise; the corpus "
-            "filter should have excluded it"
-        )
     if region_split == "single":
         first_region = {}
         for sds, region in sorted(pairs):

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .collab import SDS_REGION_SPLITS
 from .errors import UsageError
-from .indicators import AGGREGATION_NA_POLICIES
 from .ingest import not_utf8
-from .resolve import AMBIGUITY_POLICIES
+
+# The analyst policies: ``RunConfig`` refuses an unknown one, and no stage checks it again.
+AMBIGUITY_POLICIES = ("strict", "all")
+SDS_REGION_SPLITS = ("per-region", "single")
+AGGREGATION_NA_POLICIES = ("coerce-zero", "renormalize")
 
 ITALIAN_REGIONS: tuple[str, ...] = (
     "Abruzzo",

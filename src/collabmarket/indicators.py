@@ -31,14 +31,10 @@ from math import isfinite, sqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .collab import FlowCube
-from .errors import ComputationError, DiffError, ValidationError
+from .errors import DiffError
 from .model import Registry
 
-WEIGHT_SUM_TOLERANCE = 1e-9
-
 _LARGEST_FLOAT = sys.float_info.max
-
-AGGREGATION_NA_POLICIES = ("coerce-zero", "renormalize")
 
 QUADRANT_I = "I"
 QUADRANT_II = "II"
@@ -175,19 +171,13 @@ def regional_summary(cube: FlowCube, regions: Sequence[str]) -> list[RegionalSum
     An event supplies its university region and demands into its enterprise
     region; intra-regional events count on both sides of the same region, so
     summed over all regions supply equals demand, both nationally and
-    intra-regionally.
+    intra-regionally. Every event's regions are among ``regions``: the
+    registry loader refuses an organization outside them.
     """
-    region_set = set(regions)
     supply_intra: Counter[str] = Counter()
     supply_extra: Counter[str] = Counter()
     demand_extra: Counter[str] = Counter()
     for (u_region, e_region), n in cube.ue_flows.items():
-        if u_region not in region_set or e_region not in region_set:
-            bad = u_region if u_region not in region_set else e_region
-            raise ValidationError(
-                f"events from {u_region!r} to {e_region!r} reference region {bad!r} "
-                "outside the configured region set"
-            )
         if u_region == e_region:
             supply_intra[u_region] += n
         else:
@@ -502,16 +492,11 @@ def aggregate_regions(
 ) -> list[AggregateRow]:
     """Weight per-sector indicators into one cross-sector row per region.
 
-    ``weights`` must cover exactly the sectors being aggregated and sum to
-    one. The default NA policy coerces undefined sector values to zero; the
-    ``renormalize`` policy instead averages over the defined sectors only.
+    ``weights`` covers exactly the sectors being aggregated: the caller
+    passes those of ``sds_weights``, which sum to one. The default NA policy
+    coerces undefined sector values to zero; ``renormalize`` instead averages
+    over the defined sectors only. ``RunConfig`` has checked ``na_policy``.
     """
-    if na_policy not in AGGREGATION_NA_POLICIES:
-        raise ValueError(f"unknown NA policy {na_policy!r}")
-    if weights:
-        total = sum(weights.values())
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ComputationError(f"sector weights sum to {total!r}, expected 1")
     sds_list = sorted(weights)
     corr_lookup = {
         sds: {row.region: row for row in correspondence.get(sds, ())} for sds in sds_list

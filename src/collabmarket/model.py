@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import ValidationError
-
 UNIVERSITY = "university"
 ENTERPRISE = "enterprise"
 ORG_KINDS = (UNIVERSITY, ENTERPRISE)
@@ -108,11 +106,9 @@ class Registry:
         roster: tuple[ScientistRosterEntry, ...] | list[ScientistRosterEntry],
         taxonomy: SectorTaxonomy,
     ) -> "Registry":
-        by_id: dict[str, Organization] = {}
-        for org in organizations:
-            if org.org_id in by_id:
-                raise ValidationError(f"duplicate org_id {org.org_id!r}")
-            by_id[org.org_id] = org
+        """The bundle, with ``by_id`` indexed from ``organizations``, whose
+        ids the caller keeps distinct: the loader skips a duplicate org id."""
+        by_id = {org.org_id: org for org in organizations}
         return cls(tuple(organizations), tuple(roster), taxonomy, by_id)
 
     def region_of(self, org_id: str) -> str:

@@ -215,14 +215,6 @@ _COLUMN_ENCODERS = {
 }
 
 
-def _bind(columns: Sequence[Column], encoders: dict) -> list:
-    """The encoder of each column, chosen once per table."""
-    try:
-        return [encoders[column.kind] for column in columns]
-    except KeyError as exc:
-        raise UsageError(f"unknown column kind {exc.args[0]!r}") from None
-
-
 def _csv_text_of(rows: Iterable[Sequence[str]]) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
@@ -233,10 +225,9 @@ def _csv_text_of(rows: Iterable[Sequence[str]]) -> str:
 def _renderer(columns: tuple[Column, ...], fmt: str) -> tuple[str, Callable[[Sequence], str]]:
     """The header of a table in ``csv`` or ``jsonl`` (empty for ``jsonl``),
     and a function from the cells of some of its rows, given column by
-    column, to the text of those rows, each ending in a newline."""
-    if fmt not in FORMATS:
-        raise UsageError(f"unknown render format {fmt!r}; expected one of {', '.join(FORMATS)}")
-    encoders = _bind(columns, _COLUMN_ENCODERS[fmt])
+    column, to the text of those rows, each ending in a newline. Kinds and
+    formats are this module's own constants."""
+    encoders = [_COLUMN_ENCODERS[fmt][column.kind] for column in columns]
     if fmt == "csv":
         emit = _csv_text_of
         header = emit([[c.name for c in columns]])
@@ -446,11 +437,9 @@ def emit_quadrant_svg(
     """Scatter of demand-bearing regions with the two quadrant dividers.
 
     Pure text output, no external assets; identical input yields identical
-    bytes. Raises on an empty position list: an empty plot would hide the
-    difference between "no demand anywhere" and a rendering bug.
+    bytes. The caller skips a sector without positions: an empty plot would
+    hide the difference between "no demand anywhere" and a rendering bug.
     """
-    if not positions:
-        raise ValueError(f"no quadrant positions to plot for sector {sds!r}")
     ordered = sorted(positions, key=lambda p: p.region)
     xs = [p.surplus for p in ordered]
     lo, hi = min(min(xs), 0.0), max(max(xs), 0.0)

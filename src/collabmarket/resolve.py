@@ -30,8 +30,6 @@ UNIQUE = "unique"
 AMBIGUOUS_SKIPPED = "ambiguous_skipped"
 AMBIGUOUS_ALL = "ambiguous_all"
 
-AMBIGUITY_POLICIES = ("strict", "all")
-
 
 # Distinct non-ASCII names and initials per run are a few thousand.
 _UNICODE_CACHE_SIZE = 1 << 14
@@ -224,8 +222,6 @@ def attribute_authors(
     distinct candidate sector, using the lowest university id when the same
     sector appears at several universities.
     """
-    if policy not in AMBIGUITY_POLICIES:
-        raise ValueError(f"unknown ambiguity policy {policy!r}")
     if not universities:
         return ()
     roster_index = resolver.roster_index

@@ -102,6 +102,35 @@ class TestValidate:
         assert rc == 1
         assert captured.err.count("error:") == 2
 
+    @pytest.mark.parametrize("rows", [1, 25])
+    def test_fatal_error_keeps_the_collected_diagnostics(self, corpus, tmp_path, capsys, rows):
+        """Roster rows naming no registered university, then a last
+        publication line that is not UTF-8: validate lists the rows, up to its
+        cap, then the line that ended its pass; analyze names the first row,
+        which it stops on; neither writes ``--out``."""
+        copied = _copy_corpus(corpus, tmp_path)
+        first_row = copied["roster"].read_bytes().count(b"\n") + 1
+        with copied["roster"].open("a", encoding="utf-8") as handle:
+            for i in range(rows):
+                handle.write(f"dangling{i},A,U-NOPE,ING-INF/01,09,2001|2002|2003,1\n")
+        with copied["publications"].open("ab") as handle:
+            handle.write(b"\xff\n")
+        last_pub = copied["publications"].read_bytes().count(b"\n")
+        dangling = [
+            f"error: {copied['roster']}:{first_row + i}: roster row for 'dangling{i}'"
+            for i in range(min(rows, 20))
+        ]
+        not_utf8 = f"error: {copied['publications']}:{last_pub}: not valid UTF-8"
+        out = tmp_path / "out"
+        for command, named in (("validate", [*dangling, not_utf8]), ("analyze", dangling[:1])):
+            assert main([command, "--config", str(copied["config"]), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == len(named)
+            assert all(error.startswith(name) for error, name in zip(errors, named))
+            assert ("... and 5 more" in err) == (command == "validate" and rows == 25)
+            assert not out.exists()
+
     def test_empty_window_warns_but_passes(self, corpus, tmp_path, capsys):
         rc = main([
             "validate", "--config", str(corpus["config"]),
@@ -927,6 +956,7 @@ def test_row_check_refuses_exactly_the_values_that_are_not_finite(values):
     ]
 
 
+@settings(deadline=None)
 @given(st.lists(st.floats() | st.none(), min_size=15, max_size=15),
        st.lists(st.integers(0, 10**12), min_size=4, max_size=4))
 def test_jsonl_rows_read_back_as_rendered(numbers, counts):

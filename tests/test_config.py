@@ -164,6 +164,9 @@ BAD_SETTINGS = [
     ("--window", "window", "2001-2003", "window must look like 2001:2003"),
     ("--regions", "regions", "", "the region set must not be empty"),
     ("--ambiguity", "ambiguity", "maybe", "ambiguity must be one of strict, all"),
+    (None, "sds_region_split", "both", "sds_region_split must be one of per-region, single"),
+    (None, "aggregation_na_policy", "drop",
+     "aggregation_na_policy must be one of coerce-zero, renormalize"),
     ("--share-threshold", "quadrant_share_threshold", "2", "must lie strictly between 0 and 1"),
     ("--share-threshold", "quadrant_share_threshold", "half", "must be a number, got 'half'"),
     (None, "capacity.ING-INF/01", "0", "capacity multiplier for 'ING-INF/01' must be positive"),

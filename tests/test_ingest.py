@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmarket.demo import write_demo_corpus
@@ -437,6 +437,7 @@ def _roster_outcome(load, path, collect):
         return type(exc), str(exc)
 
 
+@settings(deadline=None)
 @given(text=roster_files(), collect=st.booleans())
 def test_roster_load_matches_dict_reader_reference(roster_path, text, collect):
     roster_path.write_text(text, encoding="utf-8", newline="")

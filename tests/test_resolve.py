@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,12 +215,6 @@ class TestAttribution:
         resolver, universities = self._resolve(registry, pub)
         (att,) = attribute_authors(pub, universities, resolver)
         assert (att.university_id, att.status) == ("U1", UNIQUE)
-
-    def test_unknown_policy_raises(self, registry):
-        pub = make_pub("P1", ["Universita di Roma"])
-        resolver, universities = self._resolve(registry, pub)
-        with pytest.raises(ValueError):
-            attribute_authors(pub, universities, resolver, "lenient")
 
     def test_report_rows(self, registry):
         resolver = Resolver.build(registry)
