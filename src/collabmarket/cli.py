@@ -10,11 +10,15 @@ Subcommands:
 * ``diff``      compare two analyze output directories.
 
 The run subcommands load the registries, then take each in-window publication
-through one pass (``run_pipeline``) as ``ingest.iter_publications`` parses it:
-resolve, attribute, tally its resolution-report row, filter, derive its events
-and count them into a ``collab.FlowCube``. No list of the corpus is kept, so
-memory follows the registries and the events, not the corpus. Every indicator
-reads the cube's counts; only the event exports read the event lists.
+through one flat pass (``run_pipeline``) as ``ingest.iter_publications``
+parses it. The pass reads a per-run table of each distinct affiliation
+string, the resolver's roster triples and the publication's own tables of
+universities and enterprises by region; from them it resolves, attributes,
+tallies the resolution-report row, filters, derives the events as plain
+tuples and counts them into a ``collab.FlowCube``, with no record per mention
+or author. No list of the corpus is kept, so memory follows the registries
+and the events, not the corpus. Every indicator reads the cube's counts; only
+the event exports read the event lists.
 
 Before anything is written, the run subcommands and ``validate`` go through one
 refusal stage (``_indicator_rows``): file-name stems, headcounts, the table2
@@ -42,6 +46,7 @@ import gc
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -76,13 +81,7 @@ from .indicators import (
     snapshot_diff,
 )
 from .ingest import _json_line, _scan_json, iter_publications, load_registries, not_utf8
-from .model import (
-    AffiliationResolution,
-    AuthorAttribution,
-    Registry,
-    SDSCollaboration,
-    UECollaboration,
-)
+from .model import UNIVERSITY, Organization, Registry
 from .report import (
     DELTA_REPORT,
     FORMATS,
@@ -98,15 +97,7 @@ from .report import (
     sector_correspondence_table,
     sector_flows_table,
 )
-from .resolve import (
-    ALIAS,
-    EXACT,
-    UNIQUE,
-    Resolver,
-    attribute_authors,
-    resolve_publication,
-    split_org_ids,
-)
+from .resolve import EXACT, UNRESOLVED, Resolver, resolve_affiliation
 
 MAX_DIAGNOSTICS = 20
 
@@ -118,7 +109,8 @@ class PipelineResult:
     """What the subcommands read once the corpus has been through one pass.
 
     ``warnings`` names each in-window publication none of whose affiliations
-    resolved.
+    resolved. The events are plain tuples in the column order of
+    ``events_ue.csv`` and ``events_sds.csv``.
     """
 
     registry: Registry
@@ -127,8 +119,8 @@ class PipelineResult:
     warnings: tuple[str, ...]
     report_rows: list[tuple[str, int, int, int, int, int]]
     retained: int
-    ue_events: list[UECollaboration]
-    sds_events: list[SDSCollaboration]
+    ue_events: list[tuple[str, str, str, str, str, int]]
+    sds_events: list[tuple[str, str, str, str, str, str, int]]
     cube: FlowCube
 
 
@@ -149,38 +141,36 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _report_row(
-    pub_id: str,
-    resolutions: Sequence[AffiliationResolution],
-    attributions: Sequence[AuthorAttribution],
-) -> tuple[str, int, int, int, int, int]:
-    """One row of the resolution report, as ``resolution_report_rows`` makes it."""
-    confidences = [r.confidence for r in resolutions]
-    exact = confidences.count(EXACT)
-    alias = confidences.count(ALIAS)
-    unique = 0
-    ambiguous = set()
-    for a in attributions:
-        if a.status == UNIQUE:
-            unique += 1
-        else:
-            ambiguous.add(a.author_index)
-    return (pub_id, exact, alias, len(confidences) - exact - alias, unique, len(ambiguous))
+# What ``seen`` holds for every unresolved string: one shared tuple.
+_UNRESOLVED = (UNRESOLVED, None, False, None)
+
+
+def _locate(
+    raw: str, resolver: Resolver, by_id: Mapping[str, Organization]
+) -> tuple[str, str | None, bool, str | None]:
+    """(tier, org id, is a university, region) of one raw affiliation string."""
+    _, org_id, tier = resolve_affiliation(raw, resolver)
+    if org_id is None:
+        return _UNRESOLVED
+    org = by_id[org_id]
+    return tier, org_id, org.kind == UNIVERSITY, org.region
 
 
 @_collector_paused()
 def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> PipelineResult:
     """Load the registries, then take each in-window publication through one
-    pass as the parser yields it.
+    flat pass as the parser yields it.
 
-    The pass resolves its affiliations, attributes its authors, tallies its
-    resolution-report row, decides whether it is resolvable and whether it is
-    retained, and derives its events into the event lists and the flow cube.
-    Only those results outlive the record; no list of publications exists,
-    and their resolutions are dropped too. A bad line raises (or, given
-    ``diagnostics``, is reported) when the parse reaches it, and the caller
-    writes nothing before this returns. The cyclic garbage collector stays
-    paused meanwhile (see ``_collector_paused``).
+    The pass reads three tables: ``seen``, each distinct raw affiliation
+    string's (tier, org id, is a university, region), filled the first time
+    the string appears; the resolver's roster triples; and the publication's
+    universities and enterprises, each id mapped to its region. From them
+    come its resolution-report row, its warning, the retention test (an
+    enterprise and an attributed (sector, supply region) pair), its events
+    and its cube counts. A bad line raises (or, given ``diagnostics``, is
+    reported) when the parse reaches it, and the caller writes nothing
+    before this returns. The cyclic garbage collector stays paused meanwhile
+    (see ``_collector_paused``).
     """
     config.require_inputs()
     registry = load_registries(
@@ -191,33 +181,89 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
         diagnostics,
     )
     resolver = Resolver.build(registry)
+    by_id = registry.by_id
+    roster_index = resolver.roster_index
     parent_uda = registry.taxonomy.parent_uda
-    seen: dict[str, AffiliationResolution] = {}
+    spread_ambiguous = config.ambiguity == "all"
+    seen: dict[str, tuple[str, str | None, bool, str | None]] = {}
     report_rows = []
     warnings = []
     in_window = retained = 0
-    ue_events: list[UECollaboration] = []
-    sds_events: list[SDSCollaboration] = []
+    ue_events: list[tuple[str, str, str, str, str, int]] = []
+    sds_events: list[tuple[str, str, str, str, str, str, int]] = []
     cube = FlowCube()
+    ue_flows, sds_flows = cube.ue_flows, cube.sds_flows
     for pub in iter_publications(config.publications, config.window, diagnostics):
         in_window += 1
-        resolutions = resolve_publication(pub, resolver, seen)
-        universities, enterprises = split_org_ids(resolutions, registry)
-        attributions = attribute_authors(pub, universities, resolver, config.ambiguity)
-        report_rows.append(_report_row(pub.pub_id, resolutions, attributions))
+        universities: dict[str, str] = {}
+        enterprises: dict[str, str] = {}
+        exact = alias = 0
+        affiliations = pub.affiliations
+        for raw in affiliations:
+            hit = seen.get(raw)
+            if hit is None:
+                hit = seen[raw] = _locate(raw, resolver, by_id)
+            tier, org_id, is_university, region = hit
+            if org_id is None:
+                continue
+            if tier == EXACT:
+                exact += 1
+            else:
+                alias += 1
+            if is_university:
+                universities[org_id] = region
+            else:
+                enterprises[org_id] = region
+        # Attribution, as ``attribute_authors`` defines it: the distinct
+        # (university, sector) candidates of each author at the listed
+        # universities in the publication's year.
+        unique = ambiguous = 0
+        pairs: set[tuple[str, str]] = set()
+        if universities:
+            year = pub.year
+            for author in pub.authors:
+                triples = roster_index.get(author)
+                if triples is None:
+                    continue
+                candidates = {
+                    (university_id, sds)
+                    for university_id, sds, years in triples
+                    if university_id in universities and year in years
+                }
+                if len(candidates) == 1:
+                    unique += 1
+                    ((university_id, sds),) = candidates
+                    pairs.add((sds, universities[university_id]))
+                elif candidates:
+                    ambiguous += 1
+                    if spread_ambiguous:
+                        # Each candidate sector, at its lowest university id.
+                        lowest: dict[str, str] = {}
+                        for university_id, sds in sorted(candidates):
+                            lowest.setdefault(sds, university_id)
+                        pairs.update((sds, universities[u]) for sds, u in lowest.items())
+        unresolved = len(affiliations) - exact - alias
+        report_rows.append((pub.pub_id, exact, alias, unresolved, unique, ambiguous))
         if not universities and not enterprises:
             warnings.append(f"publication {pub.pub_id!r}: no affiliation resolved")
             continue
-        # Retained: an author attributed to a taxonomy sector, and an enterprise.
-        if enterprises and any(a.sds in parent_uda for a in attributions):
+        if enterprises and pairs:
             retained += 1
-            ue = derive_ue_events(pub, universities, enterprises, registry)
+            ue = derive_ue_events(pub, universities.items(), enterprises.items())
             sds = derive_sds_events(
-                pub, attributions, enterprises, registry, config.sds_region_split
+                pub, pairs, enterprises.items(), parent_uda, config.sds_region_split
             )
             ue_events += ue
             sds_events += sds
-            cube.add(ue, sds)
+            for _, _, u_region, _, e_region, _ in ue:
+                ue_flows[u_region, e_region] += 1
+            for _, sector, _, supply_region, _, e_region, _ in sds:
+                flows = sds_flows.get(sector)
+                if flows is None:
+                    flows = sds_flows[sector] = Counter()
+                flows[supply_region, e_region] += 1
+            cube.universities.update(universities)
+            cube.enterprises.update(enterprises)
     return PipelineResult(
         registry,
         resolver.ambiguous_aliases,

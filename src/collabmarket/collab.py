@@ -13,94 +13,86 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    AuthorAttribution,
-    CorpusTotals,
-    PublicationRecord,
-    Registry,
-    SDSCollaboration,
-    UECollaboration,
-)
+from .model import CorpusTotals, PublicationRecord, SDSCollaboration, UECollaboration
 
 
 def derive_ue_events(
     pub: PublicationRecord,
-    universities: Sequence[str],
-    enterprises: Sequence[str],
-    registry: Registry,
-) -> list[UECollaboration]:
-    """University-enterprise events for one publication (all distinct pairs).
+    universities: Iterable[tuple[str, str]],
+    enterprises: Iterable[tuple[str, str]],
+) -> list[tuple[str, str, str, str, str, int]]:
+    """University-enterprise events for one publication (all distinct pairs),
+    as plain tuples in ``UECollaboration`` field order.
 
     ``universities`` and ``enterprises`` are the publication's distinct
-    resolved ids of each kind, sorted (see ``resolve.split_org_ids``). The
-    caller passes only a retained publication, which has both kinds.
+    resolved (id, region) pairs of each kind, in any order; the events come
+    out in export-key order. The caller passes only a retained publication,
+    which has both kinds.
     """
-    by_id = registry.by_id
     pub_id, year = pub.pub_id, pub.year
-    enterprise_regions = [(e, by_id[e].region) for e in enterprises]
-    events = []
-    for u in universities:
-        u_region = by_id[u].region
-        for e, e_region in enterprise_regions:
-            events.append(UECollaboration(pub_id, u, u_region, e, e_region, year))
-    return events
+    enterprises = sorted(enterprises)
+    return [
+        (pub_id, u, u_region, e, e_region, year)
+        for u, u_region in sorted(universities)
+        for e, e_region in enterprises
+    ]
 
 
 def derive_sds_events(
     pub: PublicationRecord,
-    attributions: Sequence[AuthorAttribution],
-    enterprises: Sequence[str],
-    registry: Registry,
+    pairs: Iterable[tuple[str, str]],
+    enterprises: Iterable[tuple[str, str]],
+    parent_uda: Mapping[str, str],
     region_split: str = "per-region",
-) -> list[SDSCollaboration]:
-    """Sector-enterprise events for one retained publication: the caller
-    passes only one with an enterprise and an author attributed to a sector.
+) -> list[tuple[str, str, str, str, str, str, int]]:
+    """Sector-enterprise events for one retained publication, as plain tuples
+    in ``SDSCollaboration`` field order: the caller passes only one with an
+    enterprise and an author attributed to a sector.
 
-    ``enterprises`` are the publication's distinct resolved enterprise ids,
-    sorted. With ``region_split="per-region"`` (default) a sector attributed
+    ``pairs`` are the distinct (sector, supply region) pairs its attributed
+    authors carry, and ``enterprises`` its distinct resolved (id, region)
+    enterprise pairs, each in any order; the events come out in export-key
+    order. With ``region_split="per-region"`` (default) a sector attributed
     through universities in several regions supplies one event per (sector,
     region, enterprise) triple. With ``"single"`` each (sector, enterprise)
     pair yields one event, attributed to the alphabetically first supplying
     region.
     """
-    by_id = registry.by_id
-    pairs = {
-        (a.sds, by_id[a.university_id].region)
-        for a in attributions
-        if a.sds is not None and a.university_id is not None
-    }
+    pairs = sorted(pairs)
     if region_split == "single":
-        first_region = {}
-        for sds, region in sorted(pairs):
+        first_region: dict[str, str] = {}
+        for sds, region in pairs:
             first_region.setdefault(sds, region)
-        pairs = set(first_region.items())
-    parent_uda = registry.taxonomy.parent_uda
+        pairs = first_region.items()
     pub_id, year = pub.pub_id, pub.year
-    enterprise_regions = [(e, by_id[e].region) for e in enterprises]
-    events = []
-    for sds, supply_region in sorted(pairs):
-        uda = parent_uda[sds]
-        for e, e_region in enterprise_regions:
-            events.append(SDSCollaboration(pub_id, sds, uda, supply_region, e, e_region, year))
-    return events
+    enterprises = sorted(enterprises)
+    return [
+        (pub_id, sds, parent_uda[sds], supply_region, e, e_region, year)
+        for sds, supply_region in pairs
+        for e, e_region in enterprises
+    ]
 
 
-def sort_ue_events(events: Iterable[UECollaboration]) -> list[UECollaboration]:
-    return sorted(events, key=lambda ev: (ev.pub_id, ev.university_id, ev.enterprise_id))
+def sort_ue_events(events: Iterable[Sequence]) -> list:
+    """University-enterprise events, plain tuples or ``UECollaboration``
+    records, by pub_id, university and enterprise."""
+    return sorted(events, key=itemgetter(0, 1, 3))
 
 
-def sort_sds_events(events: Iterable[SDSCollaboration]) -> list[SDSCollaboration]:
-    return sorted(
-        events, key=lambda ev: (ev.pub_id, ev.sds, ev.supply_region, ev.enterprise_id)
-    )
+def sort_sds_events(events: Iterable[Sequence]) -> list:
+    """Sector-enterprise events, plain tuples or ``SDSCollaboration``
+    records, by pub_id, sector, supply region and enterprise."""
+    return sorted(events, key=itemgetter(0, 1, 3, 4))
 
 
 @dataclass
 class FlowCube:
-    """Event counts of a corpus, all that the indicators read.
+    """Event counts of a corpus, all that the indicators read; the pass
+    (``cli.run_pipeline``) counts each retained publication's events into it.
 
     ``ue_flows`` counts university-enterprise events by (university region,
     enterprise region); ``sds_flows`` counts sector events by sector, then by
@@ -113,23 +105,6 @@ class FlowCube:
     sds_flows: dict[str, Counter[tuple[str, str]]] = field(default_factory=dict)
     universities: set[str] = field(default_factory=set)
     enterprises: set[str] = field(default_factory=set)
-
-    def add(
-        self, ue_events: Iterable[UECollaboration], sds_events: Iterable[SDSCollaboration]
-    ) -> None:
-        """Count the events of one publication (or any batch) into the cube."""
-        ue_flows, sds_flows = self.ue_flows, self.sds_flows
-        universities, enterprises = self.universities, self.enterprises
-        for ev in ue_events:
-            ue_flows[ev.u_region, ev.e_region] += 1
-            universities.add(ev.university_id)
-            enterprises.add(ev.enterprise_id)
-        for ev in sds_events:
-            flows = sds_flows.get(ev.sds)
-            if flows is None:
-                flows = sds_flows[ev.sds] = Counter()
-            flows[ev.supply_region, ev.e_region] += 1
-            enterprises.add(ev.enterprise_id)
 
 
 def corpus_totals(cube: FlowCube) -> CorpusTotals:

@@ -468,7 +468,7 @@ def load_registries(
     organizations = _load_organizations(Path(org_path), regions, diagnostics)
     by_id = {org.org_id: org for org in organizations}
     roster = _load_roster(Path(roster_path), by_id, taxonomy, diagnostics)
-    return Registry.build(organizations, roster, taxonomy)
+    return Registry(tuple(organizations), tuple(roster), taxonomy, by_id)
 
 
 @dataclass(frozen=True)

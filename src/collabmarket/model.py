@@ -92,24 +92,16 @@ class SectorTaxonomy:
 
 @dataclass(frozen=True)
 class Registry:
-    """Immutable bundle of the loaded registries, shared by every stage."""
+    """Immutable bundle of the loaded registries, shared by every stage.
+
+    ``by_id`` indexes ``organizations``, whose ids are distinct: the loader
+    skips a duplicate org id.
+    """
 
     organizations: tuple[Organization, ...]
     roster: tuple[ScientistRosterEntry, ...]
     taxonomy: SectorTaxonomy
     by_id: Mapping[str, Organization]
-
-    @classmethod
-    def build(
-        cls,
-        organizations: tuple[Organization, ...] | list[Organization],
-        roster: tuple[ScientistRosterEntry, ...] | list[ScientistRosterEntry],
-        taxonomy: SectorTaxonomy,
-    ) -> "Registry":
-        """The bundle, with ``by_id`` indexed from ``organizations``, whose
-        ids the caller keeps distinct: the loader skips a duplicate org id."""
-        by_id = {org.org_id: org for org in organizations}
-        return cls(tuple(organizations), tuple(roster), taxonomy, by_id)
 
     def region_of(self, org_id: str) -> str:
         return self.by_id[org_id].region

@@ -10,17 +10,10 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, Sequence
 
-from .model import (
-    UNIVERSITY,
-    ENTERPRISE,
-    AffiliationResolution,
-    AuthorAttribution,
-    PublicationRecord,
-    Registry,
-    ScientistRosterEntry,
-)
+from .model import AffiliationResolution, AuthorAttribution, PublicationRecord, Registry
 
 EXACT = "exact"
 ALIAS = "alias"
@@ -115,12 +108,16 @@ class Resolver:
     one organization, mapped to the sorted org ids that share it; resolution
     deterministically picks the lowest id, and callers can surface the
     ambiguity as a warning once per alias.
+
+    ``roster_index`` maps each roster name key (surname, initials) to the
+    (university id, sds, active years) triples of its entries, in roster
+    order: all that attribution reads of an entry.
     """
 
     canonical_index: Mapping[str, str]
     alias_index: Mapping[str, str]
     ambiguous_aliases: Mapping[str, tuple[str, ...]]
-    roster_index: Mapping[tuple[str, str], tuple[ScientistRosterEntry, ...]]
+    roster_index: Mapping[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]]
 
     @classmethod
     def build(cls, registry: Registry) -> "Resolver":
@@ -139,12 +136,15 @@ class Resolver:
             for name, ids in sorted(alias_all.items())
             if len(set(ids)) > 1
         }
-        roster_index: dict[tuple[str, str], list[ScientistRosterEntry]] = {}
-        for entry in registry.roster:
-            roster_index.setdefault((entry.surname, entry.initials), []).append(entry)
-        # Roster order: ``attribute_authors`` reads each group into a set.
-        frozen_roster = {key: tuple(entries) for key, entries in roster_index.items()}
-        return cls(canonical_index, alias_index, ambiguous, frozen_roster)
+        # (surname, initials) keys and (university_id, sds, active_years)
+        # triples of the roster entries, made in C. A name's group grows by
+        # concatenation, which stays cheap while homonym groups are short.
+        keys = map(itemgetter(0, 1), registry.roster)
+        triples = map(itemgetter(2, 3, 5), registry.roster)
+        roster_index: dict[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]] = {}
+        for key, triple in zip(keys, triples):
+            roster_index[key] = roster_index.get(key, ()) + (triple,)
+        return cls(canonical_index, alias_index, ambiguous, roster_index)
 
 
 def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:
@@ -186,24 +186,6 @@ def resolve_publication(
     return tuple(resolutions)
 
 
-def split_org_ids(
-    resolutions: Iterable[AffiliationResolution], registry: Registry
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Distinct resolved university ids and enterprise ids, each sorted for
-    determinism."""
-    by_id = registry.by_id
-    universities: set[str] = set()
-    enterprises: set[str] = set()
-    for r in resolutions:
-        if r.org_id is not None:
-            kind = by_id[r.org_id].kind
-            if kind == UNIVERSITY:
-                universities.add(r.org_id)
-            elif kind == ENTERPRISE:
-                enterprises.add(r.org_id)
-    return tuple(sorted(universities)), tuple(sorted(enterprises))
-
-
 def attribute_authors(
     pub: PublicationRecord,
     universities: Sequence[str],
@@ -214,8 +196,8 @@ def attribute_authors(
 
     The candidate set for an author is every distinct (university, sds) pair
     from roster entries that match the author's name key, whose university is
-    among ``universities``, the publication's resolved university ids (see
-    ``split_org_ids``), and whose active years contain the publication year.
+    among ``universities``, the publication's resolved university ids, and
+    whose active years contain the publication year.
     A single candidate yields a ``unique`` attribution. With several
     candidates, policy ``strict`` emits one ``ambiguous_skipped`` marker (no
     sector), while policy ``all`` emits one ``ambiguous_all`` attribution per
@@ -229,13 +211,13 @@ def attribute_authors(
     out: list[AuthorAttribution] = []
     for index, author in enumerate(pub.authors):
         # An AuthorName equals the (surname, initials) key it holds.
-        entries = roster_index.get(author)
-        if entries is None:
+        triples = roster_index.get(author)
+        if triples is None:
             continue
         candidates = {
-            (e.university_id, e.sds)
-            for e in entries
-            if e.university_id in universities and year in e.active_years
+            (university_id, sds)
+            for university_id, sds, years in triples
+            if university_id in universities and year in years
         }
         if not candidates:
             continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from collabmarket.collab import FlowCube
@@ -53,10 +55,48 @@ def make_roster(surname, initials, university_id, sds="ING-INF/01", uda="09",
                                 frozenset(years), weight)
 
 
+def make_registry(organizations, roster, taxonomy):
+    """The registry bundle, with ``by_id`` indexed from ``organizations``."""
+    by_id = {org.org_id: org for org in organizations}
+    return Registry(tuple(organizations), tuple(roster), taxonomy, by_id)
+
+
+def split_org_ids(resolutions, registry):
+    """Distinct resolved university ids and enterprise ids, each sorted: the
+    staged reference of the pass's per-publication organization tables."""
+    universities = set()
+    enterprises = set()
+    for r in resolutions:
+        if r.org_id is not None:
+            kind = registry.by_id[r.org_id].kind
+            (universities if kind == UNIVERSITY else enterprises).add(r.org_id)
+    return tuple(sorted(universities)), tuple(sorted(enterprises))
+
+
+def with_regions(org_ids, registry):
+    """(id, region) pairs of organization ids, as the derivations take them."""
+    return [(org_id, registry.region_of(org_id)) for org_id in org_ids]
+
+
+def supply_pairs(attributions, registry):
+    """The distinct (sector, supply region) pairs that attributions carry."""
+    return {
+        (a.sds, registry.region_of(a.university_id))
+        for a in attributions
+        if a.sds is not None and a.university_id is not None
+    }
+
+
 def flow_cube(ue_events=(), sds_events=()):
-    """A cube holding the given events, counted through ``FlowCube.add``."""
+    """A cube holding the given events, records or plain tuples."""
     cube = FlowCube()
-    cube.add(ue_events, sds_events)
+    for _, university, u_region, enterprise, e_region, _ in ue_events:
+        cube.ue_flows[u_region, e_region] += 1
+        cube.universities.add(university)
+        cube.enterprises.add(enterprise)
+    for _, sds, _, supply_region, enterprise, e_region, _ in sds_events:
+        cube.sds_flows.setdefault(sds, Counter())[supply_region, e_region] += 1
+        cube.enterprises.add(enterprise)
     return cube
 
 
@@ -114,4 +154,4 @@ def registry(taxonomy):
         make_roster("bianchi", "G", "U2", sds="FIS/01", uda="02"),
         make_roster("verdi", "A", "U1", sds="CHIM/07", uda="03", years={2001}),
     )
-    return Registry.build(organizations, roster, taxonomy)
+    return make_registry(organizations, roster, taxonomy)

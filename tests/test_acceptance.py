@@ -44,13 +44,20 @@ from collabmarket.model import (
     AuthorName,
     Organization,
     PublicationRecord,
-    Registry,
+    SDSCollaboration,
     SectorTaxonomy,
     UECollaboration,
 )
-from collabmarket.resolve import split_org_ids
-
-from conftest import flow_cube, regional_ue_events, sector_headcounts, sector_sds_events
+from conftest import (
+    flow_cube,
+    make_registry,
+    regional_ue_events,
+    sector_headcounts,
+    sector_sds_events,
+    split_org_ids,
+    supply_pairs,
+    with_regions,
+)
 
 
 def _check(criterion: int, slug: str, failures: list[str]) -> None:
@@ -221,7 +228,7 @@ class TestCriterion5ProductRule:
             for i in range(8)
         )
         taxonomy = SectorTaxonomy({f"SDS/{k}": "09" for k in range(4)})
-        registry = Registry.build(organizations, (), taxonomy)
+        registry = make_registry(organizations, (), taxonomy)
         sds_codes = sorted(taxonomy.sds_codes)
         rng = random.Random(51)
 
@@ -244,15 +251,23 @@ class TestCriterion5ProductRule:
                 for sds in rng.sample(sds_codes, rng.randint(1, 3))
             )
 
-            universities, enterprises = split_org_ids(resolutions, registry)
-            ue = derive_ue_events(pub, universities, enterprises, registry)
+            universities, enterprises = (
+                with_regions(ids, registry) for ids in split_org_ids(resolutions, registry)
+            )
+            ue = [UECollaboration(*ev) for ev in derive_ue_events(pub, universities, enterprises)]
             want_ue = {(u, e) for u in set(unis) for e in set(ents)}
             got_ue = {(ev.university_id, ev.enterprise_id) for ev in ue}
             if got_ue != want_ue or len(ue) != len(want_ue):
                 failures.append(f"case {case}: ue events diverge from pair oracle")
                 break
 
-            sds_events = derive_sds_events(pub, attributions, enterprises, registry)
+            sds_events = [
+                SDSCollaboration(*ev)
+                for ev in derive_sds_events(
+                    pub, supply_pairs(attributions, registry), enterprises,
+                    taxonomy.parent_uda,
+                )
+            ]
             pairs = {(a.sds, registry.region_of(a.university_id)) for a in attributions}
             want_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
             got_sds = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}

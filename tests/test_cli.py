@@ -45,8 +45,9 @@ from collabmarket.resolve import (
     attribute_authors,
     resolution_report_rows,
     resolve_publication,
-    split_org_ids,
 )
+
+from conftest import split_org_ids
 
 DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
 

@@ -20,20 +20,31 @@ from collabmarket.model import (
     AffiliationResolution,
     AuthorAttribution,
     Organization,
-    Registry,
+    SDSCollaboration,
     SectorTaxonomy,
+    UECollaboration,
 )
-from collabmarket.resolve import Resolver, attribute_authors, resolve_publication, split_org_ids
+from collabmarket.resolve import Resolver, attribute_authors, resolve_publication
 
-from conftest import flow_cube, make_pub, make_roster
+from conftest import (
+    flow_cube,
+    make_pub,
+    make_registry,
+    make_roster,
+    split_org_ids,
+    supply_pairs,
+    with_regions,
+)
 
 
 def _org_ids(registry, pub):
-    """The publication's (universities, enterprises) id tuples and attributions."""
+    """The publication's (universities, enterprises) (id, region) pairs and
+    the (sector, supply region) pairs of its attributions."""
     resolver = Resolver.build(registry)
-    org_ids = split_org_ids(resolve_publication(pub, resolver), registry)
-    attributions = attribute_authors(pub, org_ids[0], resolver)
-    return org_ids, attributions
+    universities, enterprises = split_org_ids(resolve_publication(pub, resolver), registry)
+    attributions = attribute_authors(pub, universities, resolver)
+    org_ids = with_regions(universities, registry), with_regions(enterprises, registry)
+    return org_ids, supply_pairs(attributions, registry)
 
 
 class TestUEEvents:
@@ -43,7 +54,7 @@ class TestUEEvents:
             "Acme Research", "Borg Devices",
         ])
         org_ids, _ = _org_ids(registry, pub)
-        events = sort_ue_events(derive_ue_events(pub, *org_ids, registry))
+        events = [UECollaboration(*ev) for ev in sort_ue_events(derive_ue_events(pub, *org_ids))]
         assert [(e.university_id, e.enterprise_id) for e in events] == [
             ("U1", "E1"), ("U1", "E2"), ("U2", "E1"), ("U2", "E2"),
         ]
@@ -57,7 +68,7 @@ class TestUEEvents:
             "Acme Research", "Acme Research",
         ])
         org_ids, _ = _org_ids(registry, pub)
-        events = derive_ue_events(pub, *org_ids, registry)
+        events = derive_ue_events(pub, *org_ids)
         assert len(events) == 1
 
 
@@ -68,8 +79,12 @@ class TestSDSEvents:
             ["Universita di Roma", "Politecnico di Milano", "Acme Research", "Borg Devices"],
             authors=[("bianchi", "G")],   # unique at U2: FIS/01
         )
-        org_ids, attributions = _org_ids(registry, pub)
-        events = sort_sds_events(derive_sds_events(pub, attributions, org_ids[1], registry))
+        org_ids, pairs = _org_ids(registry, pub)
+        parent_uda = registry.taxonomy.parent_uda
+        events = [
+            SDSCollaboration(*ev)
+            for ev in sort_sds_events(derive_sds_events(pub, pairs, org_ids[1], parent_uda))
+        ]
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),
         ]
@@ -82,18 +97,19 @@ class TestSDSEvents:
             Organization("E1", "Acme", (), ENTERPRISE, "Lazio"),
         )
         roster = (make_roster("rossi", "M", "U1"), make_roster("bruno", "M", "U2"))
-        registry = Registry.build(organizations, roster, taxonomy)
+        registry = make_registry(organizations, roster, taxonomy)
         pub = make_pub("P1", ["Uni South", "Uni North", "Acme"],
                        authors=[("rossi", "M"), ("bruno", "M")])
-        org_ids, attributions = _org_ids(registry, pub)
+        org_ids, pairs = _org_ids(registry, pub)
+        parent_uda = registry.taxonomy.parent_uda
 
-        per_region = derive_sds_events(pub, attributions, org_ids[1], registry, "per-region")
-        assert sorted((e.sds, e.supply_region) for e in per_region) == [
+        per_region = derive_sds_events(pub, pairs, org_ids[1], parent_uda, "per-region")
+        assert sorted((e[1], e[3]) for e in per_region) == [
             ("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily"),
         ]
 
-        single = derive_sds_events(pub, attributions, org_ids[1], registry, "single")
-        assert [(e.sds, e.supply_region) for e in single] == [("ING-INF/01", "Lombardy")]
+        single = derive_sds_events(pub, pairs, org_ids[1], parent_uda, "single")
+        assert [(e[1], e[3]) for e in single] == [("ING-INF/01", "Lombardy")]
 
 
 class TestRandomizedOracle:
@@ -109,7 +125,7 @@ class TestRandomizedOracle:
             for i in range(8)
         ]
         taxonomy = SectorTaxonomy({f"SDS/{k}": "09" for k in range(5)})
-        return Registry.build(tuple(organizations), (), taxonomy)
+        return make_registry(tuple(organizations), (), taxonomy)
 
     def test_thousand_random_publications(self):
         registry = self._registry()
@@ -131,13 +147,21 @@ class TestRandomizedOracle:
                 for i, sds in enumerate(rng.sample(sds_codes, rng.randint(1, 3)))
             )
 
-            org_ids = split_org_ids(resolutions, registry)
-            ue = derive_ue_events(pub, *org_ids, registry)
+            universities, enterprises = (
+                with_regions(ids, registry) for ids in split_org_ids(resolutions, registry)
+            )
+            ue = [UECollaboration(*ev) for ev in derive_ue_events(pub, universities, enterprises)]
             expected_ue = {(u, e) for u in set(unis) for e in set(ents)}
             assert {(ev.university_id, ev.enterprise_id) for ev in ue} == expected_ue
             assert len(ue) == len(expected_ue)
 
-            sds_events = derive_sds_events(pub, attributions, org_ids[1], registry)
+            sds_events = [
+                SDSCollaboration(*ev)
+                for ev in derive_sds_events(
+                    pub, supply_pairs(attributions, registry), enterprises,
+                    registry.taxonomy.parent_uda,
+                )
+            ]
             expected_pairs = {
                 (a.sds, registry.region_of(a.university_id)) for a in attributions
             }
@@ -156,23 +180,23 @@ class TestSortingAndExport:
             ["Universita di Roma", "Acme Research", "Borg Devices"],
             authors=[("rossi", "M")],
         )
-        org_ids, attributions = _org_ids(registry, pub)
-        ue = derive_ue_events(pub, *org_ids, registry)
-        sds = derive_sds_events(pub, attributions, org_ids[1], registry)
+        org_ids, pairs = _org_ids(registry, pub)
+        ue = derive_ue_events(pub, *org_ids)
+        sds = derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy.parent_uda)
         totals = corpus_totals(flow_cube(ue, sds))
         assert (totals.ue_events, totals.sds_events) == (2, 2)
         assert (totals.universities, totals.enterprises, totals.active_sds) == (1, 2, 1)
-        assert list(events_by_sds(sds)) == ["ING-INF/01"]
+        assert list(events_by_sds(SDSCollaboration(*ev) for ev in sds)) == ["ING-INF/01"]
 
     def test_export_csv_shape(self, registry, tmp_path):
         pub = make_pub("P1", ["Universita di Roma", "Acme Research"],
                        authors=[("rossi", "M")])
-        org_ids, attributions = _org_ids(registry, pub)
+        org_ids, pairs = _org_ids(registry, pub)
         ue_path = tmp_path / "ue.csv"
         sds_path = tmp_path / "sds.csv"
-        export_ue_events(derive_ue_events(pub, *org_ids, registry), ue_path)
+        export_ue_events(derive_ue_events(pub, *org_ids), ue_path)
         export_sds_events(
-            derive_sds_events(pub, attributions, org_ids[1], registry), sds_path
+            derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy.parent_uda), sds_path
         )
         assert ue_path.read_text(encoding="utf-8") == (
             "pub_id,university_id,u_region,enterprise_id,e_region,year\n"

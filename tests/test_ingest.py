@@ -32,10 +32,9 @@ from collabmarket.resolve import (
     normalize_initials,
     normalize_name,
     resolve_publication,
-    split_org_ids,
 )
 
-from conftest import make_org, make_pub
+from conftest import make_org, make_pub, split_org_ids
 
 
 def _write_jsonl(path, records):

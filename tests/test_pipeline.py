@@ -6,12 +6,16 @@ attribute, partition, filter, derive and tally). The additivity oracle splits
 the demo corpus into two shards: their cubes, and the count columns of the
 tables read from them, add up to those of the whole corpus. The scaling
 oracle adds a copy of every demo publication and checks how each column of
-table1, table2 and table3 moves.
+table1, table2 and table3 moves. The hash-seed oracle runs ``analyze`` in two
+interpreters with different ``PYTHONHASHSEED`` values: the bytes match.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from itertools import chain
@@ -21,15 +25,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import collabmarket
 from collabmarket import cli
 from collabmarket.cli import run_pipeline
-from collabmarket.collab import (
-    FlowCube,
-    corpus_totals,
-    derive_sds_events,
-    derive_ue_events,
-    events_by_sds,
-)
+from collabmarket.collab import FlowCube, corpus_totals, events_by_sds
 from collabmarket.config import RunConfig, apply_setting, load_config
 from collabmarket.demo import SECTOR, demo_corpus, write_demo_corpus
 from collabmarket.indicators import (
@@ -48,25 +47,31 @@ from collabmarket.ingest import (
     partition_resolvable,
     write_publications,
 )
-from collabmarket.model import CorpusTotals, PublicationRecord
+from collabmarket.model import (
+    CorpusTotals,
+    PublicationRecord,
+    SDSCollaboration,
+    UECollaboration,
+)
 from collabmarket.resolve import (
     Resolver,
     attribute_authors,
     resolution_report_rows,
     resolve_publication,
-    split_org_ids,
 )
 
-from conftest import make_pub
+from conftest import make_pub, split_org_ids, supply_pairs
 
 REGIONS = ("Lazio", "Lombardy", "Sicily")
 TAXONOMY = (("S1", "01"), ("S2", "02"), ("S3", "02"))
 UNIVERSITIES = ("U0", "U1", "U2")
 ENTERPRISES = ("E0", "E1", "E2")
+ORGS = UNIVERSITIES + ENTERPRISES
 # Two roster names on purpose share a surname, so both initials matter.
 NAMES = (("rossi", "M"), ("rossi", "G"), ("bianchi", "A"), ("verdi", "L"))
 UNKNOWN_NAMES = (("neri", "Z"), ("esterni", "B"))
 JUNK = ("Nowhere Institute", "Junk Ltd", "???")
+SHARED_ALIAS = "Shared Name"
 WINDOW = (2001, 2003)
 
 
@@ -82,10 +87,16 @@ def _canonical(org_id: str) -> str:
 def corpora(draw):
     """Registries and publications small enough to hit every branch often:
     ambiguous roster names, unresolvable and junk affiliations, publications
-    with one side only, years outside the window."""
-    org_regions = {
-        org_id: draw(st.sampled_from(REGIONS)) for org_id in UNIVERSITIES + ENTERPRISES
-    }
+    with one side only, years outside the window, an alias shared by several
+    organizations, one organization's canonical name listed as another's
+    alias."""
+    org_regions = {org_id: draw(st.sampled_from(REGIONS)) for org_id in ORGS}
+    extra_aliases = draw(st.dictionaries(
+        st.sampled_from(ORGS),
+        st.lists(st.sampled_from((SHARED_ALIAS, *map(_canonical, ORGS))), min_size=1,
+                 max_size=2).map(tuple),
+        max_size=3,
+    ))
     roster = draw(st.lists(
         st.tuples(
             st.sampled_from(NAMES),
@@ -97,9 +108,7 @@ def corpora(draw):
         max_size=10,
     ))
     mentions = st.sampled_from(
-        [_canonical(o) for o in UNIVERSITIES + ENTERPRISES]
-        + [_alias(o) for o in UNIVERSITIES + ENTERPRISES]
-        + list(JUNK)
+        [_canonical(o) for o in ORGS] + [_alias(o) for o in ORGS] + [SHARED_ALIAS, *JUNK]
     )
     publications = draw(st.lists(
         st.tuples(
@@ -110,11 +119,11 @@ def corpora(draw):
         min_size=1,
         max_size=25,
     ))
-    return org_regions, roster, publications
+    return org_regions, extra_aliases, roster, publications
 
 
 def _write_corpus(directory: Path, corpus) -> dict[str, Path]:
-    org_regions, roster, publications = corpus
+    org_regions, extra_aliases, roster, publications = corpus
     paths = {
         key: directory / f"{key}.{ext}"
         for key, ext in (("organizations", "csv"), ("roster", "csv"), ("taxonomy", "csv"),
@@ -123,7 +132,7 @@ def _write_corpus(directory: Path, corpus) -> dict[str, Path]:
     rows = {
         "organizations": [
             (org_id, "university" if org_id.startswith("U") else "enterprise", region,
-             _canonical(org_id), _alias(org_id))
+             _canonical(org_id), "|".join((_alias(org_id), *extra_aliases.get(org_id, ()))))
             for org_id, region in org_regions.items()
         ],
         "roster": [
@@ -164,13 +173,23 @@ def _staged_reference(config: RunConfig):
     }
     kept, load_report = partition_resolvable(publications, resolutions)
     retained = filter_hard_sciences(kept, attributions, resolutions, registry)
+    region_of, uda_of = registry.region_of, registry.taxonomy.uda_of
     ue_events, sds_events = [], []
     for pub in retained:
         universities, enterprises = org_ids[pub.pub_id]
-        ue_events += derive_ue_events(pub, universities, enterprises, registry)
-        sds_events += derive_sds_events(
-            pub, attributions[pub.pub_id], enterprises, registry, config.sds_region_split
-        )
+        ue_events += [
+            UECollaboration(pub.pub_id, u, region_of(u), e, region_of(e), pub.year)
+            for u in universities
+            for e in enterprises
+        ]
+        pairs = supply_pairs(attributions[pub.pub_id], registry)
+        if config.sds_region_split == "single":
+            pairs = {(sds, min(r for s, r in pairs if s == sds)) for sds, _ in pairs}
+        sds_events += [
+            SDSCollaboration(pub.pub_id, sds, uda_of(sds), region, e, region_of(e), pub.year)
+            for sds, region in pairs
+            for e in enterprises
+        ]
     rows = resolution_report_rows(publications, resolutions, attributions)
     return rows, load_report, len(retained), ue_events, sds_events
 
@@ -178,9 +197,32 @@ def _staged_reference(config: RunConfig):
 # An author matching two sectors at one listed university: under policy
 # ``all`` two attribution rows, one ambiguous author in the report.
 AMBIGUOUS_ACROSS_SECTORS = (
-    dict.fromkeys(UNIVERSITIES + ENTERPRISES, "Lazio"),
+    dict.fromkeys(ORGS, "Lazio"),
+    {},
     [(("rossi", "M"), "U0", TAXONOMY[0], {2002}), (("rossi", "M"), "U0", TAXONOMY[1], {2002})],
     [([("rossi", "M")], [_canonical("U0"), _canonical("E1")], 2002)],
+)
+
+# Three cases of the pass's per-string table, each one publication by an
+# author at U0 in sector S1.
+_AT_U0 = [(("rossi", "M"), "U0", TAXONOMY[0], {2002})]
+_REGIONS = {"U0": "Lazio", "U1": "Sicily", "U2": "Lazio", "E0": "Lombardy", "E1": "Sicily",
+            "E2": "Lazio"}
+# An alias of U1 and of E0: the lowest id, the enterprise E0, wins.
+SHARED_ALIAS_CORPUS = (
+    _REGIONS, {"U1": (SHARED_ALIAS,), "E0": (SHARED_ALIAS,)}, _AT_U0,
+    [([("rossi", "M")], [_canonical("U0"), SHARED_ALIAS], 2002)],
+)
+# E1's canonical name is also an alias of E0: the exact tier, E1, wins.
+CANONICAL_AS_ALIAS_CORPUS = (
+    _REGIONS, {"E0": (_canonical("E1"),)}, _AT_U0,
+    [([("rossi", "M")], [_canonical("U0"), _canonical("E1")], 2002)],
+)
+# E0 by its canonical name and by its alias: its events count once, and the
+# report row tallies one exact and one alias mention of it.
+BOTH_NAMES_CORPUS = (
+    _REGIONS, {}, _AT_U0,
+    [([("rossi", "M")], [_alias("U0"), _canonical("E0"), _alias("E0")], 2002)],
 )
 
 
@@ -191,6 +233,9 @@ AMBIGUOUS_ACROSS_SECTORS = (
     split=st.sampled_from(("per-region", "single")),
 )
 @example(corpus=AMBIGUOUS_ACROSS_SECTORS, ambiguity="all", split="per-region")
+@example(corpus=SHARED_ALIAS_CORPUS, ambiguity="strict", split="per-region")
+@example(corpus=CANONICAL_AS_ALIAS_CORPUS, ambiguity="strict", split="per-region")
+@example(corpus=BOTH_NAMES_CORPUS, ambiguity="strict", split="per-region")
 def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split):
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_corpus(Path(tmp), corpus)
@@ -227,31 +272,74 @@ def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split):
 
 
 def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
-    """When the parser yields its k-th record, the pass has resolved exactly
-    k-1: no list of the corpus is built ahead of the loop."""
+    """When the parser yields its k-th record, the pass has read the
+    affiliations of exactly k-1: no list of the corpus is built ahead of the
+    loop."""
     config = load_config(write_demo_corpus(tmp_path)["config"])
-    resolved = []
+    processed: dict[str, None] = {}
     seen_at_yield = []
     parse = cli.iter_publications
-    resolve = cli.resolve_publication
+
+    class LoggedRecord(PublicationRecord):
+        """A record that logs each read of its affiliations."""
+
+        __slots__ = ()
+
+        @property
+        def affiliations(self):
+            processed[self.pub_id] = None
+            return super().affiliations
 
     def counting_parse(*args):
         for record in parse(*args):
-            seen_at_yield.append(len(resolved))
-            yield record
-
-    def counting_resolve(pub, *args):
-        resolved.append(pub.pub_id)
-        return resolve(pub, *args)
+            seen_at_yield.append(len(processed))
+            yield LoggedRecord(*record)
 
     monkeypatch.setattr(cli, "iter_publications", counting_parse)
-    monkeypatch.setattr(cli, "resolve_publication", counting_resolve)
     result = run_pipeline(config)
     in_window = result.in_window
     assert in_window > 1
     assert seen_at_yield == list(range(in_window))
-    assert resolved == [pub.pub_id for pub in load_publications(config.publications,
-                                                                config.window)]
+    assert list(processed) == [pub.pub_id for pub in load_publications(config.publications,
+                                                                       config.window)]
+
+
+def test_analyze_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """The pass iterates dicts and sets of ids and pairs; no output may
+    follow their order. Only the ``out`` line of effective_config.txt names
+    the run's own directory.
+
+    Each demo publication carries one (sector, region) pair, so the corpus
+    also holds publications that join two of them from different regions."""
+    paths = write_demo_corpus(tmp_path / "corpus")
+    publications = demo_corpus()[0]
+    half = len(publications) // 2
+    joined = [
+        PublicationRecord(f"J{a.pub_id}", a.year, a.authors + b.authors,
+                          a.affiliations + b.affiliations)
+        for a, b in zip(publications, publications[half:])
+    ]
+    write_publications(publications + joined, paths["publications"])
+    config = paths["config"]
+    src = str(Path(collabmarket.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out-{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "collabmarket.cli", "analyze", "--config", str(config),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append({
+            path.name: b"".join(
+                line for line in path.read_bytes().splitlines(keepends=True)
+                if not (path.name == "effective_config.txt" and line.startswith(b"out = "))
+            )
+            for path in out.iterdir()
+        })
+    assert len(outputs[0]) > 10
+    assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmarket.model import ENTERPRISE, UNIVERSITY, AuthorName, Registry
+from collabmarket.model import ENTERPRISE, UNIVERSITY, AuthorName
 from collabmarket.resolve import (
     ALIAS,
     AMBIGUOUS_ALL,
@@ -20,13 +20,12 @@ from collabmarket.resolve import (
     resolution_report_rows,
     resolve_affiliation,
     resolve_publication,
-    split_org_ids,
     _initials_unicode,
     _normalize_once,
     _normalize_unicode,
 )
 
-from conftest import make_org, make_pub, make_roster
+from conftest import YEARS, make_org, make_pub, make_registry, make_roster, split_org_ids
 
 # Every ASCII character, controls included: str.split() treats \x1c-\x1f as
 # whitespace, which the translate fast path must match.
@@ -102,15 +101,15 @@ class TestResolver:
             make_org("U1", UNIVERSITY, "Lazio", "First University", aliases=("UniX",)),
             make_org("U2", UNIVERSITY, "Lombardy", "Second University", aliases=("UniX",)),
         )
-        registry = Registry.build(organizations, (), taxonomy)
+        registry = make_registry(organizations, (), taxonomy)
         resolver = Resolver.build(registry)
         assert resolver.alias_index["unix"] == "U1"
         assert resolver.ambiguous_aliases == {"unix": ("U1", "U2")}
 
     def test_roster_index_groups_homonyms(self, registry):
         resolver = Resolver.build(registry)
-        entries = resolver.roster_index[("rossi", "M")]
-        assert [e.university_id for e in entries] == ["U1", "U2"]
+        triples = resolver.roster_index[("rossi", "M")]
+        assert triples == (("U1", "ING-INF/01", YEARS), ("U2", "ING-INF/01", YEARS))
 
 
 class TestResolveAffiliation:
@@ -129,7 +128,7 @@ class TestResolveAffiliation:
             make_org("A1", ENTERPRISE, "Lazio", "Target Name"),
             make_org("A2", ENTERPRISE, "Veneto", "Other Firm", aliases=("Target Name",)),
         )
-        registry = Registry.build(organizations, (), taxonomy)
+        registry = make_registry(organizations, (), taxonomy)
         resolver = Resolver.build(registry)
         assert resolve_affiliation("Target Name", resolver).org_id == "A1"
 
