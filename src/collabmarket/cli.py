@@ -183,7 +183,6 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
     resolver = Resolver.build(registry)
     by_id = registry.by_id
     roster_index = resolver.roster_index
-    parent_uda = registry.taxonomy.parent_uda
     spread_ambiguous = config.ambiguity == "all"
     seen: dict[str, tuple[str, str | None, bool, str | None]] = {}
     report_rows = []
@@ -251,7 +250,7 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
             retained += 1
             ue = derive_ue_events(pub, universities.items(), enterprises.items())
             sds = derive_sds_events(
-                pub, pairs, enterprises.items(), parent_uda, config.sds_region_split
+                pub, pairs, enterprises.items(), registry.taxonomy, config.sds_region_split
             )
             ue_events += ue
             sds_events += sds
@@ -406,7 +405,7 @@ def _indicator_rows(
             config.regions,
             config.capacity_multipliers.get(sds, 1.0),
         )
-        for sds in (result.registry.taxonomy.sds_codes if regions else sectors)
+        for sds in (sorted(result.registry.taxonomy) if regions else sectors)
     }
     flows = {sds: sector_flows(sds, headcounts[sds], cube, config.regions) for sds in sectors}
     problems += map(ComputationError, _check_rows(correspondence, flows))
@@ -439,13 +438,11 @@ def _write_indicators(
             figure = emit_quadrant_svg(positions, sds, config.quadrant_share_threshold)
             (out_dir / f"fig1_{sanitize_code(sds)}.svg").write_text(figure, encoding="utf-8")
 
-    per_region: dict[str, dict[str, SectorCorrespondenceRow]] = {r: {} for r in regions}
-    for sds, rows in correspondence.items():
-        for row in rows:
-            if row.region in per_region:
-                per_region[row.region][sds] = row
+    ordered = sorted(config.regions)  # the row order of every table2
     for region in sorted(regions):
-        _write_table(out_dir, region_stats_table(region_sector_stats(region, per_region[region])))
+        i = ordered.index(region)
+        by_sds = {sds: table[i] for sds, table in correspondence.items()}
+        _write_table(out_dir, region_stats_table(region_sector_stats(region, by_sds)))
     return stems, correspondence, flows
 
 
@@ -472,7 +469,7 @@ def cmd_analyze(config: RunConfig) -> int:
     manifest = {
         "regions": sorted(config.regions),
         "window": list(config.window) if config.window is not None else None,
-        "taxonomy": dict(sorted(result.registry.taxonomy.parent_uda.items())),
+        "taxonomy": dict(sorted(result.registry.taxonomy.items())),
         "active_sds": stems,
         "totals": corpus_totals(result.cube)._asdict(),
     }

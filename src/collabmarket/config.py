@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import UsageError
-from .ingest import not_utf8
+from .ingest import LONE_SURROGATE, not_utf8
 
 # The analyst policies: ``RunConfig`` refuses an unknown one, and no stage checks it again.
 AMBIGUITY_POLICIES = ("strict", "all")
@@ -82,6 +82,12 @@ class RunConfig:
             raise UsageError("quadrant_share_threshold must lie strictly between 0 and 1")
         if self.window is not None and self.window[0] > self.window[1]:
             raise UsageError(f"window {self.window[0]}:{self.window[1]} is empty")
+        # A relative path (the default out) is checked as the absolute path it names.
+        paths = {key: getattr(self, key) for key in _PATH_KEYS}
+        texts = {key: str(Path(p).absolute()) for key, p in paths.items() if p is not None}
+        for key, text in {**texts, "regions": "|".join(self.regions)}.items():
+            if LONE_SURROGATE.search(text):
+                raise UsageError(f"{key} is not valid UTF-8: {text!r}")
         if not self.regions:
             raise UsageError("the region set must not be empty")
         if len(set(self.regions)) != len(self.regions):

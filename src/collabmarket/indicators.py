@@ -16,6 +16,9 @@ Conventions shared by every function here:
   the scale.
 * Rows come back sorted alphabetically by region, one row per configured
   region, including all-zero rows, so tables are rectangular and stable.
+  Consumers rely on this: row i of every sector's table2 and table3 is
+  region i of the sorted region set, so they read rows by position and
+  never look a region up.
 * Distribution means used for the rel-to-mean companion columns coerce NA to
   zero and divide by the number of *eligible* regions (those with at least
   one roster scientist in the sector), not by the number of defined values.
@@ -251,9 +254,9 @@ def all_headcounts(registry: Registry) -> dict[str, dict[str, float]]:
     A sum past the float range is ``inf``; the table2 row that shows it is
     what a run refuses.
     """
-    totals: dict[str, dict[str, float]] = {sds: {} for sds in registry.taxonomy.sds_codes}
+    totals: dict[str, dict[str, float]] = {sds: {} for sds in sorted(registry.taxonomy)}
     for entry in registry.roster:
-        region = registry.region_of(entry.university_id)
+        region = registry.by_id[entry.university_id].region
         per_region = totals[entry.sds]
         per_region[region] = per_region.get(region, 0.0) + entry.headcount_weight
     return totals
@@ -365,12 +368,11 @@ def quadrant_positions(
     flows: Sequence[SectorFlowsRow],
     share_threshold: float = 0.5,
 ) -> list[QuadrantPosition]:
-    """Positions of every demand-bearing region of one sector."""
-    flows_by_region = {row.region: row for row in flows}
+    """Positions of every demand-bearing region of one sector, from its
+    table2 and table3 rows, which pair up by position (see the module)."""
     positions = []
-    for corr in sorted(correspondence, key=lambda r: r.region):
-        flow = flows_by_region.get(corr.region)
-        if flow is None or flow.market_share is None:
+    for corr, flow in zip(correspondence, flows):
+        if flow.market_share is None:
             continue
         positions.append(
             QuadrantPosition(
@@ -493,47 +495,21 @@ def aggregate_regions(
     """Weight per-sector indicators into one cross-sector row per region.
 
     ``weights`` covers exactly the sectors being aggregated: the caller
-    passes those of ``sds_weights``, which sum to one. The default NA policy
+    passes those of ``sds_weights``, which sum to one; their table2 and
+    table3 rows are read by position (see the module). The default NA policy
     coerces undefined sector values to zero; ``renormalize`` instead averages
     over the defined sectors only. ``RunConfig`` has checked ``na_policy``.
     """
     sds_list = sorted(weights)
-    corr_lookup = {
-        sds: {row.region: row for row in correspondence.get(sds, ())} for sds in sds_list
-    }
-    flow_lookup = {sds: {row.region: row for row in flows.get(sds, ())} for sds in sds_list}
     ordered_regions = sorted(regions)
-    columns: dict[str, list[float | None]] = {}
+    columns: list[list] = []  # each metric's values, then its ranks
     for metric, source in _AGGREGATE_METRICS:
-        lookup = corr_lookup if source == "correspondence" else flow_lookup
-        column: list[float | None] = []
-        for region in ordered_regions:
-            weighted = []
-            for sds in sds_list:
-                row = lookup[sds].get(region)
-                value = getattr(row, metric) if row is not None else None
-                weighted.append((weights[sds], value))
-            column.append(_combine(weighted, na_policy) if sds_list else 0.0)
-        columns[metric] = column
-    ranks = {metric: rank_regions(columns[metric]) for metric, _ in _AGGREGATE_METRICS}
-    rows = []
-    for i, region in enumerate(ordered_regions):
-        rows.append(
-            AggregateRow(
-                region,
-                columns["demand_per_scientist"][i],
-                ranks["demand_per_scientist"][i],
-                columns["national_supply_per_scientist"][i],
-                ranks["national_supply_per_scientist"][i],
-                columns["intra_supply_per_scientist"][i],
-                ranks["intra_supply_per_scientist"][i],
-                columns["market_share_per_scientist"][i],
-                ranks["market_share_per_scientist"][i],
-                columns["intra_over_national_supply"][i],
-                ranks["intra_over_national_supply"][i],
-            )
-        )
-    return rows
+        tables = correspondence if source == "correspondence" else flows
+        sectors = [(weights[s], [getattr(row, metric) for row in tables[s]]) for s in sds_list]
+        column = [_combine([(w, values[i]) for w, values in sectors], na_policy) if sds_list
+                  else 0.0 for i in range(len(ordered_regions))]
+        columns += column, rank_regions(column)
+    return [AggregateRow(*fields) for fields in zip(ordered_regions, *columns)]
 
 
 _NO_CELL = SnapshotCell(None, None, None, None)
@@ -559,13 +535,9 @@ def snapshot_diff(t0: IndicatorSnapshot, t1: IndicatorSnapshot) -> list[Snapshot
     in t1) or vanished (only in t0) for every region. A change past the float
     range raises a ``DiffError`` naming the sector, the region and the metric.
     """
-    taxonomy_t0 = dict(t0.taxonomy)
-    taxonomy_t1 = dict(t1.taxonomy)
-    if taxonomy_t0 != taxonomy_t1:
-        mismatched = sorted(
-            (set(taxonomy_t0) ^ set(taxonomy_t1))
-            | {s for s in set(taxonomy_t0) & set(taxonomy_t1) if taxonomy_t0[s] != taxonomy_t1[s]}
-        )
+    if t0.taxonomy != t1.taxonomy:
+        codes = {*t0.taxonomy, *t1.taxonomy}
+        mismatched = sorted(s for s in codes if t0.taxonomy.get(s) != t1.taxonomy.get(s))
         raise DiffError(f"taxonomies differ; mismatched sds codes: {', '.join(mismatched)}")
     if tuple(sorted(t0.regions)) != tuple(sorted(t1.regions)):
         difference = sorted(set(t0.regions) ^ set(t1.regions))

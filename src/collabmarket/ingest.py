@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
@@ -49,7 +50,6 @@ from .model import (
     PublicationRecord,
     Registry,
     ScientistRosterEntry,
-    SectorTaxonomy,
 )
 from .resolve import normalize_initials, normalize_name
 
@@ -71,6 +71,10 @@ def _report(exc: CollabMarketError, diagnostics: list[str] | None) -> None:
         raise exc
     diagnostics.append(str(exc))
 
+
+# A lone surrogate cannot be written as UTF-8: a JSON ``\ud800`` escape decodes
+# to one, and so does a command line byte that is not UTF-8.
+LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 # json's C scanner; json.loads wraps each call to it in two Python-level
 # calls and two regular expression matches.
@@ -125,6 +129,8 @@ def _parse_publication(line: str, path: Path, line_no: int) -> PublicationRecord
     affiliations = obj.get("affiliations")
     if not isinstance(pub_id, str) or not pub_id:
         raise ParseError(path, line_no, "pub_id must be a non-empty string")
+    if not pub_id.isascii() and LONE_SURROGATE.search(pub_id):
+        raise ParseError(path, line_no, f"pub_id {pub_id!r} holds a lone surrogate, not text")
     if not isinstance(year, int) or isinstance(year, bool):
         raise ParseError(path, line_no, "year must be an integer")
     if not isinstance(authors, list):
@@ -257,7 +263,7 @@ def _cells(reader, positions: list[int]) -> Iterator[tuple[int, tuple[str, ...]]
         yield reader.line_num, pick(row)
 
 
-def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> SectorTaxonomy:
+def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> dict[str, str]:
     parent: dict[str, str] = {}
     # Hundreds of sectors share a handful of areas; keep one string per area.
     areas: dict[str, str] = {}
@@ -278,15 +284,14 @@ def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> SectorTaxonomy:
                 )
                 continue
             parent[sds] = areas.setdefault(uda, uda)
-    return SectorTaxonomy(parent)
+    return parent
 
 
 def _load_organizations(
     path: Path, regions: Sequence[str] | None, diagnostics: list[str] | None
-) -> list[Organization]:
+) -> dict[str, Organization]:
     region_set = set(regions) if regions is not None else None
-    organizations: list[Organization] = []
-    seen: set[str] = set()
+    by_id: dict[str, Organization] = {}
     with _csv_rows(path, ORG_COLUMNS) as rows:
         for line_no, (org_id, kind, region, canonical, aliases) in rows:
             org_id = org_id.strip()
@@ -296,7 +301,7 @@ def _load_organizations(
             if not org_id:
                 _report(ParseError(path, line_no, "org_id must be non-empty"), diagnostics)
                 continue
-            if org_id in seen:
+            if org_id in by_id:
                 _report(ValidationError(f"{path}:{line_no}: duplicate org_id {org_id!r}"), diagnostics)
                 continue
             if kind not in ORG_KINDS:
@@ -326,9 +331,8 @@ def _load_organizations(
             names = [a.strip() for a in aliases.split("|") if a.strip()]
             if canonical not in names:
                 names.insert(0, canonical)
-            seen.add(org_id)
-            organizations.append(Organization(org_id, canonical, tuple(names), kind, region))
-    return organizations
+            by_id[org_id] = Organization(org_id, canonical, tuple(names), kind, region)
+    return by_id
 
 
 def _referential_error(
@@ -339,7 +343,7 @@ def _referential_error(
     sds: str,
     uda: str,
     by_id: Mapping[str, Organization],
-    taxonomy: SectorTaxonomy,
+    taxonomy: Mapping[str, str],
 ) -> ReferentialError:
     """The first failing check of a roster row whose name is valid but whose
     university or sector is not."""
@@ -359,7 +363,7 @@ def _referential_error(
     # The only check left: the row names another parent for its sds.
     return ReferentialError(
         f"{path}:{line_no}: sds {sds!r} belongs to uda "
-        f"{taxonomy.uda_of(sds)!r}, row says {uda!r}"
+        f"{taxonomy[sds]!r}, row says {uda!r}"
     )
 
 
@@ -380,13 +384,13 @@ def _parse_weight(raw: str) -> float | None:
 def _load_roster(
     path: Path,
     by_id: Mapping[str, Organization],
-    taxonomy: SectorTaxonomy,
+    taxonomy: Mapping[str, str],
     diagnostics: list[str] | None,
 ) -> list[ScientistRosterEntry]:
     # Each row holds one string object per distinct value: the registry's own
     # org id and taxonomy key and area, and one shared copy of each name.
     universities = {org_id: org_id for org_id, org in by_id.items() if org.kind == UNIVERSITY}
-    sectors = {sds: (sds, uda) for sds, uda in taxonomy.parent_uda.items()}
+    sectors = {sds: (sds, uda) for sds, uda in taxonomy.items()}
     names: dict[str, str] = {}
     # A roster repeats a handful of year lists and weights over many rows;
     # rows share one parsed value per distinct raw string.
@@ -465,10 +469,9 @@ def load_registries(
 ) -> Registry:
     """Load and cross-validate the three registries into one model."""
     taxonomy = _load_taxonomy(Path(taxonomy_path), diagnostics)
-    organizations = _load_organizations(Path(org_path), regions, diagnostics)
-    by_id = {org.org_id: org for org in organizations}
+    by_id = _load_organizations(Path(org_path), regions, diagnostics)
     roster = _load_roster(Path(roster_path), by_id, taxonomy, diagnostics)
-    return Registry(tuple(organizations), tuple(roster), taxonomy, by_id)
+    return Registry(tuple(roster), taxonomy, by_id)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Domain model: publications, registries, and derived collaboration events.
 
-Per-record types are immutable ``NamedTuple`` records; the registry bundle and
-the taxonomy, built once per run, stay frozen dataclasses. Loaders (module
-``ingest``) and derivation functions (modules ``resolve`` and ``collab``) are
-responsible for enforcing the invariants documented on each class; the
-classes themselves stay dumb so they are cheap to construct, in the pipeline
-and in tests.
+Every type is an immutable ``NamedTuple``; the registry bundle, built once per
+run, holds the loaders' own dicts and tuples. Loaders (module ``ingest``) and
+derivation functions (modules ``resolve`` and ``collab``) are responsible for
+enforcing the invariants documented on each class; the classes themselves
+stay dumb so they are cheap to construct, in the pipeline and in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 UNIVERSITY = "university"
@@ -73,38 +71,17 @@ class ScientistRosterEntry(NamedTuple):
     headcount_weight: float
 
 
-@dataclass(frozen=True)
-class SectorTaxonomy:
-    """Scientific disciplinary sectors (SDS) and their parent areas (UDA)."""
-
-    parent_uda: Mapping[str, str]
-
-    @property
-    def sds_codes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.parent_uda))
-
-    def __contains__(self, sds: object) -> bool:
-        return sds in self.parent_uda
-
-    def uda_of(self, sds: str) -> str:
-        return self.parent_uda[sds]
-
-
-@dataclass(frozen=True)
-class Registry:
+class Registry(NamedTuple):
     """Immutable bundle of the loaded registries, shared by every stage.
 
-    ``by_id`` indexes ``organizations``, whose ids are distinct: the loader
-    skips a duplicate org id.
+    ``by_id`` maps each org id to its organization, in file order: the
+    loader skips a duplicate org id. ``taxonomy`` maps each scientific
+    disciplinary sector (SDS) to its parent area (UDA).
     """
 
-    organizations: tuple[Organization, ...]
     roster: tuple[ScientistRosterEntry, ...]
-    taxonomy: SectorTaxonomy
+    taxonomy: Mapping[str, str]
     by_id: Mapping[str, Organization]
-
-    def region_of(self, org_id: str) -> str:
-        return self.by_id[org_id].region
 
 
 class AffiliationResolution(NamedTuple):

@@ -123,7 +123,7 @@ class Resolver:
     def build(cls, registry: Registry) -> "Resolver":
         canonical_all: dict[str, list[str]] = {}
         alias_all: dict[str, list[str]] = {}
-        for org in registry.organizations:
+        for org in registry.by_id.values():
             canonical_all.setdefault(normalize_name(org.canonical_name), []).append(org.org_id)
             for alias in org.aliases:
                 normalized = normalize_name(alias)

@@ -27,7 +27,6 @@ from collabmarket.model import (
     Registry,
     SDSCollaboration,
     ScientistRosterEntry,
-    SectorTaxonomy,
     UECollaboration,
 )
 
@@ -57,8 +56,7 @@ def make_roster(surname, initials, university_id, sds="ING-INF/01", uda="09",
 
 def make_registry(organizations, roster, taxonomy):
     """The registry bundle, with ``by_id`` indexed from ``organizations``."""
-    by_id = {org.org_id: org for org in organizations}
-    return Registry(tuple(organizations), tuple(roster), taxonomy, by_id)
+    return Registry(tuple(roster), taxonomy, {org.org_id: org for org in organizations})
 
 
 def split_org_ids(resolutions, registry):
@@ -75,13 +73,13 @@ def split_org_ids(resolutions, registry):
 
 def with_regions(org_ids, registry):
     """(id, region) pairs of organization ids, as the derivations take them."""
-    return [(org_id, registry.region_of(org_id)) for org_id in org_ids]
+    return [(org_id, registry.by_id[org_id].region) for org_id in org_ids]
 
 
 def supply_pairs(attributions, registry):
     """The distinct (sector, supply region) pairs that attributions carry."""
     return {
-        (a.sds, registry.region_of(a.university_id))
+        (a.sds, registry.by_id[a.university_id].region)
         for a in attributions
         if a.sds is not None and a.university_id is not None
     }
@@ -134,7 +132,7 @@ def sector_headcounts(table=SECTOR_TABLE):
 
 @pytest.fixture
 def taxonomy():
-    return SectorTaxonomy({"ING-INF/01": "09", "FIS/01": "02", "CHIM/07": "03"})
+    return {"ING-INF/01": "09", "FIS/01": "02", "CHIM/07": "03"}
 
 
 @pytest.fixture

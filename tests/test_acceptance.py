@@ -45,7 +45,6 @@ from collabmarket.model import (
     Organization,
     PublicationRecord,
     SDSCollaboration,
-    SectorTaxonomy,
     UECollaboration,
 )
 from conftest import (
@@ -227,9 +226,9 @@ class TestCriterion5ProductRule:
             Organization(f"E{i}", f"Enterprise {i}", (), ENTERPRISE, regions[i % 4])
             for i in range(8)
         )
-        taxonomy = SectorTaxonomy({f"SDS/{k}": "09" for k in range(4)})
+        taxonomy = {f"SDS/{k}": "09" for k in range(4)}
         registry = make_registry(organizations, (), taxonomy)
-        sds_codes = sorted(taxonomy.sds_codes)
+        sds_codes = sorted(taxonomy)
         rng = random.Random(51)
 
         for case in range(1000):
@@ -265,10 +264,10 @@ class TestCriterion5ProductRule:
                 SDSCollaboration(*ev)
                 for ev in derive_sds_events(
                     pub, supply_pairs(attributions, registry), enterprises,
-                    taxonomy.parent_uda,
+                    taxonomy,
                 )
             ]
-            pairs = {(a.sds, registry.region_of(a.university_id)) for a in attributions}
+            pairs = {(a.sds, registry.by_id[a.university_id].region) for a in attributions}
             want_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
             got_sds = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}
             if got_sds != want_sds or len(sds_events) != len(want_sds):

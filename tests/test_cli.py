@@ -198,6 +198,70 @@ class TestNotUtf8:
         assert f"{copied[key]}:3: not valid UTF-8 (invalid start byte 0xff)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_pub_id_with_a_lone_surrogate(self, corpus, tmp_path, capsys, command):
+        """A JSON \\ud800 escape decodes to text no file can hold: the line
+        is refused like any bad record, and validate lists it once."""
+        copied = _copy_corpus(corpus, tmp_path)
+        publications = copied["publications"]
+        first, *rest = publications.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.dumps({**json.loads(first), "pub_id": "D\ud800"}) + "\n"
+        publications.write_text("".join([first, *rest]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(copied["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        message = f"{publications}:1: pub_id 'D\\ud800' holds a lone surrogate, not text"
+        assert err.count(message) == 1
+        assert "Traceback" not in err
+        if command == "analyze":
+            assert not out.exists()
+        else:
+            report = (out / "resolution_report.csv").read_text(encoding="utf-8")
+            assert len(report.splitlines()) == 1 + len(rest)  # the header and the other lines
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("where", ["--out", "--regions", "config directory",
+                                       "working directory"])
+    def test_run_setting_with_a_byte_that_is_not_utf8(self, corpus, tmp_path, capsys, monkeypatch,
+                                                       command, where):
+        """A command line byte that is not UTF-8 reaches Python as a lone
+        surrogate, and so does one in the working directory's name. In a path
+        or a region it exits 2, naming the flag or the config line, before
+        anything is written."""
+        directory = tmp_path / ("corpus_\udcff" if where == "config directory" else "corpus")
+        directory.mkdir()
+        copied = _copy_corpus(corpus, directory)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(copied["config"]), "--out", str(out)]
+        if where == "--out":
+            out = tmp_path / "out_\udcff"
+            argv[-1] = str(out)
+        elif where == "--regions":
+            argv += ["--regions", "Lazio|Vene\udcffto"]
+        elif where == "working directory":
+            # No --out and no out line: the default, out, below the working directory.
+            lines = copied["config"].read_text(encoding="utf-8").splitlines(keepends=True)
+            copied["config"].write_text("".join(l for l in lines if not l.startswith("out =")),
+                                        encoding="utf-8")
+            out = tmp_path / "cwd_\udcff" / "out"
+            out.parent.mkdir()
+            monkeypatch.chdir(out.parent)
+            argv = argv[:-2]
+        # As the interpreter's own stderr does, escape what cannot be encoded.
+        sys.stderr.reconfigure(errors="backslashreplace")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        config = str(copied["config"]).encode("utf-8", "backslashreplace").decode()
+        expected = {
+            "--out": f"error: --out: out is not valid UTF-8: {str(out)!r}",
+            "--regions": "error: --regions: regions is not valid UTF-8: 'Lazio|Vene\\udcffto'",
+            "config directory": f"error: {config}:2: publications is not valid UTF-8",
+            "working directory": f"error: out is not valid UTF-8: {str(out)!r}",
+        }[where]
+        assert err.startswith(expected)
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _copy_corpus(corpus, tmp_path):
     copied = {name: tmp_path / Path(path).name for name, path in corpus.items()}

@@ -21,7 +21,6 @@ from collabmarket.model import (
     AuthorAttribution,
     Organization,
     SDSCollaboration,
-    SectorTaxonomy,
     UECollaboration,
 )
 from collabmarket.resolve import Resolver, attribute_authors, resolve_publication
@@ -80,10 +79,9 @@ class TestSDSEvents:
             authors=[("bianchi", "G")],   # unique at U2: FIS/01
         )
         org_ids, pairs = _org_ids(registry, pub)
-        parent_uda = registry.taxonomy.parent_uda
         events = [
             SDSCollaboration(*ev)
-            for ev in sort_sds_events(derive_sds_events(pub, pairs, org_ids[1], parent_uda))
+            for ev in sort_sds_events(derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy))
         ]
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),
@@ -101,14 +99,13 @@ class TestSDSEvents:
         pub = make_pub("P1", ["Uni South", "Uni North", "Acme"],
                        authors=[("rossi", "M"), ("bruno", "M")])
         org_ids, pairs = _org_ids(registry, pub)
-        parent_uda = registry.taxonomy.parent_uda
 
-        per_region = derive_sds_events(pub, pairs, org_ids[1], parent_uda, "per-region")
+        per_region = derive_sds_events(pub, pairs, org_ids[1], taxonomy, "per-region")
         assert sorted((e[1], e[3]) for e in per_region) == [
             ("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily"),
         ]
 
-        single = derive_sds_events(pub, pairs, org_ids[1], parent_uda, "single")
+        single = derive_sds_events(pub, pairs, org_ids[1], taxonomy, "single")
         assert [(e[1], e[3]) for e in single] == [("ING-INF/01", "Lombardy")]
 
 
@@ -124,13 +121,13 @@ class TestRandomizedOracle:
             Organization(f"E{i}", f"Enterprise {i}", (), ENTERPRISE, regions[(i + 1) % 4])
             for i in range(8)
         ]
-        taxonomy = SectorTaxonomy({f"SDS/{k}": "09" for k in range(5)})
+        taxonomy = {f"SDS/{k}": "09" for k in range(5)}
         return make_registry(tuple(organizations), (), taxonomy)
 
     def test_thousand_random_publications(self):
         registry = self._registry()
         rng = random.Random(20260819)
-        sds_codes = sorted(registry.taxonomy.sds_codes)
+        sds_codes = sorted(registry.taxonomy)
         for case in range(1000):
             unis = rng.sample([f"U{i}" for i in range(8)], rng.randint(1, 4))
             ents = rng.sample([f"E{i}" for i in range(8)], rng.randint(1, 4))
@@ -159,11 +156,11 @@ class TestRandomizedOracle:
                 SDSCollaboration(*ev)
                 for ev in derive_sds_events(
                     pub, supply_pairs(attributions, registry), enterprises,
-                    registry.taxonomy.parent_uda,
+                    registry.taxonomy,
                 )
             ]
             expected_pairs = {
-                (a.sds, registry.region_of(a.university_id)) for a in attributions
+                (a.sds, registry.by_id[a.university_id].region) for a in attributions
             }
             expected_sds = {
                 (s, r, e) for (s, r) in expected_pairs for e in set(ents)
@@ -182,7 +179,7 @@ class TestSortingAndExport:
         )
         org_ids, pairs = _org_ids(registry, pub)
         ue = derive_ue_events(pub, *org_ids)
-        sds = derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy.parent_uda)
+        sds = derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy)
         totals = corpus_totals(flow_cube(ue, sds))
         assert (totals.ue_events, totals.sds_events) == (2, 2)
         assert (totals.universities, totals.enterprises, totals.active_sds) == (1, 2, 1)
@@ -196,7 +193,7 @@ class TestSortingAndExport:
         sds_path = tmp_path / "sds.csv"
         export_ue_events(derive_ue_events(pub, *org_ids), ue_path)
         export_sds_events(
-            derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy.parent_uda), sds_path
+            derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy), sds_path
         )
         assert ue_path.read_text(encoding="utf-8") == (
             "pub_id,university_id,u_region,enterprise_id,e_region,year\n"

@@ -39,6 +39,8 @@ class TestDefaultsAndValidation:
         {"regions": ("Lazio", "Lazio")},
         {"capacity_multipliers": {"S1": 0.0}},
         {"capacity_multipliers": {"S1": -1.0}},
+        {"out": Path("out_\udcff")},
+        {"regions": ("Lazio", "Vene\udcffto")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(UsageError):
@@ -246,6 +248,25 @@ class TestSettingsFromFlagsAndFile:
             assert main(["analyze", flag, text]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {flag}: ") and message in err
+
+    @pytest.mark.parametrize("flag, key, text", [
+        ("--out", "out", "out_\udcff"),
+        ("--publications", "publications", "p\udcff.jsonl"),
+        ("--regions", "regions", "Lazio|Vene\udcffto"),
+    ])
+    def test_flag_that_is_not_utf8_names_the_flag(self, capsys, flag, key, text):
+        """A command line byte that is not UTF-8 arrives as a lone surrogate,
+        which no output file can hold."""
+        assert main(["analyze", flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: {key} is not valid UTF-8: ")
+
+    def test_path_in_a_directory_that_is_not_utf8_names_its_line(self, tmp_path):
+        cfg = tmp_path / "dir_\udcff" / "run.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text("# settings\nout = results\n", encoding="utf-8")
+        with pytest.raises(UsageError, match="run.cfg:2: out is not valid UTF-8"):
+            load_config(cfg)
 
     def test_a_key_set_twice_is_checked_line_by_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -25,7 +25,7 @@ from collabmarket.ingest import (
     partition_resolvable,
     write_publications,
 )
-from collabmarket.model import ENTERPRISE, UNIVERSITY, ScientistRosterEntry, SectorTaxonomy
+from collabmarket.model import ENTERPRISE, UNIVERSITY, ScientistRosterEntry
 from collabmarket.resolve import (
     Resolver,
     attribute_authors,
@@ -173,7 +173,7 @@ class TestLoadRegistries:
         registry = load_registries(*paths)
         assert registry.by_id["U1"].kind == UNIVERSITY
         assert registry.by_id["E1"].kind == ENTERPRISE
-        assert registry.region_of("E1") == "Veneto"
+        assert registry.by_id["E1"].region == "Veneto"
         assert registry.by_id["U1"].aliases == (
             "Universita di Roma", "Univ. Roma", "Rome University"
         )
@@ -329,10 +329,10 @@ def _reference_load_roster(path, by_id, taxonomy, diagnostics):
             if sds not in taxonomy:
                 report(ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy"))
                 continue
-            if uda != taxonomy.uda_of(sds):
+            if uda != taxonomy[sds]:
                 report(ReferentialError(
                     f"{path}:{line_no}: sds {sds!r} belongs to uda "
-                    f"{taxonomy.uda_of(sds)!r}, row says {uda!r}"
+                    f"{taxonomy[sds]!r}, row says {uda!r}"
                 ))
                 continue
             try:
@@ -428,7 +428,7 @@ def _roster_outcome(load, path, collect):
         "U2": make_org("U2", UNIVERSITY, "Veneto"),
         "E1": make_org("E1", ENTERPRISE, "Lazio"),
     }
-    taxonomy = SectorTaxonomy({"ING-INF/01": "09", "FIS/01": "02"})
+    taxonomy = {"ING-INF/01": "09", "FIS/01": "02"}
     diagnostics = [] if collect else None
     try:
         return load(path, by_id, taxonomy, diagnostics), diagnostics

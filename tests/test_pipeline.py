@@ -7,13 +7,20 @@ the demo corpus into two shards: their cubes, and the count columns of the
 tables read from them, add up to those of the whole corpus. The scaling
 oracle adds a copy of every demo publication and checks how each column of
 table1, table2 and table3 moves. The hash-seed oracle runs ``analyze`` in two
-interpreters with different ``PYTHONHASHSEED`` values: the bytes match.
+interpreters with different ``PYTHONHASHSEED`` values: the bytes match. The
+relabeling oracle maps the regions by a bijection that reverses their sorted
+order, so every table's rows come in another order; the renaming oracle
+prefixes every org id: ``analyze`` writes the same tables, once mapped back.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,6 +60,7 @@ from collabmarket.model import (
     SDSCollaboration,
     UECollaboration,
 )
+from collabmarket.report import sanitize_code
 from collabmarket.resolve import (
     Resolver,
     attribute_authors,
@@ -173,12 +181,12 @@ def _staged_reference(config: RunConfig):
     }
     kept, load_report = partition_resolvable(publications, resolutions)
     retained = filter_hard_sciences(kept, attributions, resolutions, registry)
-    region_of, uda_of = registry.region_of, registry.taxonomy.uda_of
+    by_id, taxonomy = registry.by_id, registry.taxonomy
     ue_events, sds_events = [], []
     for pub in retained:
         universities, enterprises = org_ids[pub.pub_id]
         ue_events += [
-            UECollaboration(pub.pub_id, u, region_of(u), e, region_of(e), pub.year)
+            UECollaboration(pub.pub_id, u, by_id[u].region, e, by_id[e].region, pub.year)
             for u in universities
             for e in enterprises
         ]
@@ -186,7 +194,8 @@ def _staged_reference(config: RunConfig):
         if config.sds_region_split == "single":
             pairs = {(sds, min(r for s, r in pairs if s == sds)) for sds, _ in pairs}
         sds_events += [
-            SDSCollaboration(pub.pub_id, sds, uda_of(sds), region, e, region_of(e), pub.year)
+            SDSCollaboration(pub.pub_id, sds, taxonomy[sds], region, e, by_id[e].region,
+                             pub.year)
             for sds, region in pairs
             for e in enterprises
         ]
@@ -340,6 +349,140 @@ def test_analyze_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
         })
     assert len(outputs[0]) > 10
     assert outputs[0] == outputs[1]
+
+
+def _analyze(config: Path, out: Path) -> dict[str, bytes]:
+    """Every file ``analyze`` writes but effective_config.txt, which names
+    the run's own paths."""
+    assert cli.main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "effective_config.txt"}
+
+
+def _rewrite_column(path: Path, column: str, change) -> None:
+    header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    at = header.index(column)
+    for row in rows:
+        row[at] = change(row[at])
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+
+
+def _csv_rows(data: bytes) -> list[dict[str, str]]:
+    return list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
+
+
+def _by_region(name: str, data: bytes, back: dict[str, str]) -> dict[str, dict]:
+    """A table's rows keyed by region, each region mapped through ``back``;
+    the rows must come sorted by their own region labels."""
+    if name.endswith(".jsonl"):
+        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    else:
+        rows = _csv_rows(data)
+    labels = [row["region"] for row in rows]
+    assert labels == sorted(labels), name
+    return {back[region]: {**row, "region": back[region]} for region, row in zip(labels, rows)}
+
+
+def _figure_points(svg: bytes) -> set[tuple[str, str, str]]:
+    """(label, cx, cy) of each point of a quadrant figure."""
+    text = svg.decode("utf-8")
+    centres = re.findall(r'<circle class="point" cx="([^"]+)" cy="([^"]+)"', text)
+    labels = re.findall(r'<text class="label"[^>]*>([^<]*)</text>', text)
+    assert len(centres) == len(labels) > 0
+    return {(label, cx, cy) for label, (cx, cy) in zip(labels, centres)}
+
+
+def test_relabeling_the_regions_permutes_the_rows(tmp_path):
+    """Relabeling: a bijection of the regions that reverses their sorted
+    order, in organizations.csv and in the config's region set, permutes the
+    rows of tables 1, 2, 3 and 5 and renames the table4 files; nothing else
+    moves but the region columns. The ``_rel`` columns may differ in the last
+    bits, because ``distribution_mean`` sums in region-name order."""
+    paths = write_demo_corpus(tmp_path / "corpus")
+    relabeled = write_demo_corpus(tmp_path / "relabeled")
+    regions = sorted(load_config(paths["config"]).regions)
+    label = {region: f"R{len(regions) - i:02d}" for i, region in enumerate(regions)}
+    back = {new: old for old, new in label.items()}
+    assert sorted(label.values()) == [label[r] for r in reversed(regions)]
+    _rewrite_column(relabeled["organizations"], "region", label.__getitem__)
+    config = relabeled["config"].read_text(encoding="utf-8")
+    config = config.replace("|".join(regions), "|".join(label[r] for r in regions))
+    relabeled["config"].write_text(config, encoding="utf-8")
+
+    original = _analyze(paths["config"], tmp_path / "out")
+    changed = {}
+    for name, data in _analyze(relabeled["config"], tmp_path / "out-relabeled").items():
+        if name.startswith("table4_"):
+            stem, suffix = name[len("table4_"):].split(".")
+            name = f"table4_{sanitize_code(back[stem])}.{suffix}"
+        changed[name] = data
+    assert changed.keys() == original.keys()
+    identity = {region: region for region in regions}
+    checked = set()
+    for name, data in sorted(original.items()):
+        kind = name.split("_")[0]
+        if name.startswith("table"):
+            want = _by_region(name, data, identity)
+            got = _by_region(name, changed[name], back)
+            assert got.keys() == want.keys(), name
+            assert kind == "table4" or want.keys() == set(regions), name
+            for region, row in want.items():
+                for key, value in row.items():
+                    other = got[region][key]
+                    if kind == "table4" or not key.endswith("_rel"):
+                        assert other == value, (name, region, key)
+                    elif name.endswith(".jsonl") and value is not None:
+                        assert math.isclose(other, value, rel_tol=1e-12), (name, region, key)
+                    else:
+                        assert (other is None) == (value is None), (name, region, key)
+        elif kind == "fig1":
+            points = {(back[text], cx, cy) for text, cx, cy in _figure_points(changed[name])}
+            assert points == _figure_points(data)
+        elif kind == "events":
+            want, got = _csv_rows(data), _csv_rows(changed[name])
+            for row in got:
+                for key in ("u_region", "e_region", "supply_region"):
+                    if key in row:
+                        row[key] = back[row[key]]
+            assert [row["pub_id"] for row in got] == [row["pub_id"] for row in want]
+            assert sorted(map(sorted, map(dict.items, got))) == sorted(
+                map(sorted, map(dict.items, want))
+            )
+        elif name == "snapshot.json":
+            snapshot = json.loads(changed[name])
+            snapshot["regions"] = sorted(back[r] for r in snapshot["regions"])
+            assert snapshot == json.loads(data)
+        else:
+            assert changed[name] == data, name
+        checked.add(kind if name.startswith(("table", "fig1", "events")) else name)
+    assert checked == {"table1", "table2", "table3", "table4", "table5", "fig1", "events",
+                       "snapshot.json", "resolution_report.csv"}
+
+
+def test_renaming_the_org_ids_leaves_the_tables_unchanged(tmp_path):
+    """Renaming: prefixing every org id, in organizations.csv and the
+    roster's university column, keeps their order and so the lowest-id tie
+    breaks. The tables and snapshot.json keep their bytes; the event exports
+    and the resolution report equal the originals once the ids map back."""
+    paths = write_demo_corpus(tmp_path / "corpus")
+    renamed = write_demo_corpus(tmp_path / "renamed")
+    _rewrite_column(renamed["organizations"], "org_id", "X{}".format)
+    _rewrite_column(renamed["roster"], "university_id", "X{}".format)
+
+    original = _analyze(paths["config"], tmp_path / "out")
+    changed = _analyze(renamed["config"], tmp_path / "out-renamed")
+    assert changed.keys() == original.keys()
+    for name, data in original.items():
+        if name.startswith("events_"):
+            rows = _csv_rows(changed[name])
+            for row in rows:
+                for key in ("university_id", "enterprise_id"):
+                    if key in row:
+                        assert row[key].startswith("X")
+                        row[key] = row[key][1:]
+            assert rows == _csv_rows(data), name
+        else:
+            assert changed[name] == data, name
 
 
 @pytest.fixture(scope="module")
