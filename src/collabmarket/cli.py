@@ -12,7 +12,7 @@ Subcommands:
 The run subcommands load the registries, then take each in-window publication
 through one flat pass (``run_pipeline``) as ``ingest.iter_publications``
 parses it. The pass reads a per-run table of each distinct affiliation
-string, the resolver's roster triples and the publication's own tables of
+string, the registry's roster triples and the publication's own tables of
 universities and enterprises by region; from them it resolves, attributes,
 tallies the resolution-report row, filters, derives the events as plain
 tuples and counts them into a ``collab.FlowCube``, with no record per mention
@@ -159,11 +159,12 @@ def _locate(
 @_collector_paused()
 def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> PipelineResult:
     """Load the registries, then take each in-window publication through one
-    flat pass as the parser yields it.
+    flat pass as the parser yields it. A ``capacity.<sds>`` setting whose
+    sector the taxonomy lacks is a ``UsageError`` before the pass.
 
     The pass reads three tables: ``seen``, each distinct raw affiliation
     string's (tier, org id, is a university, region), filled the first time
-    the string appears; the resolver's roster triples; and the publication's
+    the string appears; the registry's roster triples; and the publication's
     universities and enterprises, each id mapped to its region. From them
     come its resolution-report row, its warning, the retention test (an
     enterprise and an attributed (sector, supply region) pair), its events
@@ -180,6 +181,11 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
         config.regions,
         diagnostics,
     )
+    for sds in config.capacity_multipliers:
+        if sds not in registry.taxonomy:
+            raise UsageError(
+                f"config key capacity.{sds} names no sector of the taxonomy {config.taxonomy}"
+            )
     resolver = Resolver.build(registry)
     by_id = registry.by_id
     roster_index = resolver.roster_index

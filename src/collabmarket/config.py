@@ -151,10 +151,11 @@ def apply_setting(config: RunConfig, key: str, value: str, base: Path = Path()) 
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat key-value config file into a RunConfig, line by line."""
+    """Parse a flat key-value config file into a RunConfig, line by line.
+    A leading UTF-8 byte-order mark is dropped."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError:

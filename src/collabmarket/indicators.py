@@ -243,23 +243,19 @@ def _rel_to_mean(
     return rel
 
 
-def roster_headcounts(registry: Registry, sds: str) -> dict[str, float]:
+def roster_headcounts(registry: Registry, sds: str) -> Mapping[str, float]:
     """Fractional scientist headcount of one sector, grouped by region."""
     return all_headcounts(registry).get(sds, {})
 
 
-def all_headcounts(registry: Registry) -> dict[str, dict[str, float]]:
-    """Headcounts of every taxonomy sector in one pass: sds -> region -> n.
+def all_headcounts(registry: Registry) -> Mapping[str, Mapping[str, float]]:
+    """Headcounts of every taxonomy sector: sds -> region -> n, as the roster
+    loader sums them.
 
     A sum past the float range is ``inf``; the table2 row that shows it is
     what a run refuses.
     """
-    totals: dict[str, dict[str, float]] = {sds: {} for sds in sorted(registry.taxonomy)}
-    for entry in registry.roster:
-        region = registry.by_id[entry.university_id].region
-        per_region = totals[entry.sds]
-        per_region[region] = per_region.get(region, 0.0) + entry.headcount_weight
-    return totals
+    return registry.headcounts
 
 
 def sector_correspondence(

@@ -14,7 +14,8 @@ taxonomy      CSV with header ``sds,uda``.
 CSV columns are found by header name, in any order, and extra columns are
 ignored; blank lines are skipped and short rows read as empty cells. Every
 input must be UTF-8: a byte that is not raises a ``ParseError`` naming the
-file and the line.
+file and the line. A CSV file may start with a UTF-8 byte-order mark, as
+spreadsheet tools save it; the mark is dropped.
 
 Loaders raise on the first bad record by default. When a ``diagnostics`` list
 is passed, record-level problems are appended to it as messages and the record
@@ -22,8 +23,11 @@ is skipped instead, so a validation pass can report many issues at once.
 
 ``iter_publications`` yields the corpus one record at a time, so a run holds
 no list of it; ``load_publications`` collects the same records into a list.
-A bad line is raised or reported when the iteration reaches it. The roster
-keeps one string object per distinct name, university, sector and area.
+A bad line is raised or reported when the iteration reaches it. The roster is
+read once, straight into the two tables a run reads: each name key's
+(university, sector, active years) triples and each sector's headcount by
+region. They hold one string object per distinct name, university and
+sector.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .model import (
     Organization,
     PublicationRecord,
     Registry,
-    ScientistRosterEntry,
 )
 from .resolve import normalize_initials, normalize_name
 
@@ -235,7 +238,7 @@ def _csv_rows(
     reads a file the same way. Text that is not UTF-8, or that the csv module
     cannot parse, raises a ``ParseError`` naming the line.
     """
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -386,17 +389,28 @@ def _load_roster(
     by_id: Mapping[str, Organization],
     taxonomy: Mapping[str, str],
     diagnostics: list[str] | None,
-) -> list[ScientistRosterEntry]:
-    # Each row holds one string object per distinct value: the registry's own
-    # org id and taxonomy key and area, and one shared copy of each name.
-    universities = {org_id: org_id for org_id, org in by_id.items() if org.kind == UNIVERSITY}
-    sectors = {sds: (sds, uda) for sds, uda in taxonomy.items()}
+) -> tuple[
+    dict[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]],
+    dict[str, dict[str, float]],
+]:
+    """The two roster tables of a ``Registry``, built in one walk of the file.
+
+    Each accepted row, in file order, joins the triples of its name key and
+    adds its weight to its sector's headcount in its university's region.
+    """
+    headcounts: dict[str, dict[str, float]] = {sds: {} for sds in sorted(taxonomy)}
+    # The tables hold one string object per distinct value: the registry's
+    # own org id and taxonomy key, and one shared copy of each name.
+    universities = {
+        org_id: (org_id, org.region) for org_id, org in by_id.items() if org.kind == UNIVERSITY
+    }
+    sectors = {sds: (sds, uda, headcounts[sds]) for sds, uda in taxonomy.items()}
     names: dict[str, str] = {}
     # A roster repeats a handful of year lists and weights over many rows;
     # rows share one parsed value per distinct raw string.
     years_of: dict[str, frozenset[int] | None] = {}
     weight_of: dict[str, float | None] = {}
-    roster: list[ScientistRosterEntry] = []
+    roster: dict[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]] = {}
     with _csv_rows(path, ROSTER_COLUMNS) as rows:
         for line_no, (surname, initials, university_id, sds, uda, years, weight) in rows:
             surname = normalize_name(surname)
@@ -447,17 +461,14 @@ def _load_roster(
                     diagnostics,
                 )
                 continue
-            roster.append(
-                ScientistRosterEntry(
-                    names.setdefault(surname, surname),
-                    names.setdefault(initials, initials),
-                    university,
-                    *sector,
-                    active_years,
-                    headcount,
-                )
-            )
-    return roster
+            university_id, region = university
+            sds, _, per_region = sector
+            # A name's group grows by concatenation, which stays cheap while
+            # homonym groups are short.
+            key = names.setdefault(surname, surname), names.setdefault(initials, initials)
+            roster[key] = roster.get(key, ()) + ((university_id, sds, active_years),)
+            per_region[region] = per_region.get(region, 0.0) + headcount
+    return roster, headcounts
 
 
 def load_registries(
@@ -470,8 +481,8 @@ def load_registries(
     """Load and cross-validate the three registries into one model."""
     taxonomy = _load_taxonomy(Path(taxonomy_path), diagnostics)
     by_id = _load_organizations(Path(org_path), regions, diagnostics)
-    roster = _load_roster(Path(roster_path), by_id, taxonomy, diagnostics)
-    return Registry(tuple(roster), taxonomy, by_id)
+    roster, headcounts = _load_roster(Path(roster_path), by_id, taxonomy, diagnostics)
+    return Registry(roster, headcounts, taxonomy, by_id)
 
 
 @dataclass(frozen=True)

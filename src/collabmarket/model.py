@@ -55,31 +55,21 @@ class Organization(NamedTuple):
     region: str
 
 
-class ScientistRosterEntry(NamedTuple):
-    """University researcher with a declared sector and fractional headcount.
-
-    ``headcount_weight`` supports fractional values (e.g. thirds, for rosters
-    averaged over a three-year window) and must be positive.
-    """
-
-    surname: str
-    initials: str
-    university_id: str
-    sds: str
-    uda: str
-    active_years: frozenset[int]
-    headcount_weight: float
-
-
 class Registry(NamedTuple):
     """Immutable bundle of the loaded registries, shared by every stage.
 
-    ``by_id`` maps each org id to its organization, in file order: the
-    loader skips a duplicate org id. ``taxonomy`` maps each scientific
-    disciplinary sector (SDS) to its parent area (UDA).
+    ``roster`` maps each roster name key (surname, initials) to the
+    (university id, sds, active years) triples of its rows, in file order:
+    all that attribution reads of a row. ``headcounts`` maps every taxonomy
+    sector, in sorted order, to its fractional scientist headcount by the
+    region of each row's university. ``taxonomy`` maps each scientific
+    disciplinary sector (SDS) to its parent area (UDA). ``by_id`` maps each
+    org id to its organization, in file order: the loader skips a duplicate
+    org id.
     """
 
-    roster: tuple[ScientistRosterEntry, ...]
+    roster: Mapping[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]]
+    headcounts: Mapping[str, Mapping[str, float]]
     taxonomy: Mapping[str, str]
     by_id: Mapping[str, Organization]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .model import AffiliationResolution, AuthorAttribution, PublicationRecord, Registry
@@ -109,9 +108,9 @@ class Resolver:
     deterministically picks the lowest id, and callers can surface the
     ambiguity as a warning once per alias.
 
-    ``roster_index`` maps each roster name key (surname, initials) to the
-    (university id, sds, active years) triples of its entries, in roster
-    order: all that attribution reads of an entry.
+    ``roster_index`` is the registry's own roster table: each name key
+    (surname, initials) mapped to the (university id, sds, active years)
+    triples of its rows, in roster order.
     """
 
     canonical_index: Mapping[str, str]
@@ -136,15 +135,7 @@ class Resolver:
             for name, ids in sorted(alias_all.items())
             if len(set(ids)) > 1
         }
-        # (surname, initials) keys and (university_id, sds, active_years)
-        # triples of the roster entries, made in C. A name's group grows by
-        # concatenation, which stays cheap while homonym groups are short.
-        keys = map(itemgetter(0, 1), registry.roster)
-        triples = map(itemgetter(2, 3, 5), registry.roster)
-        roster_index: dict[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]] = {}
-        for key, triple in zip(keys, triples):
-            roster_index[key] = roster_index.get(key, ()) + (triple,)
-        return cls(canonical_index, alias_index, ambiguous, roster_index)
+        return cls(canonical_index, alias_index, ambiguous, registry.roster)
 
 
 def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:

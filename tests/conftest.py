@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -26,7 +27,6 @@ from collabmarket.model import (
     PublicationRecord,
     Registry,
     SDSCollaboration,
-    ScientistRosterEntry,
     UECollaboration,
 )
 
@@ -48,6 +48,20 @@ def make_pub(pub_id, affiliations, authors=(("rossi", "M"),), year=2002):
     )
 
 
+class ScientistRosterEntry(NamedTuple):
+    """One roster row: a university researcher with a declared sector and a
+    fractional, positive headcount (e.g. thirds, for rosters averaged over a
+    three-year window)."""
+
+    surname: str
+    initials: str
+    university_id: str
+    sds: str
+    uda: str
+    active_years: frozenset[int]
+    headcount_weight: float
+
+
 def make_roster(surname, initials, university_id, sds="ING-INF/01", uda="09",
                 years=YEARS, weight=1.0):
     return ScientistRosterEntry(surname, initials, university_id, sds, uda,
@@ -55,8 +69,27 @@ def make_roster(surname, initials, university_id, sds="ING-INF/01", uda="09",
 
 
 def make_registry(organizations, roster, taxonomy):
-    """The registry bundle, with ``by_id`` indexed from ``organizations``."""
-    return Registry(tuple(roster), taxonomy, {org.org_id: org for org in organizations})
+    """The registry bundle of ``roster`` rows, with ``by_id`` indexed from
+    ``organizations``: the record-based reference of ``load_registries``'s
+    roster tables.
+
+    Each row, in order, joins the (university id, sds, active years) triples
+    of its (surname, initials) key and adds its weight to its sector's
+    headcount in its university's region; every taxonomy sector has a
+    headcount table, in sorted order.
+    """
+    by_id = {org.org_id: org for org in organizations}
+    groups = {}
+    headcounts = {sds: {} for sds in sorted(taxonomy)}
+    for entry in roster:
+        groups.setdefault((entry.surname, entry.initials), []).append(
+            (entry.university_id, entry.sds, entry.active_years)
+        )
+        per_region = headcounts[entry.sds]
+        region = by_id[entry.university_id].region
+        per_region[region] = per_region.get(region, 0.0) + entry.headcount_weight
+    index = {key: tuple(triples) for key, triples in groups.items()}
+    return Registry(index, headcounts, taxonomy, by_id)
 
 
 def split_org_ids(resolutions, registry):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import gc
@@ -609,6 +610,28 @@ class TestAnalyze:
                 continue
             assert first[name] == second[name], name
 
+    def test_byte_order_marks_are_dropped(self, corpus, tmp_path):
+        """Spreadsheet tools save "CSV UTF-8" with a byte-order mark: with one
+        on the three registries and the config, the run is the same."""
+        copied = _copy_corpus(corpus, tmp_path)
+        registries = [copied[key] for key in ("organizations", "roster", "taxonomy")]
+        plain_config = load_config(copied["config"])
+        plain_registry = load_registries(*registries)
+        assert main(["analyze", "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "plain")]) == 0
+        for path in (copied["config"], *registries):
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert load_config(copied["config"]) == plain_config
+        assert load_registries(*registries) == plain_registry
+        assert main(["analyze", "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "bom")]) == 0
+        plain = _files(tmp_path / "plain")
+        bom = _files(tmp_path / "bom")
+        for files in (plain, bom):  # the effective configs differ in the out line
+            config = files["effective_config.txt"].splitlines()
+            files["effective_config.txt"] = [l for l in config if not l.startswith(b"out = ")]
+        assert plain == bom
+
     def test_empty_window_still_produces_outputs(self, corpus, tmp_path):
         out = tmp_path / "out"
         rc = main(["analyze", "--config", str(corpus["config"]),
@@ -637,6 +660,27 @@ class TestSectorAndRegion:
                    "--sds", "XXX/99", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "taxonomy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Abruzzo"],
+        ["validate"],
+    ], ids=lambda command: command[0])
+    def test_capacity_of_an_unknown_sector_is_usage_error(self, corpus, tmp_path, capsys,
+                                                          command):
+        """A ``capacity.`` key whose sector the taxonomy lacks (a lowercase L
+        for the digit 1) is refused before the pass reads a publication."""
+        copied = _copy_corpus(corpus, tmp_path)
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            handle.write("capacity.ING-INF/0l = 2\n")
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(copied["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (
+            f"error: config key capacity.ING-INF/0l names no sector of the taxonomy "
+            f"{copied['taxonomy']}\n"
+        )
+        assert not out.exists()
 
     def test_region_writes_stats_card(self, corpus, tmp_path):
         out = tmp_path / "out"

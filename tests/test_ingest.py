@@ -25,7 +25,7 @@ from collabmarket.ingest import (
     partition_resolvable,
     write_publications,
 )
-from collabmarket.model import ENTERPRISE, UNIVERSITY, ScientistRosterEntry
+from collabmarket.model import ENTERPRISE, UNIVERSITY
 from collabmarket.resolve import (
     Resolver,
     attribute_authors,
@@ -34,7 +34,14 @@ from collabmarket.resolve import (
     resolve_publication,
 )
 
-from conftest import make_org, make_pub, split_org_ids
+from conftest import (
+    ScientistRosterEntry,
+    make_org,
+    make_pub,
+    make_registry,
+    make_roster,
+    split_org_ids,
+)
 
 
 def _write_jsonl(path, records):
@@ -177,8 +184,9 @@ class TestLoadRegistries:
         assert registry.by_id["U1"].aliases == (
             "Universita di Roma", "Univ. Roma", "Rome University"
         )
-        (entry,) = registry.roster
-        assert entry.active_years == frozenset({2001, 2002})
+        (triples,) = registry.roster.values()
+        ((_, _, active_years),) = triples
+        assert active_years == frozenset({2001, 2002})
 
     def test_duplicate_org_id(self, tmp_path):
         paths = _write_registry_files(
@@ -284,11 +292,12 @@ class TestLoadRegistries:
         diagnostics = []
         registry = load_registries(*paths, diagnostics=diagnostics)
         assert len(diagnostics) == 2
-        assert [e.university_id for e in registry.roster] == ["U1"]
+        assert [u for triples in registry.roster.values() for u, _, _ in triples] == ["U1"]
 
 
 def _reference_load_roster(path, by_id, taxonomy, diagnostics):
-    """The roster loader as it read rows through ``csv.DictReader``."""
+    """The roster loader as it read rows through ``csv.DictReader``, its rows
+    then summed into the registry's two roster tables by ``make_registry``."""
 
     def report(exc):
         if diagnostics is None:
@@ -357,7 +366,8 @@ def _reference_load_roster(path, by_id, taxonomy, diagnostics):
             roster.append(
                 ScientistRosterEntry(surname, initials, university_id, sds, uda, years, weight)
             )
-    return roster
+    registry = make_registry(by_id.values(), roster, taxonomy)
+    return registry.roster, registry.headcounts
 
 
 # Per roster column, cell values that pass its check and values that fail it.
@@ -444,20 +454,30 @@ def test_roster_load_matches_dict_reader_reference(roster_path, text, collect):
         _roster_outcome(_reference_load_roster, roster_path, collect)
 
 
-def _assert_one_object_per_value(roster):
-    for field in ("surname", "initials", "university_id", "sds", "uda"):
-        values = [getattr(entry, field) for entry in roster]
+def _roster_rows(registry):
+    """(surname, initials, university id, sds) of each row the roster tables hold."""
+    return [
+        (*key, university_id, sds)
+        for key, triples in registry.roster.items()
+        for university_id, sds, _ in triples
+    ]
+
+
+def _assert_one_object_per_value(rows):
+    for column, field in enumerate(("surname", "initials", "university_id", "sds")):
+        values = [row[column] for row in rows]
         assert len({id(v) for v in values}) == len(set(values)), field
 
 
 def test_roster_shares_one_string_per_distinct_value(tmp_path):
-    """Roster rows repeat a few universities, sectors and areas and many
-    names; each distinct value is one string object, on the demo roster and on
-    a generated one whose cells spell one value in several ways."""
+    """Roster rows repeat a few universities and sectors and many names; each
+    distinct value is one string object, on the demo roster and on a
+    generated one whose cells spell one value in several ways."""
     demo = write_demo_corpus(tmp_path / "demo")
     registry = load_registries(demo["organizations"], demo["roster"], demo["taxonomy"])
-    assert len(registry.roster) > len({entry.sds for entry in registry.roster})
-    _assert_one_object_per_value(registry.roster)
+    rows = _roster_rows(registry)
+    assert len(rows) > len({sds for *_, sds in rows})
+    _assert_one_object_per_value(rows)
 
     rng = random.Random(7)
     sectors = [(f"S{i}/0{i % 3}", f"0{i % 3}") for i in range(8)]
@@ -488,8 +508,100 @@ def test_roster_shares_one_string_per_distinct_value(tmp_path):
                 "1",
             ))
     registry = load_registries(organizations, roster, taxonomy)
-    assert len(registry.roster) == 400
-    _assert_one_object_per_value(registry.roster)
+    rows = _roster_rows(registry)
+    assert len(rows) == 400
+    _assert_one_object_per_value(rows)
+
+
+# Name spellings (two of each key), universities (two sharing a region, one
+# enterprise), sectors (one with no rows) and cells for the loader oracle.
+ORACLE_NAMES = [("Rossi", "M."), ("rossi", "m"), ("Bianchi", "G"), (" BIANCHI", "g."),
+                ("Ørsted", "H.C."), ("Orsted", "hc")]
+ORACLE_ORGANIZATIONS = (
+    "U1,university,Lazio,Universita di Roma,\n"
+    "U2,university,Veneto,Universita di Padova,\n"
+    "U3,university,Lazio,Universita di Tor Vergata,\n"
+    "E1,enterprise,Lazio,Acme Research,\n"
+)
+ORACLE_TAXONOMY = "ING-INF/01,09\nFIS/01,02\nCHIM/07,03\nMAT/05,01\n"
+ORACLE_SECTORS = [("ING-INF/01", "09"), ("FIS/01", "02"), ("CHIM/07", "03")]
+ORACLE_YEARS = ["2001", "2001|2002", "2003|2001"]
+# Weights whose sums round, and one whose sum passes the float range.
+ORACLE_WEIGHTS = ["1", "0.5", "0.1", "0.7", "0.3333333333333333", "2.5e-3", "1e308"]
+# Per column, cells that fail its check under ``diagnostics``.
+ORACLE_BROKEN = {
+    "surname": ["", "***"],
+    "initials": ["", "ABCD"],
+    "university_id": ["U9", "E1"],
+    "sds": ["XXX/01", "MAT/99"],
+    "uda": ["99"],
+    "active_years": ["", "x"],
+    "headcount_weight": ["0", "-1", "inf", "abc"],
+}
+
+oracle_rows = st.lists(
+    st.tuples(
+        st.sampled_from(ORACLE_NAMES),
+        st.sampled_from(["U1", "U2", "U3"]),
+        st.sampled_from(ORACLE_SECTORS),
+        st.sampled_from(ORACLE_YEARS),
+        st.sampled_from(ORACLE_WEIGHTS),
+        st.one_of(
+            st.none(),
+            st.sampled_from(sorted(ORACLE_BROKEN)).flatmap(
+                lambda column: st.tuples(st.just(column), st.sampled_from(ORACLE_BROKEN[column]))
+            ),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_paths(tmp_path_factory):
+    return _write_registry_files(
+        tmp_path_factory.mktemp("oracle"), orgs=ORACLE_ORGANIZATIONS, taxonomy=ORACLE_TAXONOMY
+    )
+
+
+def _table_bits(registry):
+    """The roster tables in order, each headcount by its exact bits."""
+    return (
+        list(registry.roster.items()),
+        [(sds, [(region, n.hex()) for region, n in per_region.items()])
+         for sds, per_region in registry.headcounts.items()],
+    )
+
+
+@settings(deadline=None)
+@given(rows=oracle_rows)
+def test_loader_tables_match_the_record_reference(oracle_paths, rows):
+    """``load_registries`` builds the roster index and the headcounts in its
+    one walk; ``make_registry`` builds them from the valid rows as roster
+    records. Homonyms at several universities and in several sectors,
+    repeated keys and rows that fail a check give the same tables, bit for
+    bit, and one diagnostic per failing row."""
+    org_path, roster_path, taxonomy_path = oracle_paths
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(ROSTER_COLUMNS)
+    entries = []
+    for (surname, initials), university, (sds, uda), years, weight, broken in rows:
+        cells = dict(zip(ROSTER_COLUMNS, (surname, initials, university, sds, uda, years, weight)))
+        if broken is None:
+            entries.append(make_roster(
+                normalize_name(surname), normalize_initials(initials), university, sds, uda,
+                {int(y) for y in years.split("|")}, float(weight),
+            ))
+        else:
+            column, cells[column] = broken
+        writer.writerow(cells.values())
+    roster_path.write_text(text.getvalue(), encoding="utf-8")
+    diagnostics = []
+    loaded = load_registries(org_path, roster_path, taxonomy_path, diagnostics=diagnostics)
+    reference = make_registry(loaded.by_id.values(), entries, loaded.taxonomy)
+    assert _table_bits(loaded) == _table_bits(reference)
+    assert len(diagnostics) == sum(broken is not None for *_, broken in rows)
 
 
 class TestFilters:
