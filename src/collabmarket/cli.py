@@ -12,7 +12,8 @@ Subcommands:
 The run subcommands load the registries, then take each in-window publication
 through one flat pass (``run_pipeline``) as ``ingest.iter_publications``
 parses it. The pass reads a per-run table of each distinct affiliation
-string, the registry's roster triples and the publication's own tables of
+string's entry in the affiliation table that ``Resolver.build`` makes once,
+the registry's roster triples and the publication's own tables of
 universities and enterprises by region; from them it resolves, attributes,
 tallies the resolution-report row, filters, derives the events as plain
 tuples and counts them into a ``collab.FlowCube``, with no record per mention
@@ -81,7 +82,7 @@ from .indicators import (
     snapshot_diff,
 )
 from .ingest import _json_line, _scan_json, iter_publications, load_registries, not_utf8
-from .model import UNIVERSITY, Organization, Registry
+from .model import Registry
 from .report import (
     DELTA_REPORT,
     FORMATS,
@@ -97,7 +98,7 @@ from .report import (
     sector_correspondence_table,
     sector_flows_table,
 )
-from .resolve import EXACT, UNRESOLVED, Resolver, resolve_affiliation
+from .resolve import EXACT, NO_MATCH, Resolver, normalize_name
 
 MAX_DIAGNOSTICS = 20
 
@@ -108,15 +109,13 @@ RESOLUTION_REPORT_COLUMNS = ("pub_id", "exact", "alias", "unresolved", "unique",
 class PipelineResult:
     """What the subcommands read once the corpus has been through one pass.
 
-    ``warnings`` names each in-window publication none of whose affiliations
-    resolved. The events are plain tuples in the column order of
+    ``report_rows`` holds one resolution-report row per in-window
+    publication. The events are plain tuples in the column order of
     ``events_ue.csv`` and ``events_sds.csv``.
     """
 
     registry: Registry
     ambiguous_aliases: Mapping[str, tuple[str, ...]]
-    in_window: int
-    warnings: tuple[str, ...]
     report_rows: list[tuple[str, int, int, int, int, int]]
     retained: int
     ue_events: list[tuple[str, str, str, str, str, int]]
@@ -141,37 +140,25 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-# What ``seen`` holds for every unresolved string: one shared tuple.
-_UNRESOLVED = (UNRESOLVED, None, False, None)
-
-
-def _locate(
-    raw: str, resolver: Resolver, by_id: Mapping[str, Organization]
-) -> tuple[str, str | None, bool, str | None]:
-    """(tier, org id, is a university, region) of one raw affiliation string."""
-    _, org_id, tier = resolve_affiliation(raw, resolver)
-    if org_id is None:
-        return _UNRESOLVED
-    org = by_id[org_id]
-    return tier, org_id, org.kind == UNIVERSITY, org.region
-
-
 @_collector_paused()
-def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> PipelineResult:
+def run_pipeline(
+    config: RunConfig, diagnostics: list[str] | None = None, sector: str | None = None
+) -> PipelineResult:
     """Load the registries, then take each in-window publication through one
-    flat pass as the parser yields it. A ``capacity.<sds>`` setting whose
-    sector the taxonomy lacks is a ``UsageError`` before the pass.
+    flat pass as the parser yields it. A ``capacity.<sds>`` setting or a
+    requested ``sector`` that the taxonomy lacks is a ``UsageError`` before
+    the pass.
 
     The pass reads three tables: ``seen``, each distinct raw affiliation
-    string's (tier, org id, is a university, region), filled the first time
-    the string appears; the registry's roster triples; and the publication's
-    universities and enterprises, each id mapped to its region. From them
-    come its resolution-report row, its warning, the retention test (an
-    enterprise and an attributed (sector, supply region) pair), its events
-    and its cube counts. A bad line raises (or, given ``diagnostics``, is
-    reported) when the parse reaches it, and the caller writes nothing
-    before this returns. The cyclic garbage collector stays paused meanwhile
-    (see ``_collector_paused``).
+    string's entry in the resolver's table (tier, org id, is a university,
+    region), filled the first time the string appears; the registry's roster
+    triples; and the publication's universities and enterprises, each id
+    mapped to its region. From them come its resolution-report row, the
+    retention test (an enterprise and an attributed (sector, supply region)
+    pair), its events and its cube counts. A bad line raises (or, given
+    ``diagnostics``, is reported) when the parse reaches it, and the caller
+    writes nothing before this returns. The cyclic garbage collector stays
+    paused meanwhile (see ``_collector_paused``).
     """
     config.require_inputs()
     registry = load_registries(
@@ -186,20 +173,19 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
             raise UsageError(
                 f"config key capacity.{sds} names no sector of the taxonomy {config.taxonomy}"
             )
+    if sector is not None and sector not in registry.taxonomy:
+        raise UsageError(f"sds {sector!r} is not in the taxonomy")
     resolver = Resolver.build(registry)
-    by_id = registry.by_id
-    roster_index = resolver.roster_index
+    table, roster = resolver.table, registry.roster
     spread_ambiguous = config.ambiguity == "all"
     seen: dict[str, tuple[str, str | None, bool, str | None]] = {}
     report_rows = []
-    warnings = []
-    in_window = retained = 0
+    retained = 0
     ue_events: list[tuple[str, str, str, str, str, int]] = []
     sds_events: list[tuple[str, str, str, str, str, str, int]] = []
     cube = FlowCube()
     ue_flows, sds_flows = cube.ue_flows, cube.sds_flows
     for pub in iter_publications(config.publications, config.window, diagnostics):
-        in_window += 1
         universities: dict[str, str] = {}
         enterprises: dict[str, str] = {}
         exact = alias = 0
@@ -207,7 +193,7 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
         for raw in affiliations:
             hit = seen.get(raw)
             if hit is None:
-                hit = seen[raw] = _locate(raw, resolver, by_id)
+                hit = seen[raw] = table.get(normalize_name(raw), NO_MATCH)
             tier, org_id, is_university, region = hit
             if org_id is None:
                 continue
@@ -227,7 +213,7 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
         if universities:
             year = pub.year
             for author in pub.authors:
-                triples = roster_index.get(author)
+                triples = roster.get(author)
                 if triples is None:
                     continue
                 candidates = {
@@ -249,9 +235,6 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
                         pairs.update((sds, universities[u]) for sds, u in lowest.items())
         unresolved = len(affiliations) - exact - alias
         report_rows.append((pub.pub_id, exact, alias, unresolved, unique, ambiguous))
-        if not universities and not enterprises:
-            warnings.append(f"publication {pub.pub_id!r}: no affiliation resolved")
-            continue
         if enterprises and pairs:
             retained += 1
             ue = derive_ue_events(pub, universities.items(), enterprises.items())
@@ -262,23 +245,15 @@ def run_pipeline(config: RunConfig, diagnostics: list[str] | None = None) -> Pip
             sds_events += sds
             for _, _, u_region, _, e_region, _ in ue:
                 ue_flows[u_region, e_region] += 1
-            for _, sector, _, supply_region, _, e_region, _ in sds:
-                flows = sds_flows.get(sector)
+            for _, code, _, supply_region, _, e_region, _ in sds:
+                flows = sds_flows.get(code)
                 if flows is None:
-                    flows = sds_flows[sector] = Counter()
+                    flows = sds_flows[code] = Counter()
                 flows[supply_region, e_region] += 1
             cube.universities.update(universities)
             cube.enterprises.update(enterprises)
     return PipelineResult(
-        registry,
-        resolver.ambiguous_aliases,
-        in_window,
-        tuple(warnings),
-        report_rows,
-        retained,
-        ue_events,
-        sds_events,
-        cube,
+        registry, resolver.ambiguous_aliases, report_rows, retained, ue_events, sds_events, cube
     )
 
 
@@ -299,13 +274,18 @@ def _print_diagnostics(diagnostics: Sequence[str]) -> None:
         print(f"... and {overflow} more", file=sys.stderr)
 
 
-def _warn_registry_ambiguities(ambiguous_aliases: Mapping[str, tuple[str, ...]]) -> None:
-    for alias, org_ids in ambiguous_aliases.items():
+def _warn(result: PipelineResult) -> None:
+    """Print each alias that several organizations share, then each
+    in-window publication none of whose affiliations resolved."""
+    for alias, org_ids in result.ambiguous_aliases.items():
         print(
             f"warning: alias {alias!r} is shared by {', '.join(org_ids)}; "
             f"resolving to {min(org_ids)}",
             file=sys.stderr,
         )
+    for pub_id, exact, alias, _, _, _ in result.report_rows:
+        if not exact and not alias:
+            print(f"warning: publication {pub_id!r}: no affiliation resolved", file=sys.stderr)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -323,14 +303,12 @@ def cmd_validate(config: RunConfig) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolution_report(result, out_dir)
-    _warn_registry_ambiguities(result.ambiguous_aliases)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not result.in_window:
+    _warn(result)
+    if not result.report_rows:
         print("warning: no publications fall inside the configured window", file=sys.stderr)
     totals = corpus_totals(result.cube)
     print(
-        f"validate: {result.in_window} publications read, "
+        f"validate: {len(result.report_rows)} publications read, "
         f"{result.retained} retained by the collaboration filter, "
         f"{totals.ue_events} university-enterprise events, "
         f"{totals.sds_events} sector events",
@@ -454,6 +432,7 @@ def _write_indicators(
 
 def cmd_analyze(config: RunConfig) -> int:
     result = run_pipeline(config)
+    _warn(result)
     active = sorted(result.cube.sds_flows)
     stems, correspondence, flows = _write_indicators(config, result, active, config.regions)
     out_dir = Path(config.out)
@@ -487,9 +466,8 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_sector(config: RunConfig, sds: str) -> int:
-    result = run_pipeline(config)
-    if sds not in result.registry.taxonomy:
-        raise UsageError(f"sds {sds!r} is not in the taxonomy")
+    result = run_pipeline(config, sector=sds)
+    _warn(result)
     _write_indicators(config, result, [sds], ())
     return 0
 
@@ -497,7 +475,9 @@ def cmd_sector(config: RunConfig, sds: str) -> int:
 def cmd_region(config: RunConfig, name: str) -> int:
     if name not in config.regions:
         raise UsageError(f"region {name!r} is not in the configured region set")
-    _write_indicators(config, run_pipeline(config), (), [name])
+    result = run_pipeline(config)
+    _warn(result)
+    _write_indicators(config, result, (), [name])
     return 0
 
 

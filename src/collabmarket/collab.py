@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -77,18 +76,6 @@ def derive_sds_events(
     ]
 
 
-def sort_ue_events(events: Iterable[Sequence]) -> list:
-    """University-enterprise events, plain tuples or ``UECollaboration``
-    records, by pub_id, university and enterprise."""
-    return sorted(events, key=itemgetter(0, 1, 3))
-
-
-def sort_sds_events(events: Iterable[Sequence]) -> list:
-    """Sector-enterprise events, plain tuples or ``SDSCollaboration``
-    records, by pub_id, sector, supply region and enterprise."""
-    return sorted(events, key=itemgetter(0, 1, 3, 4))
-
-
 @dataclass
 class FlowCube:
     """Event counts of a corpus, all that the indicators read; the pass
@@ -135,10 +122,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def export_ue_events(events: Iterable[UECollaboration], path: str | Path) -> None:
-    """Write university-enterprise events, sorted, one field per column."""
-    write_csv(path, UECollaboration._fields, sort_ue_events(events))
+    """Write university-enterprise events, one field per column, by pub_id,
+    university and enterprise. Plain tuple order is that order: a
+    university's region follows from its id, and no two events share a
+    pub_id, university and enterprise."""
+    write_csv(path, UECollaboration._fields, sorted(events))
 
 
 def export_sds_events(events: Iterable[SDSCollaboration], path: str | Path) -> None:
-    """Write sector-enterprise events, sorted, one field per column."""
-    write_csv(path, SDSCollaboration._fields, sort_sds_events(events))
+    """Write sector-enterprise events, one field per column, by pub_id,
+    sector, supply region and enterprise. Plain tuple order is that order: a
+    sector's area follows from its code, and no two events share a pub_id,
+    sector, supply region and enterprise."""
+    write_csv(path, SDSCollaboration._fields, sorted(events))

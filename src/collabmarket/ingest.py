@@ -14,8 +14,8 @@ taxonomy      CSV with header ``sds,uda``.
 CSV columns are found by header name, in any order, and extra columns are
 ignored; blank lines are skipped and short rows read as empty cells. Every
 input must be UTF-8: a byte that is not raises a ``ParseError`` naming the
-file and the line. A CSV file may start with a UTF-8 byte-order mark, as
-spreadsheet tools save it; the mark is dropped.
+file and the line. A CSV file or the corpus may start with a UTF-8
+byte-order mark, as spreadsheet and text tools save it; the mark is dropped.
 
 Loaders raise on the first bad record by default. When a ``diagnostics`` list
 is passed, record-level problems are appended to it as messages and the record
@@ -177,7 +177,7 @@ def iter_publications(
     """
     path = Path(path)
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():

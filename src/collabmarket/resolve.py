@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .model import AffiliationResolution, AuthorAttribution, PublicationRecord, Registry
+from .model import UNIVERSITY, AffiliationResolution, AuthorAttribution, PublicationRecord, Registry
 
 EXACT = "exact"
 ALIAS = "alias"
@@ -99,43 +99,48 @@ def normalize_initials(raw: str) -> str:
     return _initials_unicode(raw)
 
 
+# What the table gives every name it lacks: one shared entry.
+NO_MATCH = (UNRESOLVED, None, False, None)
+
+
 @dataclass(frozen=True)
 class Resolver:
-    """Prebuilt lookup structures over a registry.
+    """The affiliation table of a registry, and its shared aliases.
+
+    ``table`` maps each normalized canonical name and alias to (tier, org id,
+    is a university, region). A canonical name resolves ``exact`` at the
+    lowest org id that carries it; any other alias resolves ``alias`` at the
+    lowest id that lists it.
 
     ``ambiguous_aliases`` records every normalized alias shared by more than
-    one organization, mapped to the sorted org ids that share it; resolution
-    deterministically picks the lowest id, and callers can surface the
-    ambiguity as a warning once per alias.
-
-    ``roster_index`` is the registry's own roster table: each name key
-    (surname, initials) mapped to the (university id, sds, active years)
-    triples of its rows, in roster order.
+    one organization, mapped to the sorted org ids that share it, so that
+    callers can surface the ambiguity as a warning once per alias.
     """
 
-    canonical_index: Mapping[str, str]
-    alias_index: Mapping[str, str]
+    table: Mapping[str, tuple[str, str, bool, str]]
     ambiguous_aliases: Mapping[str, tuple[str, ...]]
-    roster_index: Mapping[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]]
 
     @classmethod
     def build(cls, registry: Registry) -> "Resolver":
-        canonical_all: dict[str, list[str]] = {}
-        alias_all: dict[str, list[str]] = {}
-        for org in registry.by_id.values():
-            canonical_all.setdefault(normalize_name(org.canonical_name), []).append(org.org_id)
+        # Highest id first, so that the lowest writes last; the canonical
+        # names go after every alias, which they beat.
+        orgs = sorted(registry.by_id.items(), reverse=True)
+        table: dict[str, tuple[str, str, bool, str]] = {}
+        sharing: dict[str, set[str]] = {}
+        for org_id, org in orgs:
             for alias in org.aliases:
                 normalized = normalize_name(alias)
                 if normalized:
-                    alias_all.setdefault(normalized, []).append(org.org_id)
-        canonical_index = {name: min(ids) for name, ids in canonical_all.items()}
-        alias_index = {name: min(ids) for name, ids in alias_all.items()}
+                    sharing.setdefault(normalized, set()).add(org_id)
+                    table[normalized] = (ALIAS, org_id, org.kind == UNIVERSITY, org.region)
+        for org_id, org in orgs:
+            table[normalize_name(org.canonical_name)] = (
+                EXACT, org_id, org.kind == UNIVERSITY, org.region
+            )
         ambiguous = {
-            name: tuple(sorted(set(ids)))
-            for name, ids in sorted(alias_all.items())
-            if len(set(ids)) > 1
+            name: tuple(sorted(ids)) for name, ids in sorted(sharing.items()) if len(ids) > 1
         }
-        return cls(canonical_index, alias_index, ambiguous, registry.roster)
+        return cls(table, ambiguous)
 
 
 def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:
@@ -145,14 +150,8 @@ def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:
     on any normalized alias; anything else is unresolved. Ties on a shared
     name are broken deterministically by the lowest org id.
     """
-    normalized = normalize_name(raw)
-    org_id = resolver.canonical_index.get(normalized)
-    if org_id is not None:
-        return AffiliationResolution(raw, org_id, EXACT)
-    org_id = resolver.alias_index.get(normalized)
-    if org_id is not None:
-        return AffiliationResolution(raw, org_id, ALIAS)
-    return AffiliationResolution(raw, None, UNRESOLVED)
+    tier, org_id, _, _ = resolver.table.get(normalize_name(raw), NO_MATCH)
+    return AffiliationResolution(raw, org_id, tier)
 
 
 def resolve_publication(
@@ -180,15 +179,16 @@ def resolve_publication(
 def attribute_authors(
     pub: PublicationRecord,
     universities: Sequence[str],
-    resolver: Resolver,
+    roster: Mapping[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]],
     policy: str = "strict",
 ) -> tuple[AuthorAttribution, ...]:
     """Attach roster universities and sectors to a publication's authors.
 
     The candidate set for an author is every distinct (university, sds) pair
-    from roster entries that match the author's name key, whose university is
-    among ``universities``, the publication's resolved university ids, and
-    whose active years contain the publication year.
+    among the ``roster`` triples (``Registry.roster``) of the author's name
+    key whose university is among ``universities``, the publication's
+    resolved university ids, and whose active years contain the publication
+    year.
     A single candidate yields a ``unique`` attribution. With several
     candidates, policy ``strict`` emits one ``ambiguous_skipped`` marker (no
     sector), while policy ``all`` emits one ``ambiguous_all`` attribution per
@@ -197,12 +197,11 @@ def attribute_authors(
     """
     if not universities:
         return ()
-    roster_index = resolver.roster_index
     pub_id, year = pub.pub_id, pub.year
     out: list[AuthorAttribution] = []
     for index, author in enumerate(pub.authors):
         # An AuthorName equals the (surname, initials) key it holds.
-        triples = roster_index.get(author)
+        triples = roster.get(author)
         if triples is None:
             continue
         candidates = {

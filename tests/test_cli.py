@@ -15,6 +15,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from collabmarket.indicators import (
     SnapshotDelta,
 )
 from collabmarket.ingest import load_publications, load_registries, write_publications
+from collabmarket.model import PublicationRecord
 from collabmarket.report import (
     NUM6,
     delta_table,
@@ -76,6 +78,15 @@ def _files(directory: Path) -> dict[str, bytes]:
         for p in sorted(directory.rglob("*"))
         if p.is_file()
     }
+
+
+def _files_but_out_line(directory: Path) -> dict[str, bytes]:
+    """``_files``, with the ``out`` line of effective_config.txt left out:
+    it names the run's own directory."""
+    files = _files(directory)
+    config = files["effective_config.txt"].splitlines()
+    files["effective_config.txt"] = [line for line in config if not line.startswith(b"out = ")]
+    return files
 
 
 class TestValidate:
@@ -625,12 +636,28 @@ class TestAnalyze:
         assert load_registries(*registries) == plain_registry
         assert main(["analyze", "--config", str(copied["config"]),
                      "--out", str(tmp_path / "bom")]) == 0
-        plain = _files(tmp_path / "plain")
-        bom = _files(tmp_path / "bom")
-        for files in (plain, bom):  # the effective configs differ in the out line
-            config = files["effective_config.txt"].splitlines()
-            files["effective_config.txt"] = [l for l in config if not l.startswith(b"out = ")]
-        assert plain == bom
+        assert _files_but_out_line(tmp_path / "plain") == _files_but_out_line(tmp_path / "bom")
+
+    def test_byte_order_mark_on_the_corpus_is_dropped(self, corpus, tmp_path, capsys):
+        """A byte-order mark that starts publications.jsonl is dropped, as on
+        the registries; one that starts a later line is bad JSON there."""
+        copied = _copy_corpus(corpus, tmp_path)
+        path = copied["publications"]
+        assert main(["analyze", "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "plain")]) == 0
+        text = path.read_bytes()
+        path.write_bytes(codecs.BOM_UTF8 + text)
+        assert main(["analyze", "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "bom")]) == 0
+        assert _files_but_out_line(tmp_path / "plain") == _files_but_out_line(tmp_path / "bom")
+
+        first, rest = text.split(b"\n", 1)
+        path.write_bytes(first + b"\n" + codecs.BOM_UTF8 + rest)
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "late")]) == 1
+        assert f"error: {path}:2: bad JSON: Unexpected UTF-8 BOM" in capsys.readouterr().err
+        assert not (tmp_path / "late").exists()
 
     def test_empty_window_still_produces_outputs(self, corpus, tmp_path):
         out = tmp_path / "out"
@@ -660,6 +687,20 @@ class TestSectorAndRegion:
                    "--sds", "XXX/99", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "taxonomy" in capsys.readouterr().err
+
+    def test_unknown_sector_is_refused_before_the_pass(self, corpus, tmp_path, capsys):
+        """The sector is checked once the registries are loaded: the pass
+        never reaches a broken first publication line."""
+        copied = _copy_corpus(corpus, tmp_path)
+        path = copied["publications"]
+        path.write_text('{"pub_id": "FIRST", "year": 2002,\n' + path.read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["sector", "--config", str(copied["config"]), "--sds", "XXX/99",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sds 'XXX/99' is not in the taxonomy\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["analyze"], ["sector", "--sds", "ING-INF/01"], ["region", "--name", "Abruzzo"],
@@ -1141,6 +1182,69 @@ def test_demo_outputs_match_recorded_digests(corpus, tmp_path):
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
+def test_run_commands_print_the_warnings_of_validate(corpus, tmp_path, capsys):
+    """With an alias that two organizations share and a publication none of
+    whose affiliations resolve, analyze, sector and region print the warning
+    lines that validate prints."""
+    copied = _copy_corpus(corpus, tmp_path)
+    path = copied["organizations"]
+    rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(
+        "".join(f"{row}|Shared Lab\n" if row.startswith(("E-ABR,", "E-BAS,")) else f"{row}\n"
+                for row in rows),
+        encoding="utf-8",
+    )
+    orphan = {"pub_id": "ORPHAN", "year": 2002, "authors": [{"surname": "nobody", "initials": "A"}],
+              "affiliations": ["Nowhere Institute", "***"]}
+    with copied["publications"].open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(orphan) + "\n")
+
+    def warnings(*command):
+        out = tmp_path / command[0]
+        assert main([*command, "--config", str(copied["config"]), "--out", str(out)]) == 0
+        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
+
+    expected = warnings("validate")
+    assert expected == [
+        "warning: alias 'shared lab' is shared by E-ABR, E-BAS; resolving to E-ABR",
+        "warning: publication 'ORPHAN': no affiliation resolved",
+    ]
+    assert warnings("analyze") == expected
+    assert warnings("sector", "--sds", "ING-INF/01") == expected
+    assert warnings("region", "--name", "Lombardy") == expected
+
+
+@pytest.mark.parametrize("split", ["per-region", "single"])
+@pytest.mark.parametrize("ambiguity", ["strict", "all"])
+def test_event_exports_are_in_sort_key_order(corpus, tmp_path, split, ambiguity):
+    """The exports list the UE events by pub_id, university and enterprise,
+    and the SDS events by pub_id, sector, supply region and enterprise, for
+    publications in shuffled order whose ids order differently as strings and
+    as numbers (P10 before P9). Half of them join two demo publications, so
+    one publication has several events of each kind."""
+    publications = demo_corpus()[0]
+    half = len(publications) // 2
+    joined = [
+        PublicationRecord(a.pub_id, a.year, a.authors + b.authors, a.affiliations + b.affiliations)
+        for a, b in zip(publications, publications[half:])
+    ]
+    records = [pub._replace(pub_id=f"P{i}") for i, pub in enumerate(joined + publications)]
+    random.Random(5).shuffle(records)
+    copied = _copy_corpus(corpus, tmp_path)
+    write_publications(records, copied["publications"])
+    with copied["config"].open("a", encoding="utf-8") as handle:
+        handle.write(f"ambiguity = {ambiguity}\nsds_region_split = {split}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(copied["config"]), "--out", str(out)]) == 0
+    for name, key in (("events_ue.csv", itemgetter(0, 1, 3)),
+                      ("events_sds.csv", itemgetter(0, 1, 3, 4))):
+        with (out / name).open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(set(map(tuple, rows))) == len(rows)
+        assert len({row[0] for row in rows}) < len(rows)  # a publication with several
+        assert rows == sorted(rows, key=key)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_publication_order_leaves_analyze_outputs_unchanged(corpus, tmp_path, seed):
     """A metamorphic relation: shuffling the lines of the publications file
@@ -1226,7 +1330,7 @@ class TestPipeline:
         resolutions = {pub.pub_id: resolve_publication(pub, resolver) for pub in publications}
         attributions = {
             pub.pub_id: attribute_authors(
-                pub, split_org_ids(resolutions[pub.pub_id], registry)[0], resolver
+                pub, split_org_ids(resolutions[pub.pub_id], registry)[0], registry.roster
             )
             for pub in publications
         }

@@ -11,8 +11,6 @@ from collabmarket.collab import (
     events_by_sds,
     export_sds_events,
     export_ue_events,
-    sort_sds_events,
-    sort_ue_events,
 )
 from collabmarket.model import (
     ENTERPRISE,
@@ -41,7 +39,7 @@ def _org_ids(registry, pub):
     the (sector, supply region) pairs of its attributions."""
     resolver = Resolver.build(registry)
     universities, enterprises = split_org_ids(resolve_publication(pub, resolver), registry)
-    attributions = attribute_authors(pub, universities, resolver)
+    attributions = attribute_authors(pub, universities, registry.roster)
     org_ids = with_regions(universities, registry), with_regions(enterprises, registry)
     return org_ids, supply_pairs(attributions, registry)
 
@@ -53,7 +51,7 @@ class TestUEEvents:
             "Acme Research", "Borg Devices",
         ])
         org_ids, _ = _org_ids(registry, pub)
-        events = [UECollaboration(*ev) for ev in sort_ue_events(derive_ue_events(pub, *org_ids))]
+        events = [UECollaboration(*ev) for ev in sorted(derive_ue_events(pub, *org_ids))]
         assert [(e.university_id, e.enterprise_id) for e in events] == [
             ("U1", "E1"), ("U1", "E2"), ("U2", "E1"), ("U2", "E2"),
         ]
@@ -81,7 +79,7 @@ class TestSDSEvents:
         org_ids, pairs = _org_ids(registry, pub)
         events = [
             SDSCollaboration(*ev)
-            for ev in sort_sds_events(derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy))
+            for ev in sorted(derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy))
         ]
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),

@@ -610,7 +610,7 @@ class TestFilters:
         resolutions = {p.pub_id: resolve_publication(p, resolver) for p in pubs}
         attributions = {
             p.pub_id: attribute_authors(
-                p, split_org_ids(resolutions[p.pub_id], registry)[0], resolver
+                p, split_org_ids(resolutions[p.pub_id], registry)[0], registry.roster
             )
             for p in pubs
         }

@@ -15,6 +15,7 @@ prefixes every org id: ``analyze`` writes the same tables, once mapped back.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -176,7 +177,9 @@ def _staged_reference(config: RunConfig):
     resolutions = {pub.pub_id: resolve_publication(pub, resolver, seen) for pub in publications}
     org_ids = {pub_id: split_org_ids(res, registry) for pub_id, res in resolutions.items()}
     attributions = {
-        pub.pub_id: attribute_authors(pub, org_ids[pub.pub_id][0], resolver, config.ambiguity)
+        pub.pub_id: attribute_authors(
+            pub, org_ids[pub.pub_id][0], registry.roster, config.ambiguity
+        )
         for pub in publications
     }
     kept, load_report = partition_resolvable(publications, resolutions)
@@ -256,8 +259,12 @@ def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split):
         rows, load_report, retained, ue_events, sds_events = _staged_reference(config)
 
     assert result.report_rows == rows
-    assert result.in_window == load_report.publications_read
-    assert result.warnings == load_report.warnings
+    assert len(result.report_rows) == load_report.publications_read
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        cli._warn(result)
+    assert [
+        line for line in err.getvalue().splitlines() if line.startswith("warning: publication ")
+    ] == [f"warning: {warning}" for warning in load_report.warnings]
     assert result.retained == retained
     assert Counter(result.ue_events) == Counter(ue_events)
     assert Counter(result.sds_events) == Counter(sds_events)
@@ -306,7 +313,7 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "iter_publications", counting_parse)
     result = run_pipeline(config)
-    in_window = result.in_window
+    in_window = len(result.report_rows)
     assert in_window > 1
     assert seen_at_yield == list(range(in_window))
     assert list(processed) == [pub.pub_id for pub in load_publications(config.publications,

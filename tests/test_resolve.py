@@ -5,7 +5,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmarket.model import ENTERPRISE, UNIVERSITY, AuthorName
+from collabmarket.model import (
+    ENTERPRISE,
+    UNIVERSITY,
+    AffiliationResolution,
+    AuthorName,
+    Organization,
+)
 from collabmarket.resolve import (
     ALIAS,
     AMBIGUOUS_ALL,
@@ -93,8 +99,8 @@ class TestNormalizeInitials:
 class TestResolver:
     def test_canonical_and_alias_indexes(self, registry):
         resolver = Resolver.build(registry)
-        assert resolver.canonical_index["universita di roma"] == "U1"
-        assert resolver.alias_index["milan polytechnic"] == "U2"
+        assert resolver.table["universita di roma"][:2] == (EXACT, "U1")
+        assert resolver.table["milan polytechnic"][:2] == (ALIAS, "U2")
 
     def test_alias_collision_lowest_org_id_wins(self, taxonomy):
         organizations = (
@@ -103,13 +109,75 @@ class TestResolver:
         )
         registry = make_registry(organizations, (), taxonomy)
         resolver = Resolver.build(registry)
-        assert resolver.alias_index["unix"] == "U1"
+        assert resolver.table["unix"][:2] == (ALIAS, "U1")
         assert resolver.ambiguous_aliases == {"unix": ("U1", "U2")}
 
     def test_roster_index_groups_homonyms(self, registry):
-        resolver = Resolver.build(registry)
-        triples = resolver.roster_index[("rossi", "M")]
+        triples = registry.roster[("rossi", "M")]
         assert triples == (("U1", "ING-INF/01", YEARS), ("U2", "ING-INF/01", YEARS))
+
+
+# Names that registries share: spellings that normalize alike, and names that
+# normalize to nothing.
+NAME_POOL = ("Alpha Lab", "ALPHA  lab", "alpha-lab", "Beta", "Béta", "Gamma Works", "Delta",
+             "***", "", "Ωmega")
+
+
+@st.composite
+def org_registries(draw):
+    """Up to six organizations, ids in any order, whose canonical names and
+    aliases come from ``NAME_POOL``: a name can be canonical for one and an
+    alias of others, and an alias can be listed by two or three."""
+    ids = draw(st.lists(st.sampled_from([f"O{i}" for i in range(12)]), min_size=1, max_size=6,
+                        unique=True))
+    return tuple(
+        Organization(
+            org_id,
+            draw(st.sampled_from(NAME_POOL)),
+            tuple(draw(st.lists(st.sampled_from(NAME_POOL), max_size=3))),
+            draw(st.sampled_from((UNIVERSITY, ENTERPRISE))),
+            draw(st.sampled_from(("Lazio", "Sicily"))),
+        )
+        for org_id in ids
+    )
+
+
+def _reference_resolution(organizations, raw):
+    """The resolution rule read off the registry: the lowest id whose
+    canonical name matches, else the lowest id with a matching non-empty
+    alias."""
+    name = normalize_name(raw)
+    exact = [org.org_id for org in organizations if normalize_name(org.canonical_name) == name]
+    if exact:
+        return AffiliationResolution(raw, min(exact), EXACT)
+    alias = [
+        org.org_id
+        for org in organizations
+        if name and any(normalize_name(a) == name for a in org.aliases)
+    ]
+    if alias:
+        return AffiliationResolution(raw, min(alias), ALIAS)
+    return AffiliationResolution(raw, None, UNRESOLVED)
+
+
+@settings(max_examples=300)
+@given(organizations=org_registries(), unknown=st.text(max_size=12))
+def test_table_resolves_canonical_first_then_alias_at_the_lowest_id(organizations, unknown):
+    registry = make_registry(organizations, (), {})
+    resolver = Resolver.build(registry)
+    for raw in (*NAME_POOL, unknown, "Nowhere Institute"):
+        assert resolve_affiliation(raw, resolver) == _reference_resolution(organizations, raw)
+    for tier, org_id, is_university, region in resolver.table.values():
+        org = registry.by_id[org_id]
+        assert (is_university, region) == (org.kind == UNIVERSITY, org.region)
+    sharing = {}
+    for org in organizations:
+        for alias in map(normalize_name, org.aliases):
+            if alias:
+                sharing.setdefault(alias, set()).add(org.org_id)
+    assert resolver.ambiguous_aliases == {
+        alias: tuple(sorted(ids)) for alias, ids in sorted(sharing.items()) if len(ids) > 1
+    }
 
 
 class TestResolveAffiliation:
@@ -165,45 +233,45 @@ class TestResolveAffiliation:
 
 class TestAttribution:
     def _resolve(self, registry, pub):
-        """The resolver and the publication's resolved university ids."""
+        """The roster table and the publication's resolved university ids."""
         resolver = Resolver.build(registry)
         universities, _ = split_org_ids(resolve_publication(pub, resolver), registry)
-        return resolver, universities
+        return registry.roster, universities
 
     def test_unique_match(self, registry):
         pub = make_pub("P1", ["Politecnico di Milano"], authors=[("bianchi", "G")])
-        resolver, universities = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, universities, resolver)
+        roster, universities = self._resolve(registry, pub)
+        (att,) = attribute_authors(pub, universities, roster)
         assert (att.university_id, att.sds, att.status) == ("U2", "FIS/01", UNIQUE)
 
     def test_year_outside_active_years_blocks(self, registry):
         pub = make_pub("P1", ["Universita di Roma"], authors=[("verdi", "A")], year=2002)
-        resolver, universities = self._resolve(registry, pub)
-        assert attribute_authors(pub, universities, resolver) == ()
+        roster, universities = self._resolve(registry, pub)
+        assert attribute_authors(pub, universities, roster) == ()
 
     def test_unmatched_author_produces_nothing(self, registry):
         pub = make_pub("P1", ["Universita di Roma"], authors=[("neri", "Z")])
-        resolver, universities = self._resolve(registry, pub)
-        assert attribute_authors(pub, universities, resolver) == ()
+        roster, universities = self._resolve(registry, pub)
+        assert attribute_authors(pub, universities, roster) == ()
 
     def test_university_not_in_publication_blocks(self, registry):
         pub = make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])
-        resolver, universities = self._resolve(registry, pub)
-        assert attribute_authors(pub, universities, resolver) == ()
+        roster, universities = self._resolve(registry, pub)
+        assert attribute_authors(pub, universities, roster) == ()
 
     def test_ambiguous_strict_skips_with_no_sds(self, registry):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano"],
                        authors=[("rossi", "M")])
-        resolver, universities = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, universities, resolver, "strict")
+        roster, universities = self._resolve(registry, pub)
+        (att,) = attribute_authors(pub, universities, roster, "strict")
         assert att.status == AMBIGUOUS_SKIPPED
         assert att.sds is None and att.university_id is None
 
     def test_ambiguous_all_one_per_distinct_sds(self, registry):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano"],
                        authors=[("rossi", "M")])
-        resolver, universities = self._resolve(registry, pub)
-        atts = attribute_authors(pub, universities, resolver, "all")
+        roster, universities = self._resolve(registry, pub)
+        atts = attribute_authors(pub, universities, roster, "all")
         # both candidates share ING-INF/01, so one attribution at the lowest id
         assert [(a.university_id, a.sds, a.status) for a in atts] == [
             ("U1", "ING-INF/01", AMBIGUOUS_ALL)
@@ -211,8 +279,8 @@ class TestAttribution:
 
     def test_single_candidate_from_many_entries_is_unique(self, registry):
         pub = make_pub("P1", ["Universita di Roma"], authors=[("rossi", "M")])
-        resolver, universities = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, universities, resolver)
+        roster, universities = self._resolve(registry, pub)
+        (att,) = attribute_authors(pub, universities, roster)
         assert (att.university_id, att.status) == ("U1", UNIQUE)
 
     def test_report_rows(self, registry):
@@ -221,7 +289,7 @@ class TestAttribution:
                        authors=[("rossi", "M"), ("neri", "Z")])
         resolutions = {"P1": resolve_publication(pub, resolver)}
         universities, _ = split_org_ids(resolutions["P1"], registry)
-        attributions = {"P1": attribute_authors(pub, universities, resolver)}
+        attributions = {"P1": attribute_authors(pub, universities, registry.roster)}
         (row,) = resolution_report_rows([pub], resolutions, attributions)
         # exact=1 (Acme), alias=1 (Univ. Roma), unresolved=1, unique=1, ambiguous=0
         assert row == ("P1", 1, 1, 1, 1, 0)
