@@ -23,16 +23,19 @@ the event exports read the event lists.
 
 Before anything is written, the run subcommands and ``validate`` go through one
 refusal stage (``_indicator_rows``): file-name stems, headcounts, the table2
-and table3 rows, and a check of every number in them. The run subcommands stop
-at its first problem; ``validate`` lists them all, so it exits 1 exactly when
-``analyze`` would.
+and table3 rows, and a check of every number in them. Its problems, like the
+inputs', go to ``ingest._report``, which alone decides whether to stop or to
+list: it raises without a diagnostics list, so the run subcommands stop at the
+first problem, and appends with one, so ``validate`` lists them all and exits
+1 exactly when ``analyze`` would.
 
 ``diff`` reads each snapshot's JSONL tables one file at a time and keeps only
 the four values of each (sector, region) cell that it compares. A table must
 list each region of its manifest exactly once, with finite compared numbers;
-a line as ``analyze`` writes it passes one accept check, and any other goes
-through the checks that name its problem. The delta report goes to its two
-files a bounded chunk of cells at a time, rendered column by column.
+each line and the manifest are read by ``ingest._json_line``, the one JSON
+reader. A line as ``analyze`` writes it passes one accept check, and any other
+goes through the checks that name its problem. The delta report goes to its
+two files a bounded chunk of cells at a time, rendered column by column.
 
 Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
 run completed without hard errors, 1 for data errors and 2 for usage problems,
@@ -81,7 +84,7 @@ from .indicators import (
     sector_flows,
     snapshot_diff,
 )
-from .ingest import _json_line, _scan_json, iter_publications, load_registries, not_utf8
+from .ingest import _json_line, _report, iter_publications, load_registries, not_utf8
 from .model import Registry
 from .report import (
     DELTA_REPORT,
@@ -298,8 +301,7 @@ def cmd_validate(config: RunConfig) -> int:
         _print_diagnostics(diagnostics)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    *_, problems = _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions)
-    diagnostics += map(str, problems)
+    _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions, diagnostics)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolution_report(result, out_dir)
@@ -354,31 +356,32 @@ def _check_rows(
 
 @_collector_paused()
 def _indicator_rows(
-    config: RunConfig, result: PipelineResult, sectors: Sequence[str], regions: Sequence[str]
+    config: RunConfig,
+    result: PipelineResult,
+    sectors: Sequence[str],
+    regions: Sequence[str],
+    diagnostics: list[str] | None = None,
 ) -> tuple[
-    dict[str, str],
-    dict[str, list[SectorCorrespondenceRow]],
-    dict[str, list[SectorFlowsRow]],
-    list[CollabMarketError],
+    dict[str, str], dict[str, list[SectorCorrespondenceRow]], dict[str, list[SectorFlowsRow]]
 ]:
     """The refusal stage of the run commands and ``validate``.
 
     Computes table2 of ``sectors`` (of every taxonomy sector when ``regions``
-    asks for cards, which span them all) and table3 of ``sectors``. Returns
-    the sectors' file-name stems, those rows and every problem, in order: a
-    stem shared by two configured regions, or by two of the active and the
-    requested sectors, then each message of ``_check_rows``.
+    asks for cards, which span them all) and table3 of ``sectors``, and
+    returns the sectors' file-name stems and those rows. Each problem goes to
+    ``ingest._report``, in order: a stem shared by two configured regions, or
+    by two of the active and the requested sectors, then each message of
+    ``_check_rows``.
     """
     cube = result.cube
-    problems: list[CollabMarketError] = []
     try:
         output_stems(config.regions, "regions")
     except ValidationError as exc:
-        problems.append(exc)
+        _report(exc, diagnostics)
     try:
         stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
     except ValidationError as exc:
-        problems.append(exc)
+        _report(exc, diagnostics)
         stems = {}
     headcounts = all_headcounts(result.registry)
     correspondence = {
@@ -392,8 +395,9 @@ def _indicator_rows(
         for sds in (sorted(result.registry.taxonomy) if regions else sectors)
     }
     flows = {sds: sector_flows(sds, headcounts[sds], cube, config.regions) for sds in sectors}
-    problems += map(ComputationError, _check_rows(correspondence, flows))
-    return stems, correspondence, flows, problems
+    for message in _check_rows(correspondence, flows):
+        _report(ComputationError(message), diagnostics)
+    return stems, correspondence, flows
 
 
 def _write_indicators(
@@ -407,9 +411,7 @@ def _write_indicators(
     Raises the first problem of ``_indicator_rows`` before ``--out`` is
     created. Returns the sectors' stems, correspondence rows and flows rows.
     """
-    stems, correspondence, flows, problems = _indicator_rows(config, result, sectors, regions)
-    if problems:
-        raise problems[0]
+    stems, correspondence, flows = _indicator_rows(config, result, sectors, regions)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for sds in sectors:
@@ -507,23 +509,25 @@ def _read_compared(
     included, would fail inside snapshot_diff. Each of ``regions`` must be on
     exactly one line.
 
-    A line as ``render_table`` writes it is accepted by one check: the whole
-    line is one object with those keys, a region of the manifest not seen
-    yet, and a finite float or null in each compared field. Any other line
-    takes the checks in order, and the first that fails names the problem.
+    Each line is read by ``ingest._json_line``. A line as ``render_table``
+    writes it is accepted by one check of its value: an object with those
+    keys, a region of the manifest not seen yet, and a finite float or null
+    in each compared field. Any other line takes the checks in order, and the
+    first that fails names the problem.
     """
     first, second = compared
     cells: dict[str, tuple] = {}
     try:
         with path.open(encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
                 try:
-                    obj, end = _scan_json(line, 0)
-                except (StopIteration, ValueError, RecursionError):
-                    obj = end = None
+                    obj = _json_line(line)
+                except json.JSONDecodeError as exc:
+                    raise DiffError(f"{path}:{line_no}: bad JSON: {exc.msg}") from None
                 if (
                     type(obj) is dict
-                    and line[end:] in ("\n", "")
                     and tuple(obj) == fields
                     and type(region := obj["region"]) is str
                     and region in regions
@@ -533,13 +537,7 @@ def _read_compared(
                 ):
                     cells[regions[region]] = a, b
                     continue
-                if not line.strip():
-                    continue
                 where = f"{path}:{line_no}"
-                try:
-                    obj = _json_line(line)
-                except json.JSONDecodeError as exc:
-                    raise DiffError(f"{where}: bad JSON: {exc.msg}") from None
                 if not isinstance(obj, dict) or tuple(obj) != fields:
                     keys = ", ".join(fields)
                     raise DiffError(f"{where}: expected an object with the keys {keys}")

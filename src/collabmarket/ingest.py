@@ -17,9 +17,12 @@ input must be UTF-8: a byte that is not raises a ``ParseError`` naming the
 file and the line. A CSV file or the corpus may start with a UTF-8
 byte-order mark, as spreadsheet and text tools save it; the mark is dropped.
 
-Loaders raise on the first bad record by default. When a ``diagnostics`` list
-is passed, record-level problems are appended to it as messages and the record
-is skipped instead, so a validation pass can report many issues at once.
+Each loader raises a record's problem and hands it to ``_report``, which
+alone decides, here and in ``cli``, whether to stop at the first problem or to
+list them all: it raises without a ``diagnostics`` list; with one it appends
+the message and the loader skips the record. Every JSON reader goes through
+``_json_line``, which raises ``json.JSONDecodeError`` on any text it cannot
+read, an integer too long to convert among them.
 
 ``iter_publications`` yields the corpus one record at a time, so a run holds
 no list of it; ``load_publications`` collects the same records into a list.
@@ -70,6 +73,7 @@ TAXONOMY_COLUMNS = ("sds", "uda")
 
 
 def _report(exc: CollabMarketError, diagnostics: list[str] | None) -> None:
+    """Raise ``exc`` when there is no ``diagnostics`` list, else append its message."""
     if diagnostics is None:
         raise exc
     diagnostics.append(str(exc))
@@ -88,8 +92,9 @@ def _json_line(line: str) -> object:
     """The value on one non-blank line, or in a whole JSON document, exactly
     as ``json.loads`` reads it.
 
-    A value nested too deeply for the parser's recursion limit raises
-    ``json.JSONDecodeError`` like any other bad JSON, not ``RecursionError``.
+    Any text that ``json.loads`` cannot read raises ``json.JSONDecodeError``:
+    bad syntax, a value nested too deeply for the parser's recursion limit,
+    and an integer longer than ``sys.get_int_max_str_digits()`` digits.
     """
     try:
         try:
@@ -100,8 +105,12 @@ def _json_line(line: str) -> object:
             pass
         # Surrounding whitespace, extra data and errors take json's own path.
         return json.loads(line)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", line, 0) from None
+    except ValueError:  # int() refuses the digits of an integer literal
+        raise json.JSONDecodeError("integer too long to convert", line, 0) from None
 
 
 def not_utf8(path: Path) -> tuple[int, str]:
@@ -184,14 +193,11 @@ def iter_publications(
                     continue
                 try:
                     record = _parse_publication(line, path, line_no)
-                except (ParseError, ValidationError) as exc:
+                    if record.pub_id in seen:
+                        message = f"duplicate pub_id {record.pub_id!r}"
+                        raise ValidationError(f"{path}:{line_no}: {message}")
+                except CollabMarketError as exc:
                     _report(exc, diagnostics)
-                    continue
-                if record.pub_id in seen:
-                    _report(
-                        ValidationError(f"{path}:{line_no}: duplicate pub_id {record.pub_id!r}"),
-                        diagnostics,
-                    )
                     continue
                 seen.add(record.pub_id)
                 if window is not None and not window[0] <= record.year <= window[1]:
@@ -274,17 +280,16 @@ def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> dict[str, str]:
         for line_no, (sds, uda) in rows:
             sds = sds.strip()
             uda = uda.strip()
-            if not sds or not uda:
-                _report(ParseError(path, line_no, "sds and uda must be non-empty"), diagnostics)
-                continue
-            if sds in parent:
-                _report(
-                    ValidationError(
+            try:
+                if not sds or not uda:
+                    raise ParseError(path, line_no, "sds and uda must be non-empty")
+                if sds in parent:
+                    raise ValidationError(
                         f"{path}:{line_no}: sds {sds!r} listed twice "
                         f"(udas {parent[sds]!r} and {uda!r}); each sds has exactly one parent"
-                    ),
-                    diagnostics,
-                )
+                    )
+            except CollabMarketError as exc:
+                _report(exc, diagnostics)
                 continue
             parent[sds] = areas.setdefault(uda, uda)
     return parent
@@ -301,35 +306,25 @@ def _load_organizations(
             kind = kind.strip()
             region = region.strip()
             canonical = canonical.strip()
-            if not org_id:
-                _report(ParseError(path, line_no, "org_id must be non-empty"), diagnostics)
-                continue
-            if org_id in by_id:
-                _report(ValidationError(f"{path}:{line_no}: duplicate org_id {org_id!r}"), diagnostics)
-                continue
-            if kind not in ORG_KINDS:
-                _report(
-                    ValidationError(
+            try:
+                if not org_id:
+                    raise ParseError(path, line_no, "org_id must be non-empty")
+                if org_id in by_id:
+                    raise ValidationError(f"{path}:{line_no}: duplicate org_id {org_id!r}")
+                if kind not in ORG_KINDS:
+                    raise ValidationError(
                         f"{path}:{line_no}: org {org_id!r} has kind {kind!r}; "
                         f"expected one of {', '.join(ORG_KINDS)}"
-                    ),
-                    diagnostics,
-                )
-                continue
-            if region_set is not None and region not in region_set:
-                _report(
-                    ValidationError(
+                    )
+                if region_set is not None and region not in region_set:
+                    raise ValidationError(
                         f"{path}:{line_no}: org {org_id!r} region {region!r} "
                         "is not in the configured region set"
-                    ),
-                    diagnostics,
-                )
-                continue
-            if not normalize_name(canonical):
-                _report(
-                    ValidationError(f"{path}:{line_no}: org {org_id!r} canonical name is blank"),
-                    diagnostics,
-                )
+                    )
+                if not normalize_name(canonical):
+                    raise ValidationError(f"{path}:{line_no}: org {org_id!r} canonical name is blank")
+            except CollabMarketError as exc:
+                _report(exc, diagnostics)
                 continue
             names = [a.strip() for a in aliases.split("|") if a.strip()]
             if canonical not in names:
@@ -418,48 +413,33 @@ def _load_roster(
             university_id = university_id.strip()
             sds = sds.strip()
             uda = uda.strip()
-            if not surname or not 1 <= len(initials) <= 3:
-                _report(
-                    ParseError(path, line_no, "roster rows need a surname and 1-3 initials"),
-                    diagnostics,
-                )
-                continue
-            university = universities.get(university_id)
-            sector = sectors.get(sds)
-            if university is None or sector is None or sector[1] != uda:
-                _report(
-                    _referential_error(
+            try:
+                if not surname or not 1 <= len(initials) <= 3:
+                    raise ParseError(path, line_no, "roster rows need a surname and 1-3 initials")
+                university = universities.get(university_id)
+                sector = sectors.get(sds)
+                if university is None or sector is None or sector[1] != uda:
+                    raise _referential_error(
                         path, line_no, surname, university_id, sds, uda, by_id, taxonomy
-                    ),
-                    diagnostics,
-                )
-                continue
-            if years not in years_of:
-                years_of[years] = _parse_years(years)
-            if weight not in weight_of:
-                weight_of[weight] = _parse_weight(weight)
-            active_years = years_of[years]
-            headcount = weight_of[weight]
-            if active_years is None or headcount is None:
-                _report(
-                    ParseError(path, line_no, "active_years must be integers and headcount_weight a number"),
-                    diagnostics,
-                )
-                continue
-            if not active_years:
-                _report(ParseError(path, line_no, "active_years must not be empty"), diagnostics)
-                continue
-            if not headcount > 0:
-                _report(
-                    ValidationError(f"{path}:{line_no}: headcount_weight must be positive"),
-                    diagnostics,
-                )
-                continue
-            if not math.isfinite(headcount):
-                _report(
-                    ValidationError(f"{path}:{line_no}: headcount_weight is not a finite number"),
-                    diagnostics,
-                )
+                    )
+                if years not in years_of:
+                    years_of[years] = _parse_years(years)
+                if weight not in weight_of:
+                    weight_of[weight] = _parse_weight(weight)
+                active_years = years_of[years]
+                headcount = weight_of[weight]
+                if active_years is None or headcount is None:
+                    raise ParseError(
+                        path, line_no, "active_years must be integers and headcount_weight a number"
+                    )
+                if not active_years:
+                    raise ParseError(path, line_no, "active_years must not be empty")
+                if not headcount > 0:
+                    raise ValidationError(f"{path}:{line_no}: headcount_weight must be positive")
+                if not math.isfinite(headcount):
+                    raise ValidationError(f"{path}:{line_no}: headcount_weight is not a finite number")
+            except CollabMarketError as exc:
+                _report(exc, diagnostics)
                 continue
             university_id, region = university
             sds, _, per_region = sector

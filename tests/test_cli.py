@@ -11,6 +11,8 @@ import io
 import json
 import math
 import random
+import re
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -57,6 +59,9 @@ DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
 # Past the JSON parser's recursion limit on every supported Python (3.13
 # parses an array 5000 levels deep).
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+# One digit more than int() converts from text.
+LONG_INTEGER = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +576,76 @@ def test_deeply_nested_publication_is_bad_json(corpus, tmp_path, capsys, command
     assert err.count("error:") == 1
     assert f"error: {path}:3: bad JSON: nested too deeply" in err
     assert "Traceback" not in err
+
+
+class TestIntegerTooLong:
+    """An integer literal longer than int() converts is bad JSON in every
+    reader, named with its file and line, never a traceback."""
+
+    def _corpus_line(self, corpus, tmp_path):
+        """A copy of the corpus whose third line holds the integer as its year."""
+        copied = _copy_corpus(corpus, tmp_path)
+        lines = copied["publications"].read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        lines[2] = json.dumps(row).replace(f'"year": {row["year"]}', f'"year": {LONG_INTEGER}')
+        assert LONG_INTEGER in lines[2]
+        copied["publications"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return copied
+
+    def test_analyze_exits_1_naming_the_line(self, corpus, tmp_path, capsys):
+        copied = self._corpus_line(corpus, tmp_path)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--config", str(copied["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {copied['publications']}:3: bad JSON: integer too long to convert" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_validate_lists_the_line_and_writes_its_report(self, corpus, tmp_path, capsys):
+        copied = self._corpus_line(corpus, tmp_path)
+        out = tmp_path / "out"
+        rc = main(["validate", "--config", str(copied["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            f"error: {copied['publications']}:3: bad JSON: integer too long to convert"
+        ]
+        assert "Traceback" not in err
+        assert (out / "resolution_report.csv").exists()
+
+    def test_diff_of_a_table2_line(self, analyzed_dir, tmp_path, capsys):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(analyzed_dir, damaged)
+        path = damaged / "table2_ING-INF-01.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = re.sub(r'"surplus": [^,]*', f'"surplus": {LONG_INTEGER}', lines[1])
+        assert LONG_INTEGER in lines[1]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["diff", "--t0", str(analyzed_dir), "--t1", str(damaged),
+                   "--out", str(tmp_path / "delta")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {path}:2: bad JSON: integer too long to convert" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "delta").exists()
+
+    def test_diff_of_the_manifest(self, analyzed_dir, tmp_path, capsys):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(analyzed_dir, damaged)
+        path = damaged / "snapshot.json"
+        text = path.read_text(encoding="utf-8")
+        changed = re.sub(r'"ue_events": \d+', f'"ue_events": {LONG_INTEGER}', text)
+        assert changed != text
+        path.write_text(changed, encoding="utf-8")
+        rc = main(["diff", "--t0", str(damaged), "--t1", str(analyzed_dir),
+                   "--out", str(tmp_path / "delta")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {path}:" in err
+        assert "bad JSON: integer too long to convert" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "delta").exists()
 
 
 class TestAnalyze:
@@ -1159,6 +1234,30 @@ class TestOutputNames:
         err = capsys.readouterr().err
         assert rc == 1
         assert "'ING-INF-01'" in err and "'ING-INF/01'" in err
+        assert not out.exists()
+
+    def test_region_clash_is_reported_before_the_sector_clash(self, corpus, clashing,
+                                                              tmp_path, capsys):
+        """Regions and sectors that both clash: validate lists both messages,
+        the region one first; analyze stops at the region one."""
+        regions = "|".join([*load_config(corpus["config"]).regions, "Emilia-Romagna"])
+        region_clash = ("error: regions 'Emilia Romagna' and 'Emilia-Romagna' would both "
+                        "write their outputs under the name 'Emilia-Romagna'")
+        sector_clash = ("error: sectors 'ING-INF-01' and 'ING-INF/01' would both "
+                        "write their outputs under the name 'ING-INF-01'")
+        out = tmp_path / "validate"
+        assert main(["validate", *clashing, "--regions", regions, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            region_clash, sector_clash
+        ]
+        out = tmp_path / "analyze"
+        assert main(["analyze", *clashing, "--regions", regions, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            region_clash
+        ]
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -7,9 +7,10 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmarket.demo import write_demo_corpus
@@ -18,6 +19,7 @@ from collabmarket.ingest import (
     ORG_COLUMNS,
     ROSTER_COLUMNS,
     TAXONOMY_COLUMNS,
+    _json_line,
     _load_roster,
     filter_hard_sciences,
     load_publications,
@@ -59,6 +61,60 @@ def _pub_record(pub_id="P1", year=2002, authors=None, affiliations=None):
         "authors": authors if authors is not None else [_author("Rossi", "M.")],
         "affiliations": affiliations if affiliations is not None else ["Universita di Roma"],
     }
+
+
+# The most digits int() converts from text.
+_DIGITS = sys.get_int_max_str_digits()
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_texts(draw):
+    """Random JSON, integer and float literals about as long as int()
+    converts, arrays nested far past the parser's limit, and random text,
+    each with one of the line ends a reader meets."""
+    kind = draw(st.sampled_from(["value", "digits", "deep", "text"]))
+    if kind == "value":
+        text = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
+    elif kind == "digits":
+        digits = "7" * draw(st.integers(_DIGITS - 1, _DIGITS + 2))
+        template = draw(st.sampled_from(
+            ["{}", "-{}", "[0, {}]", '{{"year": {}}}', "{}.5", "{}e3", "[{}", "{} 1"]
+        ))
+        text = template.format(digits)
+    elif kind == "deep":
+        depth = draw(st.sampled_from([1, 20, 200, 100_000]))
+        text = "[" * depth + "]" * (depth - draw(st.integers(0, 1)))
+    else:
+        text = draw(st.text())
+    return text + draw(st.sampled_from(["", "\n", " \n", "\r\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_texts())
+@example("7" * (_DIGITS + 1))
+@example('{"year": -' + "7" * (_DIGITS + 1) + "}\n")
+@example("[" * 100_000)
+def test_json_line_returns_what_json_loads_returns_or_raises_decode_error(text):
+    """Where ``json.loads`` returns a value, ``_json_line`` returns the same;
+    where it raises anything, ``_json_line`` raises ``json.JSONDecodeError``,
+    and nothing else."""
+    try:
+        expected = json.dumps(json.loads(text))
+    except (ValueError, RecursionError):
+        expected = None
+    try:
+        value = _json_line(text)
+    except json.JSONDecodeError:
+        assert expected is None
+    else:
+        assert json.dumps(value) == expected
 
 
 class TestLoadPublications:
