@@ -84,7 +84,14 @@ from .indicators import (
     sector_flows,
     snapshot_diff,
 )
-from .ingest import _json_line, _report, iter_publications, load_registries, not_utf8
+from .ingest import (
+    LONE_SURROGATE,
+    _json_line,
+    _report,
+    iter_publications,
+    load_registries,
+    not_utf8,
+)
 from .model import Registry
 from .report import (
     DELTA_REPORT,
@@ -589,6 +596,12 @@ def _read_manifest(path: Path) -> dict:
         value = manifest.get(key)
         if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
             raise DiffError(f"{path}: {key!r} is missing or not an object of strings")
+    # The delta report and the table file names hold these; no file can hold a lone surrogate.
+    active = manifest["active_sds"]
+    for key, texts in (("regions", regions), ("active_sds", chain(active, active.values()))):
+        for text in texts:
+            if LONE_SURROGATE.search(text):
+                raise DiffError(f"{path}: {key!r} holds {text!r}, a lone surrogate, not text")
     return manifest
 
 
@@ -625,8 +638,42 @@ def _write_delta_report(out_dir: Path, deltas: Sequence[SnapshotDelta]) -> None:
             handle.writelines(delta_lines(deltas, fmt))
 
 
+def _compared_settings(directory: Path) -> dict[str, str]:
+    """The settings of the run that wrote ``directory`` that change the
+    compared columns, each as ``effective_config.txt`` writes it."""
+    config = load_config(directory / "effective_config.txt")
+    settings = {"ambiguity": config.ambiguity, "sds_region_split": config.sds_region_split}
+    for sds, multiplier in config.capacity_multipliers.items():
+        settings[f"capacity.{sds}"] = repr(multiplier)
+    return settings
+
+
+def _warn_settings(t0: Path, t1: Path) -> None:
+    """Warn of each setting that changes the compared columns and differs
+    between the two runs, which a diff would show as a change of the market;
+    or of each ``effective_config.txt`` that does not load."""
+    settings = []
+    for directory in (t0, t1):
+        try:
+            settings.append(_compared_settings(directory))
+        except UsageError as exc:
+            print(f"warning: settings not compared: {exc}", file=sys.stderr)
+    if len(settings) < 2:
+        return
+    before, after = settings
+    unset = repr(1.0)  # only a capacity multiplier may be absent
+    for key in sorted({*before, *after}):
+        value_t0, value_t1 = before.get(key, unset), after.get(key, unset)
+        if value_t0 != value_t1:
+            print(
+                f"warning: the snapshots differ in {key}: {value_t0} in {t0}, {value_t1} in {t1}",
+                file=sys.stderr,
+            )
+
+
 def cmd_diff(t0: str, t1: str, out: str) -> int:
     deltas = snapshot_diff(_read_snapshot(Path(t0)), _read_snapshot(Path(t1)))
+    _warn_settings(Path(t0), Path(t1))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_delta_report(out_dir, deltas)

@@ -472,13 +472,10 @@ def rank_regions(values: Sequence[float | None]) -> list[int | None]:
     return ranks
 
 
-_AGGREGATE_METRICS = (
-    ("demand_per_scientist", "correspondence"),
-    ("national_supply_per_scientist", "flows"),
-    ("intra_supply_per_scientist", "flows"),
-    ("market_share_per_scientist", "flows"),
-    ("intra_over_national_supply", "flows"),
-)
+# Each metric of ``AggregateRow`` (its rank follows it) and the table it is read from.
+_AGGREGATE_METRICS = tuple(zip(
+    AggregateRow._fields[1::2], ("correspondence", "flows", "flows", "flows", "flows"), strict=True
+))
 
 
 def aggregate_regions(

@@ -83,9 +83,32 @@ def _report(exc: CollabMarketError, diagnostics: list[str] | None) -> None:
 # to one, and so does a command line byte that is not UTF-8.
 LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
-# json's C scanner; json.loads wraps each call to it in two Python-level
-# calls and two regular expression matches.
+# json's C scanner and the whitespace json.loads skips around the value.
 _scan_json = json.JSONDecoder().scan_once
+_json_space = json.decoder.WHITESPACE.match
+
+
+def _json_value(text: str) -> object:
+    """``json.loads(text)``, with every call to the scanner made from here, so
+    that every read of a text goes as deep into it as every other. A value
+    that starts the text, followed by nothing or a newline, takes no regular
+    expression."""
+    try:
+        value, end = _scan_json(text, 0)
+    except StopIteration:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            ) from None
+        try:
+            value, end = _scan_json(text, _json_space(text).end())
+        except StopIteration as stop:
+            raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+    if text[end:] not in ("\n", ""):
+        end = _json_space(text, end).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    return value
 
 
 def _json_line(line: str) -> object:
@@ -97,20 +120,29 @@ def _json_line(line: str) -> object:
     and an integer longer than ``sys.get_int_max_str_digits()`` digits.
     """
     try:
-        try:
-            value, end = _scan_json(line, 0)
-            if line[end:] in ("\n", ""):
-                return value
-        except (StopIteration, json.JSONDecodeError):
-            pass
-        # Surrounding whitespace, extra data and errors take json's own path.
-        return json.loads(line)
+        return _json_value(line)
     except json.JSONDecodeError:
         raise
     except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", line, 0) from None
+        msg = "nested too deeply"
     except ValueError:  # int() refuses the digits of an integer literal
-        raise json.JSONDecodeError("integer too long to convert", line, 0) from None
+        msg = "integer too long to convert"
+    # json gives these two errors no position. The scanner stops at the first
+    # bracket too deep or digit too many: the last character of the shortest
+    # prefix that fails the same way. Each prefix is read from this frame, at
+    # the stack depth that set how deep the scanner could go.
+    ok, bad = 0, len(line)
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            _json_value(line[:mid])
+        except json.JSONDecodeError:
+            pass
+        except (RecursionError, ValueError):
+            bad = mid
+            continue
+        ok = mid
+    raise json.JSONDecodeError(msg, line, bad - 1)
 
 
 def not_utf8(path: Path) -> tuple[int, str]:

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .errors import UsageError, ValidationError
 from .indicators import (
     AggregateRow,
+    MetricDelta,
     QuadrantPosition,
     RegionalSummary,
     RegionSectorStats,
@@ -251,79 +252,37 @@ def render_table(table: RenderedTable, fmt: str) -> str:
     return header + render(list(zip(*table.rows)))
 
 
-_REGIONAL_COLUMNS = (
-    Column("region", TEXT),
-    Column("supply_intra", INT),
-    Column("supply_extra", INT),
-    Column("supply_national", INT),
-    Column("demand_intra", INT),
-    Column("demand_extra", INT),
-    Column("demand_national", INT),
-    Column("net_difference", INT),
-    Column("market_share", PCT0),
-)
+def _columns(names: Sequence[str], kinds: Sequence[str]) -> tuple[Column, ...]:
+    """One column per name, of the kind at its position; a count mismatch
+    raises ``ValueError``."""
+    return tuple(Column(name, kind) for name, kind in zip(names, kinds, strict=True))
 
-_CORRESPONDENCE_COLUMNS = (
-    Column("region", TEXT),
-    Column("scientists", NUM6),
-    Column("national_demand", INT),
-    Column("surplus", NUM6),
-    Column("demand_per_scientist", NUM2),
-    Column("demand_per_scientist_rel", NUM2),
-)
 
-_FLOWS_COLUMNS = (
-    Column("region", TEXT),
-    Column("national_demand", INT),
-    Column("national_supply", INT),
-    Column("intra_supply", INT),
-    Column("national_supply_per_scientist", NUM2),
-    Column("national_supply_per_scientist_rel", NUM2),
-    Column("intra_supply_per_scientist", NUM2),
-    Column("intra_supply_per_scientist_rel", NUM2),
-    Column("market_share", PCT2),
-    Column("market_share_per_scientist", PCT2),
-    Column("intra_over_national_supply", PCT2),
+# Each table's columns are its indicator record's fields, so the builders
+# below pass the records through as rows, and ``diff`` checks the keys of a
+# JSONL line against the same fields.
+_REGIONAL_COLUMNS = _columns(
+    RegionalSummary._fields, (TEXT, INT, INT, INT, INT, INT, INT, INT, PCT0)
 )
-
-_REGION_STATS_COLUMNS = (
-    Column("region", TEXT),
-    Column("observations", INT),
-    Column("mean", NUM3),
-    Column("standard_error", NUM3),
-    Column("median", NUM3),
-    Column("minimum", NUM3),
-    Column("maximum", NUM3),
-    Column("zero_demand_sds", INT),
+_CORRESPONDENCE_COLUMNS = _columns(
+    SectorCorrespondenceRow._fields, (TEXT, NUM6, INT, NUM6, NUM2, NUM2)
 )
-
-_AGGREGATE_COLUMNS = (
-    Column("region", TEXT),
-    Column("demand_per_scientist", NUM3),
-    Column("demand_per_scientist_rank", RANK),
-    Column("national_supply_per_scientist", NUM3),
-    Column("national_supply_per_scientist_rank", RANK),
-    Column("intra_supply_per_scientist", NUM3),
-    Column("intra_supply_per_scientist_rank", RANK),
-    Column("market_share_per_scientist", PCT3),
-    Column("market_share_per_scientist_rank", RANK),
-    Column("intra_over_national_supply", NUM3),
-    Column("intra_over_national_supply_rank", RANK),
+_FLOWS_COLUMNS = _columns(
+    SectorFlowsRow._fields, (TEXT, INT, INT, INT, NUM2, NUM2, NUM2, NUM2, PCT2, PCT2, PCT2)
+)
+_REGION_STATS_COLUMNS = _columns(
+    RegionSectorStats._fields, (TEXT, INT, NUM3, NUM3, NUM3, NUM3, NUM3, INT)
+)
+_AGGREGATE_COLUMNS = _columns(
+    AggregateRow._fields, (TEXT, NUM3, RANK, NUM3, RANK, NUM3, RANK, PCT3, RANK, NUM3, RANK)
 )
 
 DELTA_REPORT = "diff_report"
-_DELTA_COLUMNS = (
-    Column("region", TEXT),
-    Column("sds", TEXT),
-    Column("metric", TEXT),
-    Column("value_t0", NUM6),
-    Column("value_t1", NUM6),
-    Column("delta", NUM6),
-    Column("flag", TEXT),
+# One row per metric of a (region, sector) cell.
+_DELTA_COLUMNS = _columns(
+    (*SnapshotDelta._fields[:2], "metric", *MetricDelta._fields),
+    (TEXT, TEXT, TEXT, NUM6, NUM6, NUM6, TEXT),
 )
-
-# The indicator records' fields follow these column orders, so the builders
-# below pass the records through as rows.
 
 
 def regional_summary_table(rows: Sequence[RegionalSummary]) -> RenderedTable:

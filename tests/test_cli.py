@@ -638,12 +638,13 @@ class TestIntegerTooLong:
         changed = re.sub(r'"ue_events": \d+', f'"ue_events": {LONG_INTEGER}', text)
         assert changed != text
         path.write_text(changed, encoding="utf-8")
+        line_no = text.count("\n", 0, text.index('"ue_events": ')) + 1  # the first one's line
+        assert line_no > 1
         rc = main(["diff", "--t0", str(damaged), "--t1", str(analyzed_dir),
                    "--out", str(tmp_path / "delta")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert f"error: {path}:" in err
-        assert "bad JSON: integer too long to convert" in err
+        assert f"error: {path}:{line_no}: bad JSON: integer too long to convert" in err
         assert "Traceback" not in err
         assert not (tmp_path / "delta").exists()
 
@@ -949,6 +950,60 @@ class TestDiff:
         assert rc == 1
         assert "region" in capsys.readouterr().err.lower()
 
+    def _diff_warnings(self, t0, t1, out, capsys):
+        capsys.readouterr()
+        assert main(["diff", "--t0", str(t0), "--t1", str(t1), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return [line for line in err.splitlines() if line.startswith("warning: ")]
+
+    @pytest.mark.parametrize("line, setting, value_t0, value_t1", [
+        ("ambiguity = all", "ambiguity", "strict", "all"),
+        ("sds_region_split = single", "sds_region_split", "per-region", "single"),
+        ("capacity.ING-INF/01 = 2", "capacity.ING-INF/01", "1.0", "2.0"),
+    ])
+    def test_a_setting_that_changes_the_compared_columns_is_named(
+        self, corpus, tmp_path, capsys, line, setting, value_t0, value_t1
+    ):
+        copied = _copy_corpus(corpus, tmp_path)
+        with copied["config"].open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        t0, t1 = tmp_path / "t0", tmp_path / "t1"
+        self._analyze(corpus, t0)
+        assert main(["analyze", "--config", str(copied["config"]), "--out", str(t1)]) == 0
+        warnings = self._diff_warnings(t0, t1, tmp_path / "delta", capsys)
+        assert warnings == [
+            f"warning: the snapshots differ in {setting}: {value_t0} in {t0}, {value_t1} in {t1}"
+        ]
+
+    def test_self_diff_and_other_settings_print_no_warning(self, corpus, tmp_path, capsys):
+        """Two periods, or a display setting, do not change what is compared."""
+        t0, t1 = tmp_path / "t0", tmp_path / "t1"
+        self._analyze(corpus, t0)
+        self._analyze(corpus, t1, "--window", "2001:2002", "--share-threshold", "0.4")
+        assert self._diff_warnings(t0, t0, tmp_path / "self", capsys) == []
+        assert self._diff_warnings(t0, t1, tmp_path / "periods", capsys) == []
+
+    @pytest.mark.parametrize("damage", ["unknown key", "missing"])
+    def test_settings_that_do_not_load_still_let_the_diff_through(
+        self, corpus, tmp_path, capsys, damage
+    ):
+        out, damaged = tmp_path / "out", tmp_path / "damaged"
+        self._analyze(corpus, out)
+        shutil.copytree(out, damaged)
+        config = damaged / "effective_config.txt"
+        if damage == "missing":
+            config.unlink()
+        else:
+            config.write_text(config.read_text(encoding="utf-8") + "no_such_key = 1\n",
+                              encoding="utf-8")
+        assert self._diff_warnings(out, out, tmp_path / "self", capsys) == []
+        warnings = self._diff_warnings(out, damaged, tmp_path / "delta", capsys)
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: settings not compared: ")
+        assert str(config) in warnings[0]
+        assert _files(tmp_path / "delta") == _files(tmp_path / "self")
+
 
 class TestDamagedSnapshot:
     """diff names the damaged file, and the line for JSONL, and exits 1."""
@@ -1015,6 +1070,17 @@ class TestDamagedSnapshot:
         rc, err = self._diff(snapshots, capsys)
         assert rc == 1
         assert f"{path}:1: bad JSON: nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_manifest_value_names_its_line(self, snapshots, capsys):
+        path = snapshots[0] / "snapshot.json"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line_no = lines.index('  "window": [') + 2  # the window's first year
+        lines[line_no - 1] = re.sub(r"\d+", DEEP_ARRAY, lines[line_no - 1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"error: {path}:{line_no}: bad JSON: nested too deeply" in err
         assert "Traceback" not in err
 
     def test_manifest_without_regions(self, snapshots, capsys):
@@ -1103,6 +1169,51 @@ class TestDamagedSnapshot:
         rc, err = self._diff(snapshots, capsys)
         assert rc == 1
         assert f"{path}: 'regions' lists a region twice" in err
+
+
+    def _surrogate_in_both(self, snapshots, change):
+        """Apply ``change`` to both manifests, so that each snapshot holds what
+        the other does and only the lone surrogate can stop the diff."""
+        for snapshot in snapshots:
+            path = snapshot / "snapshot.json"
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            change(snapshot, manifest)
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    def test_manifest_sector_with_a_lone_surrogate(self, snapshots, capsys):
+        def change(snapshot, manifest):
+            manifest["active_sds"] = {
+                f"{sds}\ud800": stem for sds, stem in manifest["active_sds"].items()
+            }
+
+        self._surrogate_in_both(snapshots, change)
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        path = snapshots[0] / "snapshot.json"
+        assert f"error: {path}: 'active_sds' holds 'ING-INF/01\\ud800', a lone surrogate" in err
+        assert "Traceback" not in err
+        assert not (snapshots[0].parent / "delta").exists()
+
+    def test_manifest_region_with_a_lone_surrogate(self, snapshots, capsys):
+        """The tables' rows carry the region too, so every other check passes."""
+
+        def change(snapshot, manifest):
+            region = manifest["regions"][0]
+            manifest["regions"][0] = f"{region}\ud800"
+            for path in snapshot.glob("table[23]_*.jsonl"):
+                text = path.read_text(encoding="utf-8")
+                path.write_text(
+                    text.replace(json.dumps(region), json.dumps(f"{region}\ud800")),
+                    encoding="utf-8",
+                )
+
+        self._surrogate_in_both(snapshots, change)
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        path = snapshots[0] / "snapshot.json"
+        assert f"error: {path}: 'regions' holds 'Abruzzo\\ud800', a lone surrogate" in err
+        assert "Traceback" not in err
+        assert not (snapshots[0].parent / "delta").exists()
 
 
 _NAMES = st.text(st.sampled_from(["a", "Z", " ", ",", '"', "'", "é", "Ø", "€"]), max_size=5)

@@ -77,8 +77,9 @@ _json_values = st.recursive(
 @st.composite
 def json_texts(draw):
     """Random JSON, integer and float literals about as long as int()
-    converts, arrays nested far past the parser's limit, and random text,
-    each with one of the line ends a reader meets."""
+    converts, arrays nested far past the parser's limit, some left open on an
+    unterminated string, and random text, each with one of the line ends a
+    reader meets."""
     kind = draw(st.sampled_from(["value", "digits", "deep", "text"]))
     if kind == "value":
         text = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
@@ -90,7 +91,7 @@ def json_texts(draw):
         text = template.format(digits)
     elif kind == "deep":
         depth = draw(st.sampled_from([1, 20, 200, 100_000]))
-        text = "[" * depth + "]" * (depth - draw(st.integers(0, 1)))
+        text = "[" * depth + draw(st.sampled_from(["]" * depth, "]" * (depth - 1), '"' + "x" * 60]))
     else:
         text = draw(st.text())
     return text + draw(st.sampled_from(["", "\n", " \n", "\r\n"]))
@@ -101,6 +102,7 @@ def json_texts(draw):
 @example("7" * (_DIGITS + 1))
 @example('{"year": -' + "7" * (_DIGITS + 1) + "}\n")
 @example("[" * 100_000)
+@example("[" * 100_000 + '"' + "x" * 60)
 def test_json_line_returns_what_json_loads_returns_or_raises_decode_error(text):
     """Where ``json.loads`` returns a value, ``_json_line`` returns the same;
     where it raises anything, ``_json_line`` raises ``json.JSONDecodeError``,
@@ -115,6 +117,30 @@ def test_json_line_returns_what_json_loads_returns_or_raises_decode_error(text):
         assert expected is None
     else:
         assert json.dumps(value) == expected
+
+
+_LONG = "7" * (_DIGITS + 1)
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    # int() does not convert digits in a string, a fraction or an exponent.
+    (f'{{"a": "{_LONG}",\n "b": 1.{_LONG}, "c": 1e{_LONG},\n "d": [-{_LONG}]}}', 3,
+     "integer too long to convert"),
+    (f'{{"a": "[[[[\\"",\n "b": [[{{}}]],\n "c": {_DEEP}}}\n', 3, "nested too deeply"),
+    (f"[\n{_DEEP}]", 2, "nested too deeply"),
+    # The scanner fails at the first nesting too deep, not the deepest.
+    ("[" + "[" * 5_000 + "]" * 5_000 + f",\n{_DEEP}]", 1, "nested too deeply"),
+    # An unterminated string after the failure does not slow its search.
+    ("[" * 100_000 + '"' + "x" * 60, 1, "nested too deeply"),
+], ids=["integer-after-digits-elsewhere", "nesting-after-brackets-elsewhere", "nesting-on-line-2",
+        "first-of-two-deep-values", "deep-then-unterminated-string"])
+def test_json_line_places_the_errors_it_raises_itself(text, line_no, message):
+    """The two errors json gives no position are placed at the offending
+    integer or nesting, so that their line number is right."""
+    with pytest.raises(json.JSONDecodeError) as caught:
+        _json_line(text)
+    assert (caught.value.msg, caught.value.lineno) == (message, line_no)
 
 
 class TestLoadPublications:
