@@ -17,17 +17,20 @@ the registry's roster triples and the publication's own tables of
 universities and enterprises by region; from them it resolves, attributes,
 tallies the resolution-report row, filters, derives the events as plain
 tuples and counts them into a ``collab.FlowCube``, with no record per mention
-or author. No list of the corpus is kept, so memory follows the registries
-and the events, not the corpus. Every indicator reads the cube's counts; only
-the event exports read the event lists.
+or author. Its docstring states the resolution, attribution and retention
+rules. No list of the corpus is kept, so memory follows the registries and
+the events, not the corpus. Every indicator reads the cube's counts; only the
+event exports read the event lists. ``validate`` and the run subcommands
+print the same warnings, the publications with no resolved affiliation
+capped at ``MAX_DIAGNOSTICS`` lines and a count of the rest.
 
 Before anything is written, the run subcommands and ``validate`` go through one
-refusal stage (``_indicator_rows``): file-name stems, headcounts, the table2
-and table3 rows, and a check of every number in them. Its problems, like the
-inputs', go to ``ingest._report``, which alone decides whether to stop or to
-list: it raises without a diagnostics list, so the run subcommands stop at the
-first problem, and appends with one, so ``validate`` lists them all and exits
-1 exactly when ``analyze`` would.
+refusal stage (``_indicator_rows``): file-name stems (shared, or too long for a
+file name), headcounts, the table2 and table3 rows, and a check of every number
+in them. Its problems, like the inputs', go to ``ingest._report``, which alone
+decides whether to stop or to list: it raises without a diagnostics list, so
+the run subcommands stop at the first problem, and appends with one, so
+``validate`` lists them all and exits 1 exactly when ``analyze`` would.
 
 ``diff`` reads each snapshot's JSONL tables one file at a time and keeps only
 the four values of each (sector, region) cell that it compares. A table must
@@ -75,7 +78,6 @@ from .indicators import (
     SnapshotCell,
     SnapshotDelta,
     aggregate_regions,
-    all_headcounts,
     quadrant_positions,
     region_sector_stats,
     regional_summary,
@@ -159,16 +161,37 @@ def run_pipeline(
     requested ``sector`` that the taxonomy lacks is a ``UsageError`` before
     the pass.
 
-    The pass reads three tables: ``seen``, each distinct raw affiliation
-    string's entry in the resolver's table (tier, org id, is a university,
-    region), filled the first time the string appears; the registry's roster
-    triples; and the publication's universities and enterprises, each id
-    mapped to its region. From them come its resolution-report row, the
-    retention test (an enterprise and an attributed (sector, supply region)
-    pair), its events and its cube counts. A bad line raises (or, given
-    ``diagnostics``, is reported) when the parse reaches it, and the caller
-    writes nothing before this returns. The cyclic garbage collector stays
-    paused meanwhile (see ``_collector_paused``).
+    The rules of the pass (the staged functions of ``resolve`` and ``ingest``,
+    which no command calls, build the same as records):
+
+    * Resolution. An affiliation string, normalized by ``normalize_name``,
+      resolves ``exact`` to the lowest org id whose normalized canonical name
+      it is; failing that, ``alias`` to the lowest org id that lists it as a
+      non-empty normalized alias; failing that, not at all. A publication's
+      universities and enterprises are its distinct resolved organizations
+      of each kind, each with its region.
+    * Attribution. An author's candidates are the distinct (university,
+      sector) pairs of the roster rows under the author's (surname,
+      initials) key whose university is one of the publication's universities
+      and whose active years hold the publication's year. One candidate
+      attributes the author to it. With several the author is ambiguous:
+      policy ``strict`` attributes nothing, policy ``all`` attributes each
+      candidate sector at its lowest university id. Each attribution carries
+      a (sector, supply region) pair, the region of its university.
+    * Report row: the pub_id, the affiliation mentions resolved exact, by
+      alias and not at all, the authors attributed to one candidate, and the
+      ambiguous authors under either policy.
+    * Retention. A publication with a resolved enterprise and an attributed
+      (sector, supply region) pair is retained; only a retained one has
+      events (``collab.derive_ue_events`` and ``derive_sds_events``) and
+      cube counts.
+
+    The pass reads three tables: ``seen``, each raw affiliation string's entry
+    in the resolver's table, filled the first time the string appears; the
+    roster triples; and the publication's universities and enterprises by id.
+    A bad line raises (or, given ``diagnostics``, is reported) when the parse
+    reaches it; the caller writes nothing before this returns. The cyclic
+    garbage collector stays paused meanwhile (see ``_collector_paused``).
     """
     config.require_inputs()
     registry = load_registries(
@@ -215,9 +238,8 @@ def run_pipeline(
                 universities[org_id] = region
             else:
                 enterprises[org_id] = region
-        # Attribution, as ``attribute_authors`` defines it: the distinct
-        # (university, sector) candidates of each author at the listed
-        # universities in the publication's year.
+        # Attribution: the distinct (university, sector) candidates of each
+        # author at the listed universities in the publication's year.
         unique = ambiguous = 0
         pairs: set[tuple[str, str]] = set()
         if universities:
@@ -285,17 +307,26 @@ def _print_diagnostics(diagnostics: Sequence[str]) -> None:
 
 
 def _warn(result: PipelineResult) -> None:
-    """Print each alias that several organizations share, then each
-    in-window publication none of whose affiliations resolved."""
+    """Print each alias that several organizations share, then the first
+    ``MAX_DIAGNOSTICS`` in-window publications none of whose affiliations
+    resolved and a count of the rest; the resolution report lists them all."""
     for alias, org_ids in result.ambiguous_aliases.items():
         print(
             f"warning: alias {alias!r} is shared by {', '.join(org_ids)}; "
             f"resolving to {min(org_ids)}",
             file=sys.stderr,
         )
-    for pub_id, exact, alias, _, _, _ in result.report_rows:
-        if not exact and not alias:
-            print(f"warning: publication {pub_id!r}: no affiliation resolved", file=sys.stderr)
+    orphans = [
+        pub_id for pub_id, exact, alias, *_ in result.report_rows if not exact and not alias
+    ]
+    for pub_id in orphans[:MAX_DIAGNOSTICS]:
+        print(f"warning: publication {pub_id!r}: no affiliation resolved", file=sys.stderr)
+    overflow = len(orphans) - MAX_DIAGNOSTICS
+    if overflow > 0:
+        print(
+            f"warning: ... and {overflow} more publications with no affiliation resolved",
+            file=sys.stderr,
+        )
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -376,8 +407,9 @@ def _indicator_rows(
     Computes table2 of ``sectors`` (of every taxonomy sector when ``regions``
     asks for cards, which span them all) and table3 of ``sectors``, and
     returns the sectors' file-name stems and those rows. Each problem goes to
-    ``ingest._report``, in order: a stem shared by two configured regions, or
-    by two of the active and the requested sectors, then each message of
+    ``ingest._report``, in order: a configured region, then one of the active
+    and the requested sectors, whose stem is too long for a file name or
+    shared with another's (``report.output_stems``), then each message of
     ``_check_rows``.
     """
     cube = result.cube
@@ -390,7 +422,7 @@ def _indicator_rows(
     except ValidationError as exc:
         _report(exc, diagnostics)
         stems = {}
-    headcounts = all_headcounts(result.registry)
+    headcounts = result.registry.headcounts
     correspondence = {
         sds: sector_correspondence(
             sds,

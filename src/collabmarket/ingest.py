@@ -25,12 +25,15 @@ the message and the loader skips the record. Every JSON reader goes through
 read, an integer too long to convert among them.
 
 ``iter_publications`` yields the corpus one record at a time, so a run holds
-no list of it; ``load_publications`` collects the same records into a list.
-A bad line is raised or reported when the iteration reaches it. The roster is
-read once, straight into the two tables a run reads: each name key's
-(university, sector, active years) triples and each sector's headcount by
-region. They hold one string object per distinct name, university and
-sector.
+no list of it. A bad line is raised or reported when the iteration reaches
+it. The roster is read once, straight into the two tables a run reads: each
+name key's (university, sector, active years) triples and each sector's
+headcount by region. They hold one string object per distinct name,
+university and sector.
+
+``load_publications``, ``partition_resolvable`` and ``filter_hard_sciences``
+belong to the staged chain that ``cli.run_pipeline`` replaced (see
+``resolve``): no command calls them.
 """
 
 from __future__ import annotations
@@ -532,13 +535,8 @@ def filter_hard_sciences(
     resolutions: Mapping[str, Sequence[AffiliationResolution]],
     registry: Registry,
 ) -> list[PublicationRecord]:
-    """Keep publications that witness a university-industry collaboration.
-
-    A publication is retained exactly when it has at least one author
-    attributed to a taxonomy sector and at least one affiliation resolved to a
-    domestic enterprise. The operation is idempotent and returns a subset of
-    its input in input order.
-    """
+    """Keep publications that witness a university-industry collaboration,
+    by the retention rule of ``cli.run_pipeline``, in input order."""
     kept: list[PublicationRecord] = []
     for pub in pubs:
         has_sector = any(

@@ -352,16 +352,31 @@ def sanitize_code(code: str) -> str:
     return cleaned.strip("-") or "blank"
 
 
+# The bytes a file name may hold on common file systems (ext4, XFS, Btrfs),
+# and the longest name a stem goes into: the JSONL twin of a table2,
+# table3 or table4 file.
+MAX_FILE_NAME_BYTES = 255
+_LONGEST_NAME = "table2_{}.jsonl"
+
+
 def output_stems(codes: Iterable[str], what: str) -> dict[str, str]:
     """File-name stem of each code, in code order.
 
-    Raises a ``ValidationError`` naming both codes when two codes share a
-    stem, since their files would overwrite each other.
+    Raises a ``ValidationError`` naming the code when its longest file name
+    would pass ``MAX_FILE_NAME_BYTES`` in UTF-8, which no file can be
+    created under, or naming both codes when two codes share a stem, since
+    their files would overwrite each other.
     """
     stems: dict[str, str] = {}
     owners: dict[str, str] = {}
     for code in sorted(codes):
         stem = sanitize_code(code)
+        size = len(_LONGEST_NAME.format(stem).encode("utf-8"))
+        if size > MAX_FILE_NAME_BYTES:
+            raise ValidationError(
+                f"{what} {code!r} would write its outputs under a file name of {size} "
+                f"bytes, past the {MAX_FILE_NAME_BYTES} a file name may hold"
+            )
         if stem in owners:
             raise ValidationError(
                 f"{what} {owners[stem]!r} and {code!r} would both write their "

@@ -1,8 +1,15 @@
-"""Name normalization, affiliation resolution, and author attribution.
+"""Name normalization, the affiliation table, and the staged resolution and
+attribution functions.
 
 The same normalization pipeline is used for organization names, aliases and
 author surnames so that registry matching and roster matching cannot drift
-apart.
+apart. ``Resolver.build`` makes the one table the pass (``cli.run_pipeline``)
+looks each affiliation string up in; the pass's docstring states the rules.
+
+``resolve_affiliation``, ``resolve_publication``, ``attribute_authors`` and
+``resolution_report_rows`` are the staged chain the pass replaced: the same
+rules as records. No command calls them; they stay only while the
+benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -144,12 +151,8 @@ class Resolver:
 
 
 def resolve_affiliation(raw: str, resolver: Resolver) -> AffiliationResolution:
-    """Match one raw address string against the organization registry.
-
-    Tier 1 is an exact match on the normalized canonical name, tier 2 a match
-    on any normalized alias; anything else is unresolved. Ties on a shared
-    name are broken deterministically by the lowest org id.
-    """
+    """Match one raw address string against the organization registry, by
+    the resolution rule of ``cli.run_pipeline``."""
     tier, org_id, _, _ = resolver.table.get(normalize_name(raw), NO_MATCH)
     return AffiliationResolution(raw, org_id, tier)
 
@@ -182,18 +185,12 @@ def attribute_authors(
     roster: Mapping[tuple[str, str], tuple[tuple[str, str, frozenset[int]], ...]],
     policy: str = "strict",
 ) -> tuple[AuthorAttribution, ...]:
-    """Attach roster universities and sectors to a publication's authors.
-
-    The candidate set for an author is every distinct (university, sds) pair
-    among the ``roster`` triples (``Registry.roster``) of the author's name
-    key whose university is among ``universities``, the publication's
-    resolved university ids, and whose active years contain the publication
-    year.
-    A single candidate yields a ``unique`` attribution. With several
-    candidates, policy ``strict`` emits one ``ambiguous_skipped`` marker (no
-    sector), while policy ``all`` emits one ``ambiguous_all`` attribution per
-    distinct candidate sector, using the lowest university id when the same
-    sector appears at several universities.
+    """Attach roster universities and sectors to a publication's authors, by
+    the attribution rule of ``cli.run_pipeline``, given the publication's
+    resolved university ids: one ``unique`` record per author with one
+    candidate; for an ambiguous author one ``ambiguous_skipped`` marker (no
+    sector) under policy ``strict``, one ``ambiguous_all`` record per
+    candidate sector under ``all``.
     """
     if not universities:
         return ()

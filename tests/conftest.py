@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from collabmarket.collab import FlowCube
+from collabmarket.cli import PipelineResult, run_pipeline
+from collabmarket.collab import FlowCube, write_csv
+from collabmarket.config import RunConfig
 from collabmarket.demo import (
     DEMO_YEAR,
     REGIONAL_FLOWS,
@@ -19,6 +23,7 @@ from collabmarket.demo import (
     pair_extra_flows,
     university_id,
 )
+from collabmarket.ingest import ORG_COLUMNS, ROSTER_COLUMNS, TAXONOMY_COLUMNS, write_publications
 from collabmarket.model import (
     ENTERPRISE,
     UNIVERSITY,
@@ -92,30 +97,37 @@ def make_registry(organizations, roster, taxonomy):
     return Registry(index, headcounts, taxonomy, by_id)
 
 
-def split_org_ids(resolutions, registry):
-    """Distinct resolved university ids and enterprise ids, each sorted: the
-    staged reference of the pass's per-publication organization tables."""
-    universities = set()
-    enterprises = set()
-    for r in resolutions:
-        if r.org_id is not None:
-            kind = registry.by_id[r.org_id].kind
-            (universities if kind == UNIVERSITY else enterprises).add(r.org_id)
-    return tuple(sorted(universities)), tuple(sorted(enterprises))
+def run_pass(directory: Path, publications, organizations, roster, taxonomy,
+             **settings) -> PipelineResult:
+    """``run_pipeline`` over a small written corpus: the organizations,
+    roster rows and taxonomy as the three registry files, and the
+    publication records as the corpus, all in ``directory``. ``settings``
+    are ``RunConfig`` fields; the region set defaults to the organizations'
+    regions."""
+    directory.mkdir(parents=True, exist_ok=True)
+    tables = {
+        "organizations": (ORG_COLUMNS, [
+            (o.org_id, o.kind, o.region, o.canonical_name, "|".join(o.aliases))
+            for o in organizations
+        ]),
+        "roster": (ROSTER_COLUMNS, [
+            (*row[:5], "|".join(map(str, sorted(row.active_years))), repr(row.headcount_weight))
+            for row in roster
+        ]),
+        "taxonomy": (TAXONOMY_COLUMNS, taxonomy.items()),
+    }
+    paths = {name: directory / f"{name}.csv" for name in tables}
+    for name, (columns, rows) in tables.items():
+        write_csv(paths[name], columns, rows)
+    paths["publications"] = directory / "publications.jsonl"
+    write_publications(publications, paths["publications"])
+    settings.setdefault("regions", tuple(sorted({org.region for org in organizations})))
+    return run_pipeline(RunConfig(**paths, out=directory / "out", **settings))
 
 
 def with_regions(org_ids, registry):
     """(id, region) pairs of organization ids, as the derivations take them."""
     return [(org_id, registry.by_id[org_id].region) for org_id in org_ids]
-
-
-def supply_pairs(attributions, registry):
-    """The distinct (sector, supply region) pairs that attributions carry."""
-    return {
-        (a.sds, registry.by_id[a.university_id].region)
-        for a in attributions
-        if a.sds is not None and a.university_id is not None
-    }
 
 
 def flow_cube(ue_events=(), sds_events=()):
@@ -168,21 +180,33 @@ def taxonomy():
     return {"ING-INF/01": "09", "FIS/01": "02", "CHIM/07": "03"}
 
 
+# Two universities, two enterprises, small roster over three sectors.
+ORGANIZATIONS = (
+    make_org("U1", UNIVERSITY, "Lazio", "Universita di Roma",
+             aliases=("Univ. Roma", "Rome University")),
+    make_org("U2", UNIVERSITY, "Lombardy", "Politecnico di Milano",
+             aliases=("Milan Polytechnic",)),
+    make_org("E1", ENTERPRISE, "Lazio", "Acme Research"),
+    make_org("E2", ENTERPRISE, "Veneto", "Borg Devices", aliases=("Borg",)),
+)
+ROSTER = (
+    make_roster("rossi", "M", "U1"),
+    make_roster("rossi", "M", "U2"),                       # ambiguous with the one above
+    make_roster("bianchi", "G", "U2", sds="FIS/01", uda="02"),
+    make_roster("verdi", "A", "U1", sds="CHIM/07", uda="03", years={2001}),
+)
+
+
 @pytest.fixture
 def registry(taxonomy):
-    """Two universities, two enterprises, small roster over three sectors."""
-    organizations = (
-        make_org("U1", UNIVERSITY, "Lazio", "Universita di Roma",
-                 aliases=("Univ. Roma", "Rome University")),
-        make_org("U2", UNIVERSITY, "Lombardy", "Politecnico di Milano",
-                 aliases=("Milan Polytechnic",)),
-        make_org("E1", ENTERPRISE, "Lazio", "Acme Research"),
-        make_org("E2", ENTERPRISE, "Veneto", "Borg Devices", aliases=("Borg",)),
+    return make_registry(ORGANIZATIONS, ROSTER, taxonomy)
+
+
+@pytest.fixture
+def run(tmp_path, taxonomy):
+    """``run_pass`` over the ``registry`` fixture's organizations, roster and
+    taxonomy, each call in a directory of its own."""
+    calls = count()
+    return lambda publications, **settings: run_pass(
+        tmp_path / f"run{next(calls)}", publications, ORGANIZATIONS, ROSTER, taxonomy, **settings
     )
-    roster = (
-        make_roster("rossi", "M", "U1"),
-        make_roster("rossi", "M", "U2"),                       # ambiguous with the one above
-        make_roster("bianchi", "G", "U2", sds="FIS/01", uda="02"),
-        make_roster("verdi", "A", "U1", sds="CHIM/07", uda="03", years={2001}),
-    )
-    return make_registry(organizations, roster, taxonomy)

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from collabmarket.cli import main
-from collabmarket.collab import derive_sds_events, derive_ue_events
 from collabmarket.demo import (
     REGIONAL_FLOWS,
     REGIONS,
@@ -36,26 +35,15 @@ from collabmarket.indicators import (
     sector_correspondence,
     sector_flows,
 )
-from collabmarket.model import (
-    ENTERPRISE,
-    UNIVERSITY,
-    AffiliationResolution,
-    AuthorAttribution,
-    AuthorName,
-    Organization,
-    PublicationRecord,
-    SDSCollaboration,
-    UECollaboration,
-)
+from collabmarket.model import ENTERPRISE, UNIVERSITY, Organization, UECollaboration
 from conftest import (
     flow_cube,
-    make_registry,
+    make_pub,
+    make_roster,
     regional_ue_events,
+    run_pass,
     sector_headcounts,
     sector_sds_events,
-    split_org_ids,
-    supply_pairs,
-    with_regions,
 )
 
 
@@ -216,7 +204,10 @@ class TestCriterion4Quadrants:
 
 
 class TestCriterion5ProductRule:
-    def test_thousand_randomized_publications(self):
+    def test_thousand_randomized_publications(self, tmp_path):
+        """One pass over a thousand publications, each listing some of eight
+        universities and eight enterprises, some of them twice, and authors
+        each attributed to one sector at one listed university."""
         failures: list[str] = []
         regions = ("Lazio", "Lombardy", "Sicily", "Veneto")
         organizations = tuple(
@@ -227,51 +218,43 @@ class TestCriterion5ProductRule:
             for i in range(8)
         )
         taxonomy = {f"SDS/{k}": "09" for k in range(4)}
-        registry = make_registry(organizations, (), taxonomy)
         sds_codes = sorted(taxonomy)
+        # The one roster row of the author "au<i>s<k>": university U<i>, sector SDS/<k>.
+        roster = [
+            make_roster(f"au{i}s{k}", "M", f"U{i}", sds, "09")
+            for i in range(8)
+            for k, sds in enumerate(sds_codes)
+        ]
         rng = random.Random(51)
-
+        publications, wanted = [], {}
         for case in range(1000):
-            unis = rng.sample([f"U{i}" for i in range(8)], rng.randint(1, 4))
-            ents = rng.sample([f"E{i}" for i in range(8)], rng.randint(1, 4))
-            mentions = unis + ents
+            unis = rng.sample(range(8), rng.randint(1, 4))
+            ents = rng.sample(range(8), rng.randint(1, 4))
+            mentions = [f"University {i}" for i in unis] + [f"Enterprise {i}" for i in ents]
             mentions += [rng.choice(mentions) for _ in range(rng.randint(0, 4))]
             rng.shuffle(mentions)
-            resolutions = tuple(
-                AffiliationResolution(registry.by_id[m].canonical_name, m, "exact")
-                for m in mentions
+            attributed = [(k, rng.choice(unis)) for k in rng.sample(range(4), rng.randint(1, 3))]
+            publications.append(make_pub(f"P{case}", mentions,
+                                         authors=[(f"au{i}s{k}", "M") for k, i in attributed]))
+            wanted[f"P{case}"] = (
+                {(f"U{u}", f"E{e}") for u in unis for e in ents},
+                {(sds_codes[k], regions[i % 4], f"E{e}") for k, i in attributed for e in ents},
             )
-            pub = PublicationRecord(
-                f"P{case}", 2002, (AuthorName("rossi", "M"),),
-                tuple(r.raw for r in resolutions),
-            )
-            attributions = tuple(
-                AuthorAttribution(pub.pub_id, 0, rng.choice(unis), sds, "unique")
-                for sds in rng.sample(sds_codes, rng.randint(1, 3))
-            )
+        result = run_pass(tmp_path, publications, organizations, roster, taxonomy)
 
-            universities, enterprises = (
-                with_regions(ids, registry) for ids in split_org_ids(resolutions, registry)
-            )
-            ue = [UECollaboration(*ev) for ev in derive_ue_events(pub, universities, enterprises)]
-            want_ue = {(u, e) for u in set(unis) for e in set(ents)}
-            got_ue = {(ev.university_id, ev.enterprise_id) for ev in ue}
-            if got_ue != want_ue or len(ue) != len(want_ue):
-                failures.append(f"case {case}: ue events diverge from pair oracle")
+        got = {pub_id: ([], []) for pub_id in wanted}
+        for pub_id, u, _, e, _, _ in result.ue_events:
+            got[pub_id][0].append((u, e))
+        for pub_id, sds, _, region, e, _, _ in result.sds_events:
+            got[pub_id][1].append((sds, region, e))
+        _expect(failures, "retained", result.retained, len(wanted))
+        for pub_id, (want_ue, want_sds) in wanted.items():
+            ue, sds_events = got[pub_id]
+            if set(ue) != want_ue or len(ue) != len(want_ue):
+                failures.append(f"{pub_id}: ue events diverge from pair oracle")
                 break
-
-            sds_events = [
-                SDSCollaboration(*ev)
-                for ev in derive_sds_events(
-                    pub, supply_pairs(attributions, registry), enterprises,
-                    taxonomy,
-                )
-            ]
-            pairs = {(a.sds, registry.by_id[a.university_id].region) for a in attributions}
-            want_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
-            got_sds = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}
-            if got_sds != want_sds or len(sds_events) != len(want_sds):
-                failures.append(f"case {case}: sector events diverge from pair oracle")
+            if set(sds_events) != want_sds or len(sds_events) != len(want_sds):
+                failures.append(f"{pub_id}: sector events diverge from pair oracle")
                 break
         _check(5, "product-rule-oracle", failures)
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collabmarket.cli import _check_rows, _write_delta_report, main, run_pipeline
+from collabmarket.cli import MAX_DIAGNOSTICS, _check_rows, _write_delta_report, main, run_pipeline
 from collabmarket.config import load_config
 from collabmarket.demo import demo_corpus, write_demo_corpus
 from collabmarket.errors import CollabMarketError
@@ -34,7 +34,7 @@ from collabmarket.indicators import (
     SectorFlowsRow,
     SnapshotDelta,
 )
-from collabmarket.ingest import load_publications, load_registries, write_publications
+from collabmarket.ingest import iter_publications, load_registries, write_publications
 from collabmarket.model import PublicationRecord
 from collabmarket.report import (
     NUM6,
@@ -45,14 +45,6 @@ from collabmarket.report import (
     sector_correspondence_table,
     sector_flows_table,
 )
-from collabmarket.resolve import (
-    Resolver,
-    attribute_authors,
-    resolution_report_rows,
-    resolve_publication,
-)
-
-from conftest import split_org_ids
 
 DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
 
@@ -62,6 +54,9 @@ DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 
 # One digit more than int() converts from text.
 LONG_INTEGER = "9" * (sys.get_int_max_str_digits() + 1)
+
+# A sector code or region name whose table files' names pass 255 bytes.
+LONG_NAME = "X" * 250
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +554,32 @@ def test_regions_that_share_a_file_name(corpus, tmp_path, capsys, command):
             "outputs under the name 'Emilia-Romagna'") in err
     assert "Traceback" not in err
     assert out.exists() == (command == ["validate"])
+
+
+@pytest.mark.parametrize("what", ["sectors", "regions"])
+@pytest.mark.parametrize("command", ["analyze", "sector", "region", "validate"])
+def test_a_code_too_long_for_a_file_name(corpus, tmp_path, capsys, command, what):
+    """A sector code or a configured region name whose table file names pass
+    255 bytes stops every run command before --out exists, and validate
+    reports the same message."""
+    copied = _copy_corpus(corpus, tmp_path)
+    code, flags = "ING-INF/01", []
+    if what == "sectors":
+        for name in ("taxonomy", "roster"):
+            text = copied[name].read_text(encoding="utf-8")
+            copied[name].write_text(text.replace(code, LONG_NAME), encoding="utf-8")
+        code = LONG_NAME
+    else:
+        flags = ["--regions", "|".join([*load_config(corpus["config"]).regions, LONG_NAME])]
+    options = {"sector": ["--sds", code], "region": ["--name", "Lombardy"]}.get(command, [])
+    out = tmp_path / "out"
+    rc = main([command, *options, "--config", str(copied["config"]), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert (f"error: {what} {LONG_NAME!r} would write its outputs under a file name of "
+            "263 bytes, past the 255 a file name may hold") in err
+    assert "Traceback" not in err
+    assert out.exists() == (command == "validate")
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])
@@ -1424,6 +1445,27 @@ def test_run_commands_print_the_warnings_of_validate(corpus, tmp_path, capsys):
     assert warnings("region", "--name", "Lombardy") == expected
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_unresolved_publication_warnings_are_capped(corpus, tmp_path, capsys, command):
+    """Past ``MAX_DIAGNOSTICS`` publications with no resolved affiliation,
+    one line counts the rest; the resolution report still lists them all."""
+    copied = _copy_corpus(corpus, tmp_path)
+    orphans = [f"ORPHAN{i:02d}" for i in range(MAX_DIAGNOSTICS + 5)]
+    with copied["publications"].open("a", encoding="utf-8") as handle:
+        for pub_id in orphans:
+            handle.write(json.dumps({"pub_id": pub_id, "year": 2002, "affiliations": ["Nowhere"],
+                                     "authors": [{"surname": "nobody", "initials": "A"}]}) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(copied["config"]), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
+        f"warning: publication {pub_id!r}: no affiliation resolved"
+        for pub_id in orphans[:MAX_DIAGNOSTICS]
+    ] + ["warning: ... and 5 more publications with no affiliation resolved"]
+    report = (out / "resolution_report.csv").read_text(encoding="utf-8").splitlines()
+    assert report[-len(orphans):] == [f"{pub_id},0,0,1,0,0" for pub_id in orphans]
+
+
 @pytest.mark.parametrize("split", ["per-region", "single"])
 @pytest.mark.parametrize("ambiguity", ["strict", "all"])
 def test_event_exports_are_in_sort_key_order(corpus, tmp_path, split, ambiguity):
@@ -1508,7 +1550,7 @@ class TestMalformedLastLine:
         expected: list[str] = []
         load_registries(config.organizations, config.roster, config.taxonomy, config.regions,
                         expected)
-        load_publications(config.publications, config.window, expected)
+        list(iter_publications(config.publications, config.window, expected))
         assert len(expected) == 3
 
         rc = main(["validate", "--config", str(broken["config"]),
@@ -1523,6 +1565,8 @@ class TestMalformedLastLine:
 
 class TestPipeline:
     def test_repeated_affiliations_resolve_as_if_one_by_one(self, corpus, tmp_path):
+        """A copy of each publication listing every affiliation twice has the
+        original's report row with the three affiliation tallies doubled."""
         publications = demo_corpus()[0]
         repeated = publications + [
             pub._replace(pub_id=f"{pub.pub_id}-copy", affiliations=pub.affiliations * 2)
@@ -1533,22 +1577,13 @@ class TestPipeline:
         out = tmp_path / "out"
         assert main(["validate", "--config", str(corpus["config"]), "--publications", str(path),
                      "--out", str(out)]) == 0
-        config = load_config(corpus["config"])
-        registry = load_registries(config.organizations, config.roster, config.taxonomy)
-        resolver = Resolver.build(registry)
-        publications = load_publications(path, config.window)
-        resolutions = {pub.pub_id: resolve_publication(pub, resolver) for pub in publications}
-        attributions = {
-            pub.pub_id: attribute_authors(
-                pub, split_org_ids(resolutions[pub.pub_id], registry)[0], registry.roster
-            )
-            for pub in publications
-        }
+        rows = run_pipeline(load_config(corpus["config"])).report_rows
+        assert any(alias for _, _, alias, *_ in rows)
         with (out / "resolution_report.csv").open(encoding="utf-8", newline="") as handle:
             written = list(csv.reader(handle))[1:]
-        assert written == [
-            [str(cell) for cell in row]
-            for row in resolution_report_rows(publications, resolutions, attributions)
+        assert written == [[str(cell) for cell in row] for row in rows] + [
+            [f"{pub_id}-copy", *(str(2 * n) for n in tallies), str(unique), str(ambiguous)]
+            for pub_id, *tallies, unique, ambiguous in rows
         ]
 
 

@@ -8,50 +8,27 @@ from collabmarket.collab import (
     corpus_totals,
     derive_sds_events,
     derive_ue_events,
-    events_by_sds,
     export_sds_events,
     export_ue_events,
 )
 from collabmarket.model import (
     ENTERPRISE,
     UNIVERSITY,
-    AffiliationResolution,
-    AuthorAttribution,
     Organization,
     SDSCollaboration,
     UECollaboration,
 )
-from collabmarket.resolve import Resolver, attribute_authors, resolve_publication
 
-from conftest import (
-    flow_cube,
-    make_pub,
-    make_registry,
-    make_roster,
-    split_org_ids,
-    supply_pairs,
-    with_regions,
-)
-
-
-def _org_ids(registry, pub):
-    """The publication's (universities, enterprises) (id, region) pairs and
-    the (sector, supply region) pairs of its attributions."""
-    resolver = Resolver.build(registry)
-    universities, enterprises = split_org_ids(resolve_publication(pub, resolver), registry)
-    attributions = attribute_authors(pub, universities, registry.roster)
-    org_ids = with_regions(universities, registry), with_regions(enterprises, registry)
-    return org_ids, supply_pairs(attributions, registry)
+from conftest import make_pub, make_registry, make_roster, run_pass, with_regions
 
 
 class TestUEEvents:
-    def test_product_of_distinct_sides(self, registry):
+    def test_product_of_distinct_sides(self, run):
         pub = make_pub("P1", [
             "Universita di Roma", "Politecnico di Milano",
             "Acme Research", "Borg Devices",
-        ])
-        org_ids, _ = _org_ids(registry, pub)
-        events = [UECollaboration(*ev) for ev in sorted(derive_ue_events(pub, *org_ids))]
+        ], authors=[("bianchi", "G")])
+        events = [UECollaboration(*ev) for ev in sorted(run([pub]).ue_events)]
         assert [(e.university_id, e.enterprise_id) for e in events] == [
             ("U1", "E1"), ("U1", "E2"), ("U2", "E1"), ("U2", "E2"),
         ]
@@ -59,52 +36,44 @@ class TestUEEvents:
         assert events[1].e_region == "Veneto"
         assert all(e.year == 2002 for e in events)
 
-    def test_repeated_mentions_count_once(self, registry):
+    def test_repeated_mentions_count_once(self, run):
         pub = make_pub("P1", [
             "Universita di Roma", "Univ. Roma", "UNIVERSITA DI ROMA",
             "Acme Research", "Acme Research",
         ])
-        org_ids, _ = _org_ids(registry, pub)
-        events = derive_ue_events(pub, *org_ids)
-        assert len(events) == 1
+        assert len(run([pub]).ue_events) == 1
 
 
 class TestSDSEvents:
-    def test_distinct_sector_region_pairs_times_enterprises(self, registry):
+    def test_distinct_sector_region_pairs_times_enterprises(self, run):
         pub = make_pub(
             "P1",
             ["Universita di Roma", "Politecnico di Milano", "Acme Research", "Borg Devices"],
             authors=[("bianchi", "G")],   # unique at U2: FIS/01
         )
-        org_ids, pairs = _org_ids(registry, pub)
-        events = [
-            SDSCollaboration(*ev)
-            for ev in sorted(derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy))
-        ]
+        events = [SDSCollaboration(*ev) for ev in sorted(run([pub]).sds_events)]
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),
         ]
         assert events[0].uda == "02"
 
-    def test_same_sector_from_two_regions_per_region_split(self, taxonomy):
+    def test_same_sector_from_two_regions_per_region_split(self, taxonomy, tmp_path):
         organizations = (
             Organization("U1", "Uni South", (), UNIVERSITY, "Sicily"),
             Organization("U2", "Uni North", (), UNIVERSITY, "Lombardy"),
             Organization("E1", "Acme", (), ENTERPRISE, "Lazio"),
         )
         roster = (make_roster("rossi", "M", "U1"), make_roster("bruno", "M", "U2"))
-        registry = make_registry(organizations, roster, taxonomy)
         pub = make_pub("P1", ["Uni South", "Uni North", "Acme"],
                        authors=[("rossi", "M"), ("bruno", "M")])
-        org_ids, pairs = _org_ids(registry, pub)
 
-        per_region = derive_sds_events(pub, pairs, org_ids[1], taxonomy, "per-region")
-        assert sorted((e[1], e[3]) for e in per_region) == [
-            ("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily"),
-        ]
+        def events(split):
+            result = run_pass(tmp_path / split, [pub], organizations, roster, taxonomy,
+                              sds_region_split=split)
+            return sorted((e[1], e[3]) for e in result.sds_events)
 
-        single = derive_sds_events(pub, pairs, org_ids[1], taxonomy, "single")
-        assert [(e[1], e[3]) for e in single] == [("ING-INF/01", "Lombardy")]
+        assert events("per-region") == [("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily")]
+        assert events("single") == [("ING-INF/01", "Lombardy")]
 
 
 class TestRandomizedOracle:
@@ -129,22 +98,13 @@ class TestRandomizedOracle:
         for case in range(1000):
             unis = rng.sample([f"U{i}" for i in range(8)], rng.randint(1, 4))
             ents = rng.sample([f"E{i}" for i in range(8)], rng.randint(1, 4))
-            mentions = unis + ents + [rng.choice(unis + ents)
-                                      for _ in range(rng.randint(0, 3))]
-            rng.shuffle(mentions)
-            resolutions = tuple(
-                AffiliationResolution(registry.by_id[m].canonical_name, m, "exact")
-                for m in mentions
-            )
-            pub = make_pub(f"P{case}", [r.raw for r in resolutions])
-            attributions = tuple(
-                AuthorAttribution(pub.pub_id, i, rng.choice(unis), sds, "unique")
-                for i, sds in enumerate(rng.sample(sds_codes, rng.randint(1, 3)))
-            )
+            pub = make_pub(f"P{case}", [])
+            # (sector, university) of each attributed author
+            attributions = [(sds, rng.choice(unis))
+                            for sds in rng.sample(sds_codes, rng.randint(1, 3))]
+            pairs = {(sds, registry.by_id[u].region) for sds, u in attributions}
 
-            universities, enterprises = (
-                with_regions(ids, registry) for ids in split_org_ids(resolutions, registry)
-            )
+            universities, enterprises = with_regions(unis, registry), with_regions(ents, registry)
             ue = [UECollaboration(*ev) for ev in derive_ue_events(pub, universities, enterprises)]
             expected_ue = {(u, e) for u in set(unis) for e in set(ents)}
             assert {(ev.university_id, ev.enterprise_id) for ev in ue} == expected_ue
@@ -152,47 +112,35 @@ class TestRandomizedOracle:
 
             sds_events = [
                 SDSCollaboration(*ev)
-                for ev in derive_sds_events(
-                    pub, supply_pairs(attributions, registry), enterprises,
-                    registry.taxonomy,
-                )
+                for ev in derive_sds_events(pub, pairs, enterprises, registry.taxonomy)
             ]
-            expected_pairs = {
-                (a.sds, registry.by_id[a.university_id].region) for a in attributions
-            }
-            expected_sds = {
-                (s, r, e) for (s, r) in expected_pairs for e in set(ents)
-            }
+            expected_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
             got = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}
             assert got == expected_sds
             assert len(sds_events) == len(expected_sds)
 
 
 class TestSortingAndExport:
-    def test_totals_and_grouping(self, registry):
+    def test_totals_and_grouping(self, run):
         pub = make_pub(
             "P1",
             ["Universita di Roma", "Acme Research", "Borg Devices"],
             authors=[("rossi", "M")],
         )
-        org_ids, pairs = _org_ids(registry, pub)
-        ue = derive_ue_events(pub, *org_ids)
-        sds = derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy)
-        totals = corpus_totals(flow_cube(ue, sds))
+        cube = run([pub]).cube
+        totals = corpus_totals(cube)
         assert (totals.ue_events, totals.sds_events) == (2, 2)
         assert (totals.universities, totals.enterprises, totals.active_sds) == (1, 2, 1)
-        assert list(events_by_sds(SDSCollaboration(*ev) for ev in sds)) == ["ING-INF/01"]
+        assert list(cube.sds_flows) == ["ING-INF/01"]
 
-    def test_export_csv_shape(self, registry, tmp_path):
+    def test_export_csv_shape(self, run, tmp_path):
         pub = make_pub("P1", ["Universita di Roma", "Acme Research"],
                        authors=[("rossi", "M")])
-        org_ids, pairs = _org_ids(registry, pub)
+        result = run([pub])
         ue_path = tmp_path / "ue.csv"
         sds_path = tmp_path / "sds.csv"
-        export_ue_events(derive_ue_events(pub, *org_ids), ue_path)
-        export_sds_events(
-            derive_sds_events(pub, pairs, org_ids[1], registry.taxonomy), sds_path
-        )
+        export_ue_events(result.ue_events, ue_path)
+        export_sds_events(result.sds_events, sds_path)
         assert ue_path.read_text(encoding="utf-8") == (
             "pub_id,university_id,u_region,enterprise_id,e_region,year\n"
             "P1,U1,Lazio,E1,Lazio,2002\n"

@@ -1,4 +1,5 @@
-"""Loading, validation, and filtering of publications and registries."""
+"""Loading and validation of publications and registries, and the pass's
+retention of publications."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabmarket import cli
 from collabmarket.demo import write_demo_corpus
 from collabmarket.errors import CollabMarketError, ParseError, ReferentialError, ValidationError
 from collabmarket.ingest import (
@@ -21,29 +23,14 @@ from collabmarket.ingest import (
     TAXONOMY_COLUMNS,
     _json_line,
     _load_roster,
-    filter_hard_sciences,
-    load_publications,
+    iter_publications,
     load_registries,
-    partition_resolvable,
     write_publications,
 )
 from collabmarket.model import ENTERPRISE, UNIVERSITY
-from collabmarket.resolve import (
-    Resolver,
-    attribute_authors,
-    normalize_initials,
-    normalize_name,
-    resolve_publication,
-)
+from collabmarket.resolve import normalize_initials, normalize_name
 
-from conftest import (
-    ScientistRosterEntry,
-    make_org,
-    make_pub,
-    make_registry,
-    make_roster,
-    split_org_ids,
-)
+from conftest import ScientistRosterEntry, make_org, make_pub, make_registry, make_roster
 
 
 def _write_jsonl(path, records):
@@ -150,7 +137,7 @@ class TestLoadPublications:
             _pub_record("P2", authors=[_author("ROSSI", "m.g."), _author("Bianchi", "A")]),
             _pub_record("P1"),
         ])
-        pubs = load_publications(path)
+        pubs = list(iter_publications(path))
         assert [p.pub_id for p in pubs] == ["P2", "P1"]
         assert pubs[0].authors[0].surname == "rossi"
         assert pubs[0].authors[0].initials == "MG"
@@ -160,13 +147,13 @@ class TestLoadPublications:
         path.write_text(
             "\n" + json.dumps(_pub_record()) + "\n\n", encoding="utf-8"
         )
-        assert len(load_publications(path)) == 1
+        assert len(list(iter_publications(path))) == 1
 
     def test_bad_json_reports_path_and_line(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         path.write_text(json.dumps(_pub_record()) + "\n{not json\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
-            load_publications(path)
+            list(iter_publications(path))
         assert err.value.line_no == 2
         assert str(path) in str(err.value)
 
@@ -176,31 +163,31 @@ class TestLoadPublications:
         del record["year"]
         _write_jsonl(path, [record])
         with pytest.raises(ParseError):
-            load_publications(path)
+            list(iter_publications(path))
 
     def test_empty_authors_rejected(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record(authors=[])])
         with pytest.raises(ValidationError):
-            load_publications(path)
+            list(iter_publications(path))
 
     def test_blank_affiliation_rejected(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record(affiliations=["ok", "  "])])
         with pytest.raises(ValidationError):
-            load_publications(path)
+            list(iter_publications(path))
 
     def test_long_initials_rejected(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record(authors=[_author("Rossi", "ABCD")])])
         with pytest.raises(ParseError):
-            load_publications(path)
+            list(iter_publications(path))
 
     def test_duplicate_pub_id_rejected_even_across_window(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record("P1", year=1995), _pub_record("P1", year=2002)])
         with pytest.raises(ValidationError):
-            load_publications(path, window=(2001, 2003))
+            list(iter_publications(path, window=(2001, 2003)))
 
     def test_window_filters_inclusively(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
@@ -210,7 +197,7 @@ class TestLoadPublications:
             _pub_record("P3", year=2003),
             _pub_record("P4", year=2004),
         ])
-        pubs = load_publications(path, window=(2001, 2003))
+        pubs = list(iter_publications(path, window=(2001, 2003)))
         assert [p.pub_id for p in pubs] == ["P2", "P3"]
 
     def test_diagnostics_collects_and_skips(self, tmp_path):
@@ -222,7 +209,7 @@ class TestLoadPublications:
             encoding="utf-8",
         )
         diagnostics = []
-        pubs = load_publications(path, diagnostics=diagnostics)
+        pubs = list(iter_publications(path, diagnostics=diagnostics))
         assert [p.pub_id for p in pubs] == ["P2"]
         assert len(diagnostics) == 2
 
@@ -230,7 +217,7 @@ class TestLoadPublications:
         path = tmp_path / "pubs.jsonl"
         original = [make_pub("P1", ["Università di Roma"], authors=[("rossi", "M")])]
         write_publications(original, path)
-        assert load_publications(path) == original
+        assert list(iter_publications(path)) == original
 
 
 ORG_HEADER = "org_id,kind,region,canonical_name,aliases\n"
@@ -687,33 +674,23 @@ def test_loader_tables_match_the_record_reference(oracle_paths, rows):
 
 
 class TestFilters:
-    def _setup(self, registry, pubs):
-        resolver = Resolver.build(registry)
-        resolutions = {p.pub_id: resolve_publication(p, resolver) for p in pubs}
-        attributions = {
-            p.pub_id: attribute_authors(
-                p, split_org_ids(resolutions[p.pub_id], registry)[0], registry.roster
-            )
-            for p in pubs
-        }
-        return resolver, resolutions, attributions
+    """Report rows: pub_id, exact, alias, unresolved, unique, ambiguous."""
 
-    def test_partition_drops_fully_unresolvable_publications(self, registry):
-        pubs = [
+    def test_partition_drops_fully_unresolvable_publications(self, run, capsys):
+        result = run([
             make_pub("P1", ["Universita di Roma", "Acme Research"]),
             make_pub("P2", ["Universita di Roma"]),               # one side resolves
             make_pub("P3", ["Nowhere Institute"]),                # nothing resolves
+        ])
+        kept = [pub_id for pub_id, exact, alias, *_ in result.report_rows if exact + alias]
+        assert (len(result.report_rows), kept) == (3, ["P1", "P2"])
+        cli._warn(result)
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: publication 'P3': no affiliation resolved"
         ]
-        _, resolutions, _ = self._setup(registry, pubs)
-        kept, report = partition_resolvable(pubs, resolutions)
-        assert [p.pub_id for p in kept] == ["P1", "P2"]
-        assert report.publications_read == 3
-        assert report.publications_kept == 2
-        assert report.dropped_unresolvable == 1
-        assert len(report.warnings) == 1
 
-    def test_hard_science_filter_needs_attribution_and_enterprise(self, registry):
-        pubs = [
+    def test_hard_science_filter_needs_attribution_and_enterprise(self, run):
+        result = run([
             # attributed author + enterprise: kept
             make_pub("P1", ["Universita di Roma", "Acme Research"], authors=[("rossi", "M")]),
             # no roster author: dropped
@@ -722,9 +699,6 @@ class TestFilters:
             make_pub("P3", ["Universita di Roma"], authors=[("rossi", "M")]),
             # enterprise but no university, so no attribution either: dropped
             make_pub("P4", ["Acme Research"], authors=[("rossi", "M")]),
-        ]
-        _, resolutions, attributions = self._setup(registry, pubs)
-        kept = filter_hard_sciences(pubs, attributions, resolutions, registry)
-        assert [p.pub_id for p in kept] == ["P1"]
-        again = filter_hard_sciences(kept, attributions, resolutions, registry)
-        assert again == kept
+        ])
+        assert result.retained == 1
+        assert {event[0] for event in result.ue_events + result.sds_events} == {"P1"}

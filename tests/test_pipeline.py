@@ -1,8 +1,8 @@
 """Oracles for the one-pass pipeline and its flow-count cube.
 
 The equivalence oracle runs small generated corpora through ``run_pipeline``
-and through the staged chain it replaced (resolve every publication, then
-attribute, partition, filter, derive and tally). The additivity oracle splits
+and through a per-publication reference written from the rules in its
+docstring, on plain tuples. The additivity oracle splits
 the demo corpus into two shards: their cubes, and the count columns of the
 tables read from them, add up to those of the whole corpus. The scaling
 oracle adds a copy of every demo publication and checks how each column of
@@ -36,40 +36,16 @@ from hypothesis import strategies as st
 import collabmarket
 from collabmarket import cli
 from collabmarket.cli import run_pipeline
-from collabmarket.collab import FlowCube, corpus_totals, events_by_sds
+from collabmarket.collab import FlowCube, corpus_totals
 from collabmarket.config import RunConfig, apply_setting, load_config
 from collabmarket.demo import SECTOR, demo_corpus, write_demo_corpus
-from collabmarket.indicators import (
-    all_headcounts,
-    regional_summary,
-    sector_correspondence,
-    sector_flows,
-)
-from collabmarket.ingest import (
-    ORG_COLUMNS,
-    ROSTER_COLUMNS,
-    TAXONOMY_COLUMNS,
-    filter_hard_sciences,
-    load_publications,
-    load_registries,
-    partition_resolvable,
-    write_publications,
-)
-from collabmarket.model import (
-    CorpusTotals,
-    PublicationRecord,
-    SDSCollaboration,
-    UECollaboration,
-)
+from collabmarket.indicators import regional_summary, sector_correspondence, sector_flows
+from collabmarket.ingest import iter_publications, load_registries, write_publications
+from collabmarket.model import ENTERPRISE, UNIVERSITY, CorpusTotals, PublicationRecord
 from collabmarket.report import sanitize_code
-from collabmarket.resolve import (
-    Resolver,
-    attribute_authors,
-    resolution_report_rows,
-    resolve_publication,
-)
+from collabmarket.resolve import Resolver, normalize_name
 
-from conftest import make_pub, split_org_ids, supply_pairs
+from conftest import make_org, make_pub, make_roster, run_pass
 
 REGIONS = ("Lazio", "Lombardy", "Sicily")
 TAXONOMY = (("S1", "01"), ("S2", "02"), ("S3", "02"))
@@ -131,79 +107,40 @@ def corpora(draw):
     return org_regions, extra_aliases, roster, publications
 
 
-def _write_corpus(directory: Path, corpus) -> dict[str, Path]:
-    org_regions, extra_aliases, roster, publications = corpus
-    paths = {
-        key: directory / f"{key}.{ext}"
-        for key, ext in (("organizations", "csv"), ("roster", "csv"), ("taxonomy", "csv"),
-                         ("publications", "jsonl"))
-    }
-    rows = {
-        "organizations": [
-            (org_id, "university" if org_id.startswith("U") else "enterprise", region,
-             _canonical(org_id), "|".join((_alias(org_id), *extra_aliases.get(org_id, ()))))
-            for org_id, region in org_regions.items()
-        ],
-        "roster": [
-            (surname, initials, university, sds, uda, "|".join(map(str, sorted(years))), "1")
-            for (surname, initials), university, (sds, uda), years in roster
-        ],
-        "taxonomy": list(TAXONOMY),
-    }
-    for key, columns in (("organizations", ORG_COLUMNS), ("roster", ROSTER_COLUMNS),
-                         ("taxonomy", TAXONOMY_COLUMNS)):
-        with paths[key].open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows[key])
-    write_publications(
-        [
-            make_pub(f"P{i}", affiliations, authors=authors, year=year)
-            for i, (authors, affiliations, year) in enumerate(publications)
-        ],
-        paths["publications"],
-    )
-    return paths
-
-
-def _staged_reference(config: RunConfig):
-    """The pipeline as a chain of whole-corpus stages, each kept apart."""
-    registry = load_registries(
-        config.organizations, config.roster, config.taxonomy, config.regions
-    )
-    publications = load_publications(config.publications, config.window)
-    resolver = Resolver.build(registry)
-    seen: dict = {}
-    resolutions = {pub.pub_id: resolve_publication(pub, resolver, seen) for pub in publications}
-    org_ids = {pub_id: split_org_ids(res, registry) for pub_id, res in resolutions.items()}
-    attributions = {
-        pub.pub_id: attribute_authors(
-            pub, org_ids[pub.pub_id][0], registry.roster, config.ambiguity
-        )
-        for pub in publications
-    }
-    kept, load_report = partition_resolvable(publications, resolutions)
-    retained = filter_hard_sciences(kept, attributions, resolutions, registry)
-    by_id, taxonomy = registry.by_id, registry.taxonomy
-    ue_events, sds_events = [], []
-    for pub in retained:
-        universities, enterprises = org_ids[pub.pub_id]
-        ue_events += [
-            UECollaboration(pub.pub_id, u, by_id[u].region, e, by_id[e].region, pub.year)
-            for u in universities
-            for e in enterprises
-        ]
-        pairs = supply_pairs(attributions[pub.pub_id], registry)
-        if config.sds_region_split == "single":
-            pairs = {(sds, min(r for s, r in pairs if s == sds)) for sds, _ in pairs}
-        sds_events += [
-            SDSCollaboration(pub.pub_id, sds, taxonomy[sds], region, e, by_id[e].region,
-                             pub.year)
-            for sds, region in pairs
-            for e in enterprises
-        ]
-    rows = resolution_report_rows(publications, resolutions, attributions)
-    return rows, load_report, len(retained), ue_events, sds_events
+def _reference(pub, table, registry, ambiguity, split):
+    """One publication's report row, UE events and SDS events as plain
+    tuples, read off the rules in ``run_pipeline``'s docstring. ``pub`` is
+    (pub_id, author keys, affiliations, year); the drawn author keys are
+    already in their normalized form."""
+    pub_id, authors, affiliations, year = pub
+    hits = [table.get(normalize_name(raw)) for raw in affiliations]
+    resolved = [hit for hit in hits if hit is not None]
+    exact = sum(tier == "exact" for tier, *_ in resolved)
+    universities = {org_id: region for _, org_id, is_uni, region in resolved if is_uni}
+    enterprises = {org_id: region for _, org_id, is_uni, region in resolved if not is_uni}
+    unique = ambiguous = 0
+    pairs = set()
+    for author in authors:
+        candidates = {(sds, u) for u, sds, years in registry.roster.get(author, ())
+                      if u in universities and year in years}
+        if len(candidates) > 1:
+            ambiguous += 1
+            # ``all``: each candidate sector at its lowest university id.
+            candidates = {(sds, min(u for s, u in candidates if s == sds))
+                          for sds, _ in candidates} if ambiguity == "all" else set()
+        else:
+            unique += len(candidates)
+        pairs |= {(sds, universities[u]) for sds, u in candidates}
+    if split == "single":
+        pairs = {(sds, min(r for s, r in pairs if s == sds)) for sds, _ in pairs}
+    row = (pub_id, exact, len(resolved) - exact, len(hits) - len(resolved), unique, ambiguous)
+    if not (enterprises and pairs):
+        return row, [], []
+    ue = [(pub_id, u, ur, e, er, year)
+          for u, ur in universities.items() for e, er in enterprises.items()]
+    sds_events = [(pub_id, sds, registry.taxonomy[sds], r, e, er, year)
+                  for sds, r in pairs for e, er in enterprises.items()]
+    return row, ue, sds_events
 
 
 # An author matching two sectors at one listed university: under policy
@@ -230,6 +167,12 @@ CANONICAL_AS_ALIAS_CORPUS = (
     _REGIONS, {"E0": (_canonical("E1"),)}, _AT_U0,
     [([("rossi", "M")], [_canonical("U0"), _canonical("E1")], 2002)],
 )
+# An author in one sector at U0 and at U1, in two regions, both listed: under
+# policy ``all`` the sector is supplied from the region of the lowest id, U0.
+LOWEST_ID_CORPUS = (
+    _REGIONS, {}, [(("rossi", "M"), u, TAXONOMY[0], {2002}) for u in ("U1", "U0")],
+    [([("rossi", "M")], [_canonical("U1"), _canonical("U0"), _canonical("E0")], 2002)],
+)
 # E0 by its canonical name and by its alias: its events count once, and the
 # report row tallies one exact and one alias mention of it.
 BOTH_NAMES_CORPUS = (
@@ -248,42 +191,57 @@ BOTH_NAMES_CORPUS = (
 @example(corpus=SHARED_ALIAS_CORPUS, ambiguity="strict", split="per-region")
 @example(corpus=CANONICAL_AS_ALIAS_CORPUS, ambiguity="strict", split="per-region")
 @example(corpus=BOTH_NAMES_CORPUS, ambiguity="strict", split="per-region")
-def test_one_pass_equals_the_staged_chain(corpus, ambiguity, split):
+@example(corpus=LOWEST_ID_CORPUS, ambiguity="all", split="per-region")
+def test_one_pass_equals_the_per_publication_reference(corpus, ambiguity, split):
+    org_regions, extra_aliases, roster, publications = corpus
+    organizations = [
+        make_org(org_id, UNIVERSITY if org_id.startswith("U") else ENTERPRISE, region,
+                 _canonical(org_id), (_alias(org_id), *extra_aliases.get(org_id, ())))
+        for org_id, region in org_regions.items()
+    ]
+    roster = [make_roster(*name, university, *sector, years)
+              for name, university, sector, years in roster]
+    pubs = [(f"P{i}", tuple(authors), tuple(affiliations), year)
+            for i, (authors, affiliations, year) in enumerate(publications)]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = _write_corpus(Path(tmp), corpus)
-        config = RunConfig(
-            **paths, out=Path(tmp) / "out", window=WINDOW, regions=REGIONS,
-            ambiguity=ambiguity, sds_region_split=split,
-        )
-        result = run_pipeline(config)
-        rows, load_report, retained, ue_events, sds_events = _staged_reference(config)
+        directory = Path(tmp)
+        result = run_pass(directory, [make_pub(p, a, authors=n, year=y) for p, n, a, y in pubs],
+                          organizations, roster, dict(TAXONOMY), window=WINDOW, regions=REGIONS,
+                          ambiguity=ambiguity, sds_region_split=split)
+        registry = load_registries(*(directory / f"{name}.csv"
+                                     for name in ("organizations", "roster", "taxonomy")))
+    table = Resolver.build(registry).table
+    rows, ue_events, sds_events = [], [], []
+    for pub in pubs:
+        if WINDOW[0] <= pub[3] <= WINDOW[1]:
+            row, ue, sds = _reference(pub, table, registry, ambiguity, split)
+            rows.append(row)
+            ue_events += ue
+            sds_events += sds
 
     assert result.report_rows == rows
-    assert len(result.report_rows) == load_report.publications_read
     with contextlib.redirect_stderr(io.StringIO()) as err:
         cli._warn(result)
-    assert [
-        line for line in err.getvalue().splitlines() if line.startswith("warning: publication ")
-    ] == [f"warning: {warning}" for warning in load_report.warnings]
-    assert result.retained == retained
+    warned = [line for line in err.getvalue().splitlines() if "no affiliation resolved" in line]
+    orphans = [f"warning: publication {row[0]!r}: no affiliation resolved"
+               for row in rows if not row[1] + row[2]]
+    assert warned[:cli.MAX_DIAGNOSTICS] == orphans[:cli.MAX_DIAGNOSTICS]
+    assert len(warned) == min(len(orphans), cli.MAX_DIAGNOSTICS + 1)
+    assert result.retained == len({event[0] for event in ue_events})
     assert Counter(result.ue_events) == Counter(ue_events)
     assert Counter(result.sds_events) == Counter(sds_events)
 
     cube = result.cube
-    assert cube.ue_flows == Counter((ev.u_region, ev.e_region) for ev in ue_events)
-    assert cube.sds_flows == {
-        sds: Counter((ev.supply_region, ev.e_region) for ev in events)
-        for sds, events in events_by_sds(sds_events).items()
-    }
-    assert cube.universities == {ev.university_id for ev in ue_events}
-    enterprises = {ev.enterprise_id for ev in ue_events} | {ev.enterprise_id for ev in sds_events}
+    assert cube.ue_flows == Counter((ev[2], ev[4]) for ev in ue_events)
+    by_sds = {}
+    for ev in sds_events:
+        by_sds.setdefault(ev[1], Counter())[ev[3], ev[5]] += 1
+    assert cube.sds_flows == by_sds
+    assert cube.universities == {ev[1] for ev in ue_events}
+    enterprises = {ev[3] for ev in ue_events} | {ev[4] for ev in sds_events}
     assert cube.enterprises == enterprises
     assert corpus_totals(cube) == CorpusTotals(
-        len(ue_events),
-        len(sds_events),
-        len(cube.universities),
-        len(enterprises),
-        len({ev.sds for ev in sds_events}),
+        len(ue_events), len(sds_events), len(cube.universities), len(enterprises), len(by_sds)
     )
 
 
@@ -316,7 +274,7 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
     in_window = len(result.report_rows)
     assert in_window > 1
     assert seen_at_yield == list(range(in_window))
-    assert list(processed) == [pub.pub_id for pub in load_publications(config.publications,
+    assert list(processed) == [pub.pub_id for pub in iter_publications(config.publications,
                                                                        config.window)]
 
 
@@ -545,8 +503,8 @@ def test_cubes_and_count_columns_add_across_shards(demo, data):
         cube_b = _cube_of(config, shard_b, Path(tmp) / "b.jsonl")
 
     assert _sum_cubes(cube_a, cube_b) == whole
-    headcounts = all_headcounts(load_registries(config.organizations, config.roster,
-                                                config.taxonomy, config.regions))
+    headcounts = load_registries(config.organizations, config.roster, config.taxonomy,
+                                 config.regions).headcounts
     columns_a = _count_columns(config, headcounts, cube_a)
     columns_b = _count_columns(config, headcounts, cube_b)
     for name, column in _count_columns(config, headcounts, whole).items():
@@ -571,8 +529,8 @@ def test_a_copy_of_every_publication_doubles_the_counts(demo, tmp_path):
     config = apply_setting(config, f"capacity.{SECTOR}", "1.25")
     copies = [pub._replace(pub_id=f"{pub.pub_id}/copy") for pub in publications]
     doubled = _cube_of(config, publications + copies, tmp_path / "doubled.jsonl")
-    headcounts = all_headcounts(load_registries(config.organizations, config.roster,
-                                                config.taxonomy, config.regions))
+    headcounts = load_registries(config.organizations, config.roster, config.taxonomy,
+                                 config.regions).headcounts
 
     def tables(cube):
         """Each row of table1, then of table2 and table3 of every taxonomy

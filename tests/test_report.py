@@ -277,6 +277,17 @@ class TestSanitizeCode:
         message = str(err.value)
         assert repr(first) in message and repr(second) in message
 
+    def test_stem_past_the_file_name_limit_is_refused(self):
+        """table2_ + stem + .jsonl may hold 255 bytes of UTF-8, no more; a
+        non-ASCII letter counts its bytes, not one character."""
+        assert output_stems(["A" * 242, "é" * 121], "sectors") == {
+            "A" * 242: "A" * 242, "é" * 121: "é" * 121,
+        }
+        for code in ("A" * 243, "é" * 122, "A/" * 122):
+            with pytest.raises(ValidationError) as err:
+                output_stems(["FIS/01", code], "sectors")
+            assert repr(code) in str(err.value)
+
 
 class TestQuadrantSvg:
     POSITIONS = [

@@ -1,37 +1,26 @@
-"""Name normalization, registry resolution, and author attribution."""
+"""Name normalization, the affiliation table, and the pass's resolution and
+attribution rules, read off its report rows and events."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmarket.model import (
-    ENTERPRISE,
-    UNIVERSITY,
-    AffiliationResolution,
-    AuthorName,
-    Organization,
-)
+from collabmarket.model import ENTERPRISE, UNIVERSITY, Organization
 from collabmarket.resolve import (
     ALIAS,
-    AMBIGUOUS_ALL,
-    AMBIGUOUS_SKIPPED,
     EXACT,
-    UNIQUE,
-    UNRESOLVED,
+    NO_MATCH,
     Resolver,
-    attribute_authors,
     normalize_initials,
     normalize_name,
-    resolution_report_rows,
-    resolve_affiliation,
     resolve_publication,
     _initials_unicode,
     _normalize_once,
     _normalize_unicode,
 )
 
-from conftest import YEARS, make_org, make_pub, make_registry, make_roster, split_org_ids
+from conftest import YEARS, make_org, make_pub, make_registry, make_roster, run_pass
 
 # Every ASCII character, controls included: str.split() treats \x1c-\x1f as
 # whitespace, which the translate fast path must match.
@@ -143,21 +132,21 @@ def org_registries(draw):
 
 
 def _reference_resolution(organizations, raw):
-    """The resolution rule read off the registry: the lowest id whose
-    canonical name matches, else the lowest id with a matching non-empty
-    alias."""
+    """The resolution rule read off the registry as (tier, org id): the
+    lowest id whose canonical name matches, else the lowest id with a
+    matching non-empty alias."""
     name = normalize_name(raw)
     exact = [org.org_id for org in organizations if normalize_name(org.canonical_name) == name]
     if exact:
-        return AffiliationResolution(raw, min(exact), EXACT)
+        return EXACT, min(exact)
     alias = [
         org.org_id
         for org in organizations
         if name and any(normalize_name(a) == name for a in org.aliases)
     ]
     if alias:
-        return AffiliationResolution(raw, min(alias), ALIAS)
-    return AffiliationResolution(raw, None, UNRESOLVED)
+        return ALIAS, min(alias)
+    return NO_MATCH[:2]
 
 
 @settings(max_examples=300)
@@ -166,7 +155,8 @@ def test_table_resolves_canonical_first_then_alias_at_the_lowest_id(organization
     registry = make_registry(organizations, (), {})
     resolver = Resolver.build(registry)
     for raw in (*NAME_POOL, unknown, "Nowhere Institute"):
-        assert resolve_affiliation(raw, resolver) == _reference_resolution(organizations, raw)
+        hit = resolver.table.get(normalize_name(raw), NO_MATCH)
+        assert hit[:2] == _reference_resolution(organizations, raw)
     for tier, org_id, is_university, region in resolver.table.values():
         org = registry.by_id[org_id]
         assert (is_university, region) == (org.kind == UNIVERSITY, org.region)
@@ -180,30 +170,42 @@ def test_table_resolves_canonical_first_then_alias_at_the_lowest_id(organization
     }
 
 
+def _ue_pairs(result):
+    """(university, enterprise) of each university-enterprise event."""
+    return sorted((u, e) for _, u, _, e, _, _ in result.ue_events)
+
+
 class TestResolveAffiliation:
-    def test_exact_match(self, registry):
-        resolver = Resolver.build(registry)
-        res = resolve_affiliation("UNIVERSITA DI ROMA", resolver)
-        assert (res.org_id, res.confidence) == ("U1", EXACT)
+    """Report rows: pub_id, exact, alias, unresolved, unique, ambiguous. The
+    events show the resolved org ids of a retained publication. The two
+    ``resolve_publication`` tests check that records form of the rule, which
+    only the benchmark's tracer still wraps."""
 
-    def test_alias_match(self, registry):
-        resolver = Resolver.build(registry)
-        res = resolve_affiliation("Borg", resolver)
-        assert (res.org_id, res.confidence) == ("E2", ALIAS)
+    def test_exact_match(self, run):
+        result = run([make_pub("P1", ["UNIVERSITA DI ROMA", "Acme Research"])])
+        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        assert _ue_pairs(result) == [("U1", "E1")]
 
-    def test_exact_beats_alias(self, taxonomy):
+    def test_alias_match(self, run):
+        result = run([make_pub("P1", ["Borg", "Universita di Roma"])])
+        assert result.report_rows == [("P1", 1, 1, 0, 1, 0)]
+        assert _ue_pairs(result) == [("U1", "E2")]
+
+    def test_exact_beats_alias(self, taxonomy, tmp_path):
         organizations = (
             make_org("A1", ENTERPRISE, "Lazio", "Target Name"),
             make_org("A2", ENTERPRISE, "Veneto", "Other Firm", aliases=("Target Name",)),
+            make_org("U1", UNIVERSITY, "Lazio", "Uni"),
         )
-        registry = make_registry(organizations, (), taxonomy)
-        resolver = Resolver.build(registry)
-        assert resolve_affiliation("Target Name", resolver).org_id == "A1"
+        result = run_pass(tmp_path, [make_pub("P1", ["Target Name", "Uni"])], organizations,
+                          [make_roster("rossi", "M", "U1")], taxonomy)
+        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        assert _ue_pairs(result) == [("U1", "A1")]
 
-    def test_unresolved(self, registry):
-        resolver = Resolver.build(registry)
-        res = resolve_affiliation("Nowhere Institute", resolver)
-        assert (res.org_id, res.confidence) == (None, UNRESOLVED)
+    def test_unresolved(self, run):
+        result = run([make_pub("P1", ["Nowhere Institute"])])
+        assert result.report_rows == [("P1", 0, 0, 1, 0, 0)]
+        assert (result.retained, result.ue_events) == (0, [])
 
     def test_resolve_publication_preserves_order(self, registry):
         resolver = Resolver.build(registry)
@@ -222,74 +224,71 @@ class TestResolveAffiliation:
         assert second[0] is first[1]
         assert sorted(seen) == ["Borg", "Univ. Roma"]
 
-    def test_split_org_ids_dedup_and_kind(self, registry):
-        resolver = Resolver.build(registry)
+    def test_split_org_ids_dedup_and_kind(self, run):
         pub = make_pub("P1", ["Borg", "Borg Devices", "Univ. Roma", "Acme Research", "Nowhere"])
-        resolutions = resolve_publication(pub, resolver)
-        universities, enterprises = split_org_ids(resolutions, registry)
-        assert enterprises == ("E1", "E2")
-        assert universities == ("U1",)
+        result = run([pub])
+        assert result.report_rows == [("P1", 2, 2, 1, 1, 0)]
+        assert _ue_pairs(result) == [("U1", "E1"), ("U1", "E2")]
+        assert (result.cube.universities, result.cube.enterprises) == ({"U1"}, {"E1", "E2"})
+
+
+def _sds_events(result):
+    """(sector, area, supply region, enterprise) of each sector event."""
+    return sorted((sds, uda, region, e) for _, sds, uda, region, e, _, _ in result.sds_events)
 
 
 class TestAttribution:
-    def _resolve(self, registry, pub):
-        """The roster table and the publication's resolved university ids."""
-        resolver = Resolver.build(registry)
-        universities, _ = split_org_ids(resolve_publication(pub, resolver), registry)
-        return registry.roster, universities
+    """Each publication lists Acme Research, an enterprise, so that an
+    attributed author's sector shows in its events."""
 
-    def test_unique_match(self, registry):
-        pub = make_pub("P1", ["Politecnico di Milano"], authors=[("bianchi", "G")])
-        roster, universities = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, universities, roster)
-        assert (att.university_id, att.sds, att.status) == ("U2", "FIS/01", UNIQUE)
+    def test_unique_match(self, run):
+        result = run([make_pub("P1", ["Politecnico di Milano", "Acme Research"],
+                               authors=[("bianchi", "G")])])
+        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        assert _sds_events(result) == [("FIS/01", "02", "Lombardy", "E1")]
+        assert _ue_pairs(result) == [("U2", "E1")]
 
-    def test_year_outside_active_years_blocks(self, registry):
-        pub = make_pub("P1", ["Universita di Roma"], authors=[("verdi", "A")], year=2002)
-        roster, universities = self._resolve(registry, pub)
-        assert attribute_authors(pub, universities, roster) == ()
+    def test_year_outside_active_years_blocks(self, run):
+        result = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                               authors=[("verdi", "A")], year=2002)])
+        assert result.report_rows == [("P1", 2, 0, 0, 0, 0)]
+        assert result.retained == 0
 
-    def test_unmatched_author_produces_nothing(self, registry):
-        pub = make_pub("P1", ["Universita di Roma"], authors=[("neri", "Z")])
-        roster, universities = self._resolve(registry, pub)
-        assert attribute_authors(pub, universities, roster) == ()
+    def test_unmatched_author_produces_nothing(self, run):
+        result = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                               authors=[("neri", "Z")])])
+        assert result.report_rows == [("P1", 2, 0, 0, 0, 0)]
+        assert result.retained == 0
 
-    def test_university_not_in_publication_blocks(self, registry):
-        pub = make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])
-        roster, universities = self._resolve(registry, pub)
-        assert attribute_authors(pub, universities, roster) == ()
+    def test_university_not_in_publication_blocks(self, run):
+        result = run([make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])])
+        assert result.report_rows == [("P1", 1, 0, 0, 0, 0)]
+        assert result.retained == 0
 
-    def test_ambiguous_strict_skips_with_no_sds(self, registry):
-        pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano"],
+    def test_ambiguous_strict_skips_with_no_sds(self, run):
+        pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano", "Acme Research"],
                        authors=[("rossi", "M")])
-        roster, universities = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, universities, roster, "strict")
-        assert att.status == AMBIGUOUS_SKIPPED
-        assert att.sds is None and att.university_id is None
+        result = run([pub], ambiguity="strict")
+        assert result.report_rows == [("P1", 3, 0, 0, 0, 1)]
+        assert (result.retained, result.sds_events) == (0, [])
 
-    def test_ambiguous_all_one_per_distinct_sds(self, registry):
-        pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano"],
+    def test_ambiguous_all_one_per_distinct_sds(self, run):
+        pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano", "Acme Research"],
                        authors=[("rossi", "M")])
-        roster, universities = self._resolve(registry, pub)
-        atts = attribute_authors(pub, universities, roster, "all")
-        # both candidates share ING-INF/01, so one attribution at the lowest id
-        assert [(a.university_id, a.sds, a.status) for a in atts] == [
-            ("U1", "ING-INF/01", AMBIGUOUS_ALL)
-        ]
+        result = run([pub], ambiguity="all")
+        assert result.report_rows == [("P1", 3, 0, 0, 0, 1)]
+        # both candidates share ING-INF/01, so one attribution at the lowest
+        # id, U1, whose region supplies the sector
+        assert _sds_events(result) == [("ING-INF/01", "09", "Lazio", "E1")]
 
-    def test_single_candidate_from_many_entries_is_unique(self, registry):
-        pub = make_pub("P1", ["Universita di Roma"], authors=[("rossi", "M")])
-        roster, universities = self._resolve(registry, pub)
-        (att,) = attribute_authors(pub, universities, roster)
-        assert (att.university_id, att.status) == ("U1", UNIQUE)
+    def test_single_candidate_from_many_entries_is_unique(self, run):
+        result = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                               authors=[("rossi", "M")])])
+        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        assert _sds_events(result) == [("ING-INF/01", "09", "Lazio", "E1")]
 
-    def test_report_rows(self, registry):
-        resolver = Resolver.build(registry)
-        pub = make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
-                       authors=[("rossi", "M"), ("neri", "Z")])
-        resolutions = {"P1": resolve_publication(pub, resolver)}
-        universities, _ = split_org_ids(resolutions["P1"], registry)
-        attributions = {"P1": attribute_authors(pub, universities, registry.roster)}
-        (row,) = resolution_report_rows([pub], resolutions, attributions)
+    def test_report_rows(self, run):
+        result = run([make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
+                               authors=[("rossi", "M"), ("neri", "Z")])])
         # exact=1 (Acme), alias=1 (Univ. Roma), unresolved=1, unique=1, ambiguous=0
-        assert row == ("P1", 1, 1, 1, 1, 0)
+        assert result.report_rows == [("P1", 1, 1, 1, 1, 0)]
