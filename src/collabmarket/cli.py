@@ -36,9 +36,9 @@ the run subcommands stop at the first problem, and appends with one, so
 the four values of each (sector, region) cell that it compares. A table must
 list each region of its manifest exactly once, with finite compared numbers;
 each line and the manifest are read by ``ingest._json_line``, the one JSON
-reader. A line as ``analyze`` writes it passes one accept check, and any other
-goes through the checks that name its problem. The delta report goes to its
-two files a bounded chunk of cells at a time, rendered column by column.
+reader, and each line goes through one chain of checks, the first failing
+one naming its problem. The delta report goes to its two files a bounded
+chunk of cells at a time, rendered column by column.
 
 Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
 run completed without hard errors, 1 for data errors and 2 for usage problems,
@@ -298,12 +298,17 @@ def _write_table(out_dir: Path, table: RenderedTable) -> None:
     (out_dir / f"{table.name}.jsonl").write_text(render_table(table, "jsonl"), encoding="utf-8")
 
 
+def _print_capped(line: str, items: Sequence[object], rest: str) -> None:
+    """Print ``line`` filled in with each of the first ``MAX_DIAGNOSTICS``
+    items to stderr, then ``rest`` filled in with the count of the others, if any."""
+    for item in items[:MAX_DIAGNOSTICS]:
+        print(line.format(item), file=sys.stderr)
+    if len(items) > MAX_DIAGNOSTICS:
+        print(rest.format(len(items) - MAX_DIAGNOSTICS), file=sys.stderr)
+
+
 def _print_diagnostics(diagnostics: Sequence[str]) -> None:
-    for message in diagnostics[:MAX_DIAGNOSTICS]:
-        print(f"error: {message}", file=sys.stderr)
-    overflow = len(diagnostics) - MAX_DIAGNOSTICS
-    if overflow > 0:
-        print(f"... and {overflow} more", file=sys.stderr)
+    _print_capped("error: {}", diagnostics, "... and {} more")
 
 
 def _warn(result: PipelineResult) -> None:
@@ -316,17 +321,11 @@ def _warn(result: PipelineResult) -> None:
             f"resolving to {min(org_ids)}",
             file=sys.stderr,
         )
-    orphans = [
-        pub_id for pub_id, exact, alias, *_ in result.report_rows if not exact and not alias
-    ]
-    for pub_id in orphans[:MAX_DIAGNOSTICS]:
-        print(f"warning: publication {pub_id!r}: no affiliation resolved", file=sys.stderr)
-    overflow = len(orphans) - MAX_DIAGNOSTICS
-    if overflow > 0:
-        print(
-            f"warning: ... and {overflow} more publications with no affiliation resolved",
-            file=sys.stderr,
-        )
+    orphans = [pub_id for pub_id, exact, alias, *_ in result.report_rows if not exact and not alias]
+    _print_capped(
+        "warning: publication {!r}: no affiliation resolved", orphans,
+        "warning: ... and {} more publications with no affiliation resolved",
+    )
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -542,17 +541,14 @@ def _read_compared(
     """The two ``compared`` values of each region in one table's JSONL twin,
     keyed by the manifest's own region string, in one pass over the file.
 
-    Each non-blank line must hold an object whose keys are ``fields`` in
-    order, as ``render_table`` writes them, with a string region and a finite
-    number or null in each compared field; any other value, a boolean
-    included, would fail inside snapshot_diff. Each of ``regions`` must be on
-    exactly one line.
-
-    Each line is read by ``ingest._json_line``. A line as ``render_table``
-    writes it is accepted by one check of its value: an object with those
-    keys, a region of the manifest not seen yet, and a finite float or null
-    in each compared field. Any other line takes the checks in order, and the
-    first that fails names the problem.
+    Each non-blank line is read by ``ingest._json_line`` and goes through one
+    chain of checks, the first failing one naming the problem: an object
+    whose keys are ``fields`` in order, as ``render_table`` writes them; a
+    string region; a finite number or null in each compared field, as any
+    other value, a boolean included, would fail inside snapshot_diff; a
+    region of ``regions`` not seen yet. Each of ``regions`` must be on
+    exactly one line. A value that is null or a finite float, as
+    ``render_table`` writes it, passes its check by one test.
     """
     first, second = compared
     cells: dict[str, tuple] = {}
@@ -565,37 +561,32 @@ def _read_compared(
                     obj = _json_line(line)
                 except json.JSONDecodeError as exc:
                     raise DiffError(f"{path}:{line_no}: bad JSON: {exc.msg}") from None
-                if (
-                    type(obj) is dict
-                    and tuple(obj) == fields
-                    and type(region := obj["region"]) is str
-                    and region in regions
-                    and region not in cells
-                    and ((a := obj[first]) is None or type(a) is float and math.isfinite(a))
-                    and ((b := obj[second]) is None or type(b) is float and math.isfinite(b))
-                ):
-                    cells[regions[region]] = a, b
-                    continue
-                where = f"{path}:{line_no}"
-                if not isinstance(obj, dict) or tuple(obj) != fields:
+                if type(obj) is not dict or tuple(obj) != fields:
                     keys = ", ".join(fields)
-                    raise DiffError(f"{where}: expected an object with the keys {keys}")
+                    raise DiffError(f"{path}:{line_no}: expected an object with the keys {keys}")
                 region = obj["region"]
-                values = obj[first], obj[second]
                 if type(region) is not str:
                     kind = _JSON_TYPE_NAMES[type(region)]
-                    raise DiffError(f"{where}: region is {kind}, expected a string")
-                for name, value in zip(compared, values):
-                    if type(value) not in _NUMBER_OR_NULL:
-                        kind = _JSON_TYPE_NAMES[type(value)]
-                        raise DiffError(f"{where}: {name} is {kind}, expected a number or null")
-                for name, value in zip(compared, values):
-                    if value is not None and not _is_finite(value):
-                        raise DiffError(f"{where}: {name} is not a finite number")
+                    raise DiffError(f"{path}:{line_no}: region is {kind}, expected a string")
+                values = a, b = obj[first], obj[second]
+                if not (a is None or type(a) is float and math.isfinite(a)) or not (
+                    b is None or type(b) is float and math.isfinite(b)
+                ):
+                    for name, value in zip(compared, values):
+                        if type(value) not in _NUMBER_OR_NULL:
+                            kind = _JSON_TYPE_NAMES[type(value)]
+                            raise DiffError(
+                                f"{path}:{line_no}: {name} is {kind}, expected a number or null"
+                            )
+                    for name, value in zip(compared, values):
+                        if value is not None and not _is_finite(value):
+                            raise DiffError(f"{path}:{line_no}: {name} is not a finite number")
                 if region not in regions:
-                    raise DiffError(f"{where}: region {region!r} is not in the snapshot's regions")
+                    raise DiffError(
+                        f"{path}:{line_no}: region {region!r} is not in the snapshot's regions"
+                    )
                 if region in cells:
-                    raise DiffError(f"{where}: region {region!r} is listed twice")
+                    raise DiffError(f"{path}:{line_no}: region {region!r} is listed twice")
                 cells[regions[region]] = values
     except OSError as exc:
         raise DiffError(f"{path}: cannot read: {exc}") from None

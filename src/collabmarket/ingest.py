@@ -368,38 +368,6 @@ def _load_organizations(
     return by_id
 
 
-def _referential_error(
-    path: Path,
-    line_no: int,
-    surname: str,
-    university_id: str,
-    sds: str,
-    uda: str,
-    by_id: Mapping[str, Organization],
-    taxonomy: Mapping[str, str],
-) -> ReferentialError:
-    """The first failing check of a roster row whose name is valid but whose
-    university or sector is not."""
-    org = by_id.get(university_id)
-    if org is None:
-        return ReferentialError(
-            f"{path}:{line_no}: roster row for {surname!r} references "
-            f"unknown university_id {university_id!r}"
-        )
-    if org.kind != UNIVERSITY:
-        return ReferentialError(
-            f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
-            "roster entries must point at universities"
-        )
-    if sds not in taxonomy:
-        return ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy")
-    # The only check left: the row names another parent for its sds.
-    return ReferentialError(
-        f"{path}:{line_no}: sds {sds!r} belongs to uda "
-        f"{taxonomy[sds]!r}, row says {uda!r}"
-    )
-
-
 def _parse_years(raw: str) -> frozenset[int] | None:
     try:
         return frozenset(int(y) for y in raw.split("|") if y.strip())
@@ -425,6 +393,8 @@ def _load_roster(
 ]:
     """The two roster tables of a ``Registry``, built in one walk of the file.
 
+    Each row goes through one chain of checks, the first failing one naming
+    its problem: name, university, sector, the sector's area, years, weight.
     Each accepted row, in file order, joins the triples of its name key and
     adds its weight to its sector's headcount in its university's region.
     """
@@ -452,10 +422,23 @@ def _load_roster(
                 if not surname or not 1 <= len(initials) <= 3:
                     raise ParseError(path, line_no, "roster rows need a surname and 1-3 initials")
                 university = universities.get(university_id)
+                if university is None:
+                    org = by_id.get(university_id)
+                    if org is None:
+                        raise ReferentialError(
+                            f"{path}:{line_no}: roster row for {surname!r} references "
+                            f"unknown university_id {university_id!r}"
+                        )
+                    raise ReferentialError(
+                        f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
+                        "roster entries must point at universities"
+                    )
                 sector = sectors.get(sds)
-                if university is None or sector is None or sector[1] != uda:
-                    raise _referential_error(
-                        path, line_no, surname, university_id, sds, uda, by_id, taxonomy
+                if sector is None:
+                    raise ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy")
+                if sector[1] != uda:
+                    raise ReferentialError(
+                        f"{path}:{line_no}: sds {sds!r} belongs to uda {sector[1]!r}, row says {uda!r}"
                     )
                 if years not in years_of:
                     years_of[years] = _parse_years(years)

@@ -74,7 +74,7 @@ def corpora(draw):
     ambiguous roster names, unresolvable and junk affiliations, publications
     with one side only, years outside the window, an alias shared by several
     organizations, one organization's canonical name listed as another's
-    alias."""
+    alias, one author in one sector at two listed universities."""
     org_regions = {org_id: draw(st.sampled_from(REGIONS)) for org_id in ORGS}
     extra_aliases = draw(st.dictionaries(
         st.sampled_from(ORGS),
@@ -104,6 +104,15 @@ def corpora(draw):
         min_size=1,
         max_size=25,
     ))
+    if draw(st.booleans()):
+        # One name in one sector at two universities, both listed beside an
+        # enterprise in an active year: policy ``all`` picks the lower id.
+        name, sector = draw(st.sampled_from(NAMES)), draw(st.sampled_from(TAXONOMY))
+        pair = draw(st.lists(st.sampled_from(UNIVERSITIES), min_size=2, max_size=2, unique=True))
+        year = draw(st.integers(*WINDOW))
+        listed = [*pair, draw(st.sampled_from(ENTERPRISES))]
+        roster += [(name, university, sector, {year}) for university in pair]
+        publications.append(([name], draw(st.permutations(list(map(_canonical, listed)))), year))
     return org_regions, extra_aliases, roster, publications
 
 

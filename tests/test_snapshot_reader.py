@@ -170,6 +170,8 @@ def _outcome(read, *args):
 @example(False, [0.5] * 21, [("two", 0, 1), ("region", 2, 3)])
 @example(False, [0.5] * 21, [("region", 1, 0)])
 @example(True, [0.5] * 21, [("reorder", 1, 3), ("extra", 2, 0)])
+# A NaN surplus and a string demand per scientist on one line: the type is named.
+@example(False, [0.5] * 21, [("value", 0, 20), ("value", 0, 27)])
 def test_reader_matches_the_reference_on_damaged_tables(table3, values, steps):
     """On a rendered table2 or table3 twin after a few damage steps, diff's
     reader returns what the reference returns, down to the sign of a zero
