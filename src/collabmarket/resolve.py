@@ -3,8 +3,14 @@ attribution functions.
 
 The same normalization pipeline is used for organization names, aliases and
 author surnames so that registry matching and roster matching cannot drift
-apart. ``Resolver.build`` makes the one table the pass (``cli.run_pipeline``)
-looks each affiliation string up in; the pass's docstring states the rules.
+apart. Each normalizer makes one table-driven ``str.translate`` per pass:
+ASCII input through a complete table of the 128 ASCII characters, any other
+input, after NFKD, through a code-point table that applies the character rule
+to each code point once. The code-point tables are module-level memos, one
+entry per distinct code point seen; no result depends on what they hold.
+
+``Resolver.build`` makes the one table the pass (``cli.run_pipeline``) looks
+each affiliation string up in; the pass's docstring states the rules.
 
 ``resolve_affiliation``, ``resolve_publication``, ``attribute_authors`` and
 ``resolution_report_rows`` are the staged chain the pass replaced: the same
@@ -17,7 +23,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import UNIVERSITY, AffiliationResolution, AuthorAttribution, PublicationRecord, Registry
 
@@ -33,22 +39,53 @@ AMBIGUOUS_ALL = "ambiguous_all"
 # Distinct non-ASCII names and initials per run are a few thousand.
 _UNICODE_CACHE_SIZE = 1 << 14
 
-# On ASCII input NFKD is the identity, nothing is a combining mark and
-# casefold() equals lower(), so one translate does the whole per-character pass.
-_ASCII_NON_ALNUM_TO_SPACE = {c: " " for c in range(128) if not chr(c).isalnum()}
-_ASCII_NON_ALPHA = {c: None for c in range(128) if not chr(c).isalpha()}
+
+def _name_rule(ch: str) -> str | None:
+    """One code point of a name after NFKD: a combining mark is dropped, any
+    other character that is not alphanumeric becomes a space, and the rest
+    are case-folded (``casefold`` maps each character on its own)."""
+    if unicodedata.combining(ch):
+        return None
+    return ch.casefold() if ch.isalnum() else " "
+
+
+def _initials_rule(ch: str) -> str | None:
+    """One code point of initials after NFKD: a letter that is not a
+    combining mark is uppercased, everything else is dropped."""
+    return ch.upper() if ch.isalpha() and not unicodedata.combining(ch) else None
+
+
+class _CodePointTable(dict):
+    """A ``str.translate`` table filled on demand: the entry of a code point
+    is ``rule(chr(code))``, computed the first time ``translate`` looks it up
+    and kept. It is a memo, one entry per distinct code point seen; no
+    result depends on what it holds."""
+
+    def __init__(self, rule: Callable[[str], str | None]):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, code: int) -> str | None:
+        value = self[code] = self.rule(chr(code))
+        return value
+
+
+_NAME_TABLE = _CodePointTable(_name_rule)
+_INITIALS_TABLE = _CodePointTable(_initials_rule)
+
+# On ASCII input NFKD is the identity and one pass reaches the fixpoint, so
+# the rules' values for all 128 characters make a complete table, the case
+# fold built in, and one translate does the whole pass. The rules delete by
+# None, not "": an empty string takes ASCII input off CPython's fast
+# translate path.
+_ASCII_NAME = {code: _name_rule(chr(code)) for code in range(128)}
+_ASCII_INITIALS = {code: _initials_rule(chr(code)) for code in range(128)}
 
 
 def _normalize_once(raw: str) -> str:
     # NFKD first so that accented letters split into base + combining mark and
     # compatibility characters (ligatures, fullwidth forms) flatten out.
-    decomposed = unicodedata.normalize("NFKD", raw)
-    kept: list[str] = []
-    for ch in decomposed:
-        if unicodedata.combining(ch):
-            continue
-        kept.append(ch if ch.isalnum() else " ")
-    return " ".join("".join(kept).casefold().split())
+    return " ".join(unicodedata.normalize("NFKD", raw).translate(_NAME_TABLE).split())
 
 
 @lru_cache(maxsize=_UNICODE_CACHE_SIZE)
@@ -76,33 +113,37 @@ def normalize_name(raw: str) -> str:
     with spaces, collapse whitespace. The result is idempotent: normalizing an
     already-normalized string changes nothing.
 
-    ASCII input takes a single ``translate`` pass; every other input takes the
-    general per-character path. On ASCII input both give the same string, so
-    which path ran never shows in the result.
+    Each pass is one table-driven ``str.translate``. ASCII input goes through
+    a table of all 128 characters with the case fold built in; any other
+    input is NFKD-decomposed, then goes through the code-point table. That
+    table is a module-level memo, one entry per distinct code point seen,
+    and no result depends on what it holds. On ASCII input both paths give
+    the same string, so which one ran never shows in the result.
 
     >>> normalize_name("Università  di ROMA “Tor Vergata”")
     'universita di roma tor vergata'
     """
     if raw.isascii():
-        return " ".join(raw.translate(_ASCII_NON_ALNUM_TO_SPACE).lower().split())
+        return " ".join(raw.translate(_ASCII_NAME).split())
     return _normalize_unicode(raw)
 
 
 @lru_cache(maxsize=_UNICODE_CACHE_SIZE)
 def _initials_unicode(raw: str) -> str:
-    decomposed = unicodedata.normalize("NFKD", raw)
-    letters = [c for c in decomposed if c.isalpha() and not unicodedata.combining(c)]
-    return "".join(letters).upper()
+    return unicodedata.normalize("NFKD", raw).translate(_INITIALS_TABLE)
 
 
 def normalize_initials(raw: str) -> str:
     """Uppercase the letters of an initials string, dropping punctuation.
 
-    Like ``normalize_name``, ASCII input takes a ``translate`` fast path that
-    gives the same result as the general path.
+    Like ``normalize_name``, one table-driven ``translate``: ASCII input goes
+    through a table of all 128 characters with the uppercasing built in, any
+    other input is NFKD-decomposed and goes through a code-point table, a
+    module-level memo of one entry per distinct code point seen that no
+    result depends on. Both paths give the same result on ASCII input.
     """
     if raw.isascii():
-        return raw.translate(_ASCII_NON_ALPHA).upper()
+        return raw.translate(_ASCII_INITIALS)
     return _initials_unicode(raw)
 
 

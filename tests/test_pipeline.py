@@ -11,6 +11,8 @@ interpreters with different ``PYTHONHASHSEED`` values: the bytes match. The
 relabeling oracle maps the regions by a bijection that reverses their sorted
 order, so every table's rows come in another order; the renaming oracle
 prefixes every org id: ``analyze`` writes the same tables, once mapped back.
+The respelling oracle writes every affiliation and author name of the corpus
+another way that normalizes alike: ``analyze`` writes the same bytes.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ import json
 import math
 import os
 import re
+import string
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from collections import Counter
-from itertools import chain
+from itertools import chain, cycle
 from pathlib import Path
 
 import pytest
@@ -457,6 +461,48 @@ def test_renaming_the_org_ids_leaves_the_tables_unchanged(tmp_path):
             assert rows == _csv_rows(data), name
         else:
             assert changed[name] == data, name
+
+
+# Each ASCII punctuation mark swapped for the next one.
+_PUNCTUATION = str.maketrans(string.punctuation, string.punctuation[1:] + string.punctuation[0])
+
+
+def _respell(text: str, accents: str) -> str:
+    """Another spelling of a name: ASCII case swapped, each punctuation mark
+    swapped for another, whitespace doubled, and accents written as combining
+    marks (``nfd``), left off (``bare``) or also put on every vowel
+    (``extra``)."""
+    text = unicodedata.normalize("NFD", text)
+    if accents == "bare":
+        text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    elif accents == "extra":
+        text = re.sub("[AEIOUaeiou]", "\\g<0>\u0301", text)
+    text = "".join(ch.swapcase() if ch.isascii() else ch for ch in text)
+    return text.translate(_PUNCTUATION).replace(" ", "  ")
+
+
+def test_respelling_the_names_leaves_the_outputs_unchanged(tmp_path):
+    """Respelling: every affiliation and every author surname and initials
+    in publications.jsonl written another way that normalizes alike leaves
+    every file ``analyze`` writes byte for byte. The names take the three
+    ways of writing accents in turn."""
+    paths = write_demo_corpus(tmp_path / "corpus")
+    respelled = write_demo_corpus(tmp_path / "respelled")
+    accents = cycle(("nfd", "bare", "extra"))
+    lines = []
+    for line in respelled["publications"].read_text(encoding="utf-8").splitlines():
+        pub = json.loads(line)
+        pub["affiliations"] = [_respell(raw, next(accents)) for raw in pub["affiliations"]]
+        pub["authors"] = [{key: _respell(value, next(accents)) for key, value in author.items()}
+                          for author in pub["authors"]]
+        lines.append(json.dumps(pub, ensure_ascii=False) + "\n")
+    text = "".join(lines)
+    assert all(spelling in text for spelling in ("uNIVERSITA\u0300  DI", "uNIVERSITA  DI",
+                                                 "\u0301"))
+    respelled["publications"].write_text(text, encoding="utf-8")
+
+    original = _analyze(paths["config"], tmp_path / "out")
+    assert _analyze(respelled["config"], tmp_path / "out-respelled") == original
 
 
 @pytest.fixture(scope="module")

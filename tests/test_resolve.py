@@ -3,9 +3,12 @@ attribution rules, read off its report rows and events."""
 
 from __future__ import annotations
 
+import unicodedata
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabmarket import resolve
 from collabmarket.model import ENTERPRISE, UNIVERSITY, Organization
 from collabmarket.resolve import (
     ALIAS,
@@ -25,6 +28,47 @@ from conftest import YEARS, make_org, make_pub, make_registry, make_roster, run_
 # Every ASCII character, controls included: str.split() treats \x1c-\x1f as
 # whitespace, which the translate fast path must match.
 ASCII = "".join(chr(c) for c in range(128))
+
+
+def _reference_once(raw):
+    """One normalization pass as a per-character loop: drop combining marks,
+    turn every other non-alphanumeric into a space, casefold, collapse
+    whitespace."""
+    decomposed = unicodedata.normalize("NFKD", raw)
+    kept = []
+    for ch in decomposed:
+        if unicodedata.combining(ch):
+            continue
+        kept.append(ch if ch.isalnum() else " ")
+    return " ".join("".join(kept).casefold().split())
+
+
+def _reference_initials(raw):
+    """Initials as a per-character loop: keep the letters that are not
+    combining marks, uppercase."""
+    decomposed = unicodedata.normalize("NFKD", raw)
+    letters = [c for c in decomposed if c.isalpha() and not unicodedata.combining(c)]
+    return "".join(letters).upper()
+
+
+@given(st.text(max_size=60) | st.text(alphabet=ASCII, max_size=60))
+def test_translate_passes_match_the_per_character_reference(raw):
+    assert _normalize_once(raw) == _reference_once(raw)
+    assert _initials_unicode.__wrapped__(raw) == _reference_initials(raw)
+
+
+def test_every_code_point_matches_the_per_character_reference(monkeypatch):
+    """Every code point, 0 to 0x10FFFF, in consecutive 64-character strings,
+    under this Python's Unicode database. Each plane starts from empty
+    code-point tables, so the memos hold at most one plane at a time."""
+    for start in range(0, 0x110000, 64):
+        if start % 0x10000 == 0:
+            monkeypatch.setattr(resolve, "_NAME_TABLE", resolve._CodePointTable(resolve._name_rule))
+            monkeypatch.setattr(resolve, "_INITIALS_TABLE",
+                                resolve._CodePointTable(resolve._initials_rule))
+        raw = "".join(map(chr, range(start, start + 64)))
+        assert _normalize_once(raw) == _reference_once(raw), hex(start)
+        assert _initials_unicode.__wrapped__(raw) == _reference_initials(raw), hex(start)
 
 
 class TestNormalizeName:

@@ -85,6 +85,10 @@ DEEP = "[" * 100_000 + "]" * 100_000
 # float that is not finite or as -0.0, and values of the wrong type.
 TOKENS = ("0", "-0", "7", "1" + "0" * 400, "null", "NaN", "Infinity", "-Infinity", "1e999",
           "-0.0", "1e308", "true", '"1.5"', "[]", "{}")
+# The tokens of the wrong type, and the numbers that are not finite.
+WRONG_TYPE = tuple(t for t in TOKENS if type(json.loads(t)) not in _NUMBER_OR_NULL)
+NON_FINITE = tuple(t for t in TOKENS if type(json.loads(t)) in (int, float)
+                   and not _is_finite(json.loads(t)))
 
 _VALUES = st.none() | st.sampled_from([0.0, -0.0, 5e-324, 1e308]) | st.floats(
     allow_nan=False, allow_infinity=False)
@@ -134,6 +138,14 @@ def _damage(lines: list[str], ends: list[str], compared: tuple[str, str], step: 
                       ("region", json.dumps((*REGIONS, "Atlantis", "lazio", 7)[pick % 6])))
         obj[key] = "\0"
         lines[i] = json.dumps(obj, ensure_ascii=False).replace('"\\u0000"', token)
+    elif op == "mixed":
+        # Both compared values of one line: a wrong type in one, a number
+        # that is not finite in the other.
+        typed, other = compared[pick % 2], compared[1 - pick % 2]
+        obj[typed], obj[other] = "\0", "\1"
+        lines[i] = (json.dumps(obj, ensure_ascii=False)
+                    .replace('"\\u0000"', WRONG_TYPE[pick // 2 % len(WRONG_TYPE)])
+                    .replace('"\\u0001"', NON_FINITE[pick // 2 % len(NON_FINITE)]))
     elif op == "reorder":
         keys = list(obj)
         j = pick % len(keys)
@@ -145,8 +157,8 @@ def _damage(lines: list[str], ends: list[str], compared: tuple[str, str], step: 
 
 
 _STEPS = st.lists(st.tuples(
-    st.sampled_from(["blank", "crlf", "pad", "value", "reorder", "extra", "region", "two",
-                     "deep", "unterminated"]),
+    st.sampled_from(["blank", "crlf", "pad", "value", "mixed", "reorder", "extra", "region",
+                     "two", "deep", "unterminated"]),
     st.integers(0, 10),
     st.integers(0, 40),
 ), max_size=4)
