@@ -18,11 +18,12 @@ universities and enterprises by region; from them it resolves, attributes,
 tallies the resolution-report row, filters, derives the events as plain
 tuples and counts them into a ``collab.FlowCube``, with no record per mention
 or author. Its docstring states the resolution, attribution and retention
-rules. No list of the corpus is kept, so memory follows the registries and
-the events, not the corpus. Every indicator reads the cube's counts; only the
-event exports read the event lists. ``validate`` and the run subcommands
-print the same warnings, the publications with no resolved affiliation
-capped at ``MAX_DIAGNOSTICS`` lines and a count of the rest.
+rules. Every indicator reads the cube's counts; only ``analyze`` keeps event
+tuples, in the two sinks it hands the pass for its event exports. No list of
+the corpus is kept, so memory follows the registries, the report rows and
+``analyze``'s events, not the corpus. ``validate`` and the run subcommands
+print the same warnings, the publications with no resolved affiliation capped
+at ``MAX_DIAGNOSTICS`` lines and a count of the rest.
 
 Before anything is written, the run subcommands and ``validate`` go through one
 refusal stage (``_indicator_rows``): file-name stems (shared, or too long for a
@@ -58,7 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .collab import (
     FlowCube,
@@ -117,21 +118,25 @@ MAX_DIAGNOSTICS = 20
 RESOLUTION_REPORT_COLUMNS = ("pub_id", "exact", "alias", "unresolved", "unique", "ambiguous")
 
 
+class EventSink(Protocol):
+    """Where the pass puts event tuples: anything with ``extend``, a list today."""
+
+    def extend(self, events: Iterable[tuple], /) -> None: ...
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """What the subcommands read once the corpus has been through one pass.
 
     ``report_rows`` holds one resolution-report row per in-window
-    publication. The events are plain tuples in the column order of
-    ``events_ue.csv`` and ``events_sds.csv``.
+    publication; the cube holds every count an indicator reads. Only a caller
+    that hands ``run_pipeline`` its ``events`` sinks gets the event tuples.
     """
 
     registry: Registry
     ambiguous_aliases: Mapping[str, tuple[str, ...]]
     report_rows: list[tuple[str, int, int, int, int, int]]
     retained: int
-    ue_events: list[tuple[str, str, str, str, str, int]]
-    sds_events: list[tuple[str, str, str, str, str, str, int]]
     cube: FlowCube
 
 
@@ -154,12 +159,18 @@ def _collector_paused() -> Iterator[None]:
 
 @_collector_paused()
 def run_pipeline(
-    config: RunConfig, diagnostics: list[str] | None = None, sector: str | None = None
+    config: RunConfig, diagnostics: list[str] | None = None, sector: str | None = None,
+    events: tuple[EventSink, EventSink] | None = None,
 ) -> PipelineResult:
     """Load the registries, then take each in-window publication through one
     flat pass as the parser yields it. A ``capacity.<sds>`` setting or a
     requested ``sector`` that the taxonomy lacks is a ``UsageError`` before
     the pass.
+
+    Given ``events``, a (UE, SDS) pair of sinks, the pass extends them with
+    each retained publication's event tuples, in the column order of
+    ``events_ue.csv`` and ``events_sds.csv``, in pass order. Without it the
+    events are only counted into the cube.
 
     The rules of the pass (the staged functions of ``resolve`` and ``ingest``,
     which no command calls, build the same as records):
@@ -214,8 +225,8 @@ def run_pipeline(
     seen: dict[str, tuple[str, str | None, bool, str | None]] = {}
     report_rows = []
     retained = 0
-    ue_events: list[tuple[str, str, str, str, str, int]] = []
-    sds_events: list[tuple[str, str, str, str, str, str, int]] = []
+    if events is not None:
+        ue_sink, sds_sink = events
     cube = FlowCube()
     ue_flows, sds_flows = cube.ue_flows, cube.sds_flows
     for pub in iter_publications(config.publications, config.window, diagnostics):
@@ -273,8 +284,9 @@ def run_pipeline(
             sds = derive_sds_events(
                 pub, pairs, enterprises.items(), registry.taxonomy, config.sds_region_split
             )
-            ue_events += ue
-            sds_events += sds
+            if events is not None:
+                ue_sink.extend(ue)
+                sds_sink.extend(sds)
             for _, _, u_region, _, e_region, _ in ue:
                 ue_flows[u_region, e_region] += 1
             for _, code, _, supply_region, _, e_region, _ in sds:
@@ -284,9 +296,7 @@ def run_pipeline(
                 flows[supply_region, e_region] += 1
             cube.universities.update(universities)
             cube.enterprises.update(enterprises)
-    return PipelineResult(
-        registry, resolver.ambiguous_aliases, report_rows, retained, ue_events, sds_events, cube
-    )
+    return PipelineResult(registry, resolver.ambiguous_aliases, report_rows, retained, cube)
 
 
 def _write_resolution_report(result: PipelineResult, out_dir: Path) -> None:
@@ -471,15 +481,16 @@ def _write_indicators(
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    result = run_pipeline(config)
+    ue_events, sds_events = [], []  # the tuples of events_ue.csv and events_sds.csv
+    result = run_pipeline(config, events=(ue_events, sds_events))
     _warn(result)
     active = sorted(result.cube.sds_flows)
     stems, correspondence, flows = _write_indicators(config, result, active, config.regions)
     out_dir = Path(config.out)
     (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
     _write_resolution_report(result, out_dir)
-    export_ue_events(result.ue_events, out_dir / "events_ue.csv")
-    export_sds_events(result.sds_events, out_dir / "events_sds.csv")
+    export_ue_events(ue_events, out_dir / "events_ue.csv")
+    export_sds_events(sds_events, out_dir / "events_sds.csv")
     summary = regional_summary(result.cube, config.regions)
     _write_table(out_dir, regional_summary_table(summary))
     aggregate = aggregate_regions(

@@ -73,37 +73,22 @@ class _CodePointTable(dict):
 _NAME_TABLE = _CodePointTable(_name_rule)
 _INITIALS_TABLE = _CodePointTable(_initials_rule)
 
-# On ASCII input NFKD is the identity and one pass reaches the fixpoint, so
-# the rules' values for all 128 characters make a complete table, the case
-# fold built in, and one translate does the whole pass. The rules delete by
-# None, not "": an empty string takes ASCII input off CPython's fast
-# translate path.
+# On ASCII input NFKD is the identity, so the rules' values for all 128
+# characters make a complete table, the case fold built in, and one translate
+# does the whole pass. The rules delete by None, not "": an empty string takes
+# ASCII input off CPython's fast translate path.
 _ASCII_NAME = {code: _name_rule(chr(code)) for code in range(128)}
 _ASCII_INITIALS = {code: _initials_rule(chr(code)) for code in range(128)}
 
 
-def _normalize_once(raw: str) -> str:
-    # NFKD first so that accented letters split into base + combining mark and
-    # compatibility characters (ligatures, fullwidth forms) flatten out.
-    return " ".join(unicodedata.normalize("NFKD", raw).translate(_NAME_TABLE).split())
-
-
 @lru_cache(maxsize=_UNICODE_CACHE_SIZE)
 def _normalize_unicode(raw: str) -> str:
-    """The general normalization path, correct for any input."""
-    text = _normalize_once(raw)
-    if text.isascii():
-        # Already a fixpoint: the pass changes nothing in ASCII letters,
-        # digits and single spaces.
-        return text
-    # casefold can introduce characters that decompose again (rare); iterate
-    # to a fixpoint so idempotence holds for arbitrary input.
-    for _ in range(3):
-        again = _normalize_once(text)
-        if again == text:
-            break
-        text = again
-    return text
+    """The general path, correct for any input: NFKD, so that accents split
+    off as combining marks and compatibility characters flatten out, then one
+    translate. One pass is a fixpoint: it is one on the output of each code
+    point, which a test checks, and the rule maps each character on its own
+    and drops exactly the marks that canonical reordering moves."""
+    return " ".join(unicodedata.normalize("NFKD", raw).translate(_NAME_TABLE).split())
 
 
 def normalize_name(raw: str) -> str:

@@ -98,12 +98,13 @@ def make_registry(organizations, roster, taxonomy):
 
 
 def run_pass(directory: Path, publications, organizations, roster, taxonomy,
-             **settings) -> PipelineResult:
-    """``run_pipeline`` over a small written corpus: the organizations,
-    roster rows and taxonomy as the three registry files, and the
-    publication records as the corpus, all in ``directory``. ``settings``
-    are ``RunConfig`` fields; the region set defaults to the organizations'
-    regions."""
+             **settings) -> tuple[PipelineResult, list[tuple], list[tuple]]:
+    """``run_pipeline`` over a small written corpus, as ``analyze`` calls
+    it: the organizations, roster rows and taxonomy as the three registry
+    files, and the publication records as the corpus, all in ``directory``.
+    Returns the result, then the UE and SDS event lists that the pass
+    extended. ``settings`` are ``RunConfig`` fields; the region set defaults
+    to the organizations' regions."""
     directory.mkdir(parents=True, exist_ok=True)
     tables = {
         "organizations": (ORG_COLUMNS, [
@@ -122,7 +123,9 @@ def run_pass(directory: Path, publications, organizations, roster, taxonomy,
     paths["publications"] = directory / "publications.jsonl"
     write_publications(publications, paths["publications"])
     settings.setdefault("regions", tuple(sorted({org.region for org in organizations})))
-    return run_pipeline(RunConfig(**paths, out=directory / "out", **settings))
+    ue_events, sds_events = [], []
+    config = RunConfig(**paths, out=directory / "out", **settings)
+    return run_pipeline(config, events=(ue_events, sds_events)), ue_events, sds_events
 
 
 def with_regions(org_ids, registry):

@@ -240,20 +240,21 @@ class TestCriterion5ProductRule:
                 {(f"U{u}", f"E{e}") for u in unis for e in ents},
                 {(sds_codes[k], regions[i % 4], f"E{e}") for k, i in attributed for e in ents},
             )
-        result = run_pass(tmp_path, publications, organizations, roster, taxonomy)
+        result, ue_events, sds_events = run_pass(tmp_path, publications, organizations, roster,
+                                                 taxonomy)
 
         got = {pub_id: ([], []) for pub_id in wanted}
-        for pub_id, u, _, e, _, _ in result.ue_events:
+        for pub_id, u, _, e, _, _ in ue_events:
             got[pub_id][0].append((u, e))
-        for pub_id, sds, _, region, e, _, _ in result.sds_events:
+        for pub_id, sds, _, region, e, _, _ in sds_events:
             got[pub_id][1].append((sds, region, e))
         _expect(failures, "retained", result.retained, len(wanted))
         for pub_id, (want_ue, want_sds) in wanted.items():
-            ue, sds_events = got[pub_id]
+            ue, sds = got[pub_id]
             if set(ue) != want_ue or len(ue) != len(want_ue):
                 failures.append(f"{pub_id}: ue events diverge from pair oracle")
                 break
-            if set(sds_events) != want_sds or len(sds_events) != len(want_sds):
+            if set(sds) != want_sds or len(sds) != len(want_sds):
                 failures.append(f"{pub_id}: sector events diverge from pair oracle")
                 break
         _check(5, "product-rule-oracle", failures)

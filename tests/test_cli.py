@@ -282,6 +282,57 @@ def _copy_corpus(corpus, tmp_path):
     return copied
 
 
+class TestRowChecks:
+    """Row checks of the inputs that no other test reaches: each exits 1
+    naming the file and the line."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pub_id", "", "pub_id must be a non-empty string"),
+        ("authors", "rossi", "authors must be an array"),
+    ])
+    def test_publication_field(self, corpus, tmp_path, capsys, field, value, message):
+        copied = _copy_corpus(corpus, tmp_path)
+        publications = copied["publications"]
+        first, *rest = publications.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.dumps({**json.loads(first), field: value}) + "\n"
+        publications.write_text("".join([first, *rest]), encoding="utf-8")
+        rc = main(["analyze", "--config", str(copied["config"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {publications}:1: {message}" in err
+        assert "Traceback" not in err
+
+    def test_blank_organization_id(self, corpus, tmp_path, capsys):
+        copied = _copy_corpus(corpus, tmp_path)
+        organizations = copied["organizations"]
+        with organizations.open("a", encoding="utf-8") as handle:
+            handle.write(",enterprise,Lazio,Blank Id Research,\n")
+        line_no = organizations.read_text(encoding="utf-8").count("\n")
+        rc = main(["analyze", "--config", str(copied["config"]), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {organizations}:{line_no}: org_id must be non-empty" in err
+        assert "Traceback" not in err
+
+    def test_validate_lists_blank_taxonomy_cells_and_goes_on(self, corpus, tmp_path, capsys):
+        """Two taxonomy rows, one without an area and one without a sector:
+        validate lists both, then reads the corpus and writes its report."""
+        copied = _copy_corpus(corpus, tmp_path)
+        taxonomy = copied["taxonomy"]
+        first = taxonomy.read_text(encoding="utf-8").count("\n") + 1
+        with taxonomy.open("a", encoding="utf-8") as handle:
+            handle.write("NEW/01,\n,05\n")
+        out = tmp_path / "out"
+        rc = main(["validate", "--config", str(copied["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        for line_no in (first, first + 1):
+            assert f"error: {taxonomy}:{line_no}: sds and uda must be non-empty" in err
+        assert "validate: " in err
+        assert (out / "resolution_report.csv").exists()
+        assert "Traceback" not in err
+
+
 class TestNotFinite:
     """A roster weight or capacity multiplier that is not a finite number, or
     a headcount or capacity past the float range, is refused with a message
@@ -1190,6 +1241,35 @@ class TestDamagedSnapshot:
         rc, err = self._diff(snapshots, capsys)
         assert rc == 1
         assert f"{path}: 'regions' lists a region twice" in err
+
+    def test_table_that_cannot_be_read(self, snapshots, capsys):
+        path = snapshots[1] / "table3_ING-INF-01.jsonl"
+        path.unlink()
+        path.mkdir()
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"error: {path}: cannot read: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["directory", "not UTF-8"])
+    def test_manifest_that_cannot_be_read(self, snapshots, capsys, damage):
+        path = snapshots[0] / "snapshot.json"
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"regions": ["\xff"]}\n')
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"error: {path}: cannot read: " in err
+        assert "Traceback" not in err
+
+    def test_manifest_that_is_not_an_object(self, snapshots, capsys):
+        path = snapshots[1] / "snapshot.json"
+        path.write_text("[]\n", encoding="utf-8")
+        rc, err = self._diff(snapshots, capsys)
+        assert rc == 1
+        assert f"error: {path}: expected a JSON object" in err
 
 
     def _surrogate_in_both(self, snapshots, change):

@@ -28,7 +28,8 @@ class TestUEEvents:
             "Universita di Roma", "Politecnico di Milano",
             "Acme Research", "Borg Devices",
         ], authors=[("bianchi", "G")])
-        events = [UECollaboration(*ev) for ev in sorted(run([pub]).ue_events)]
+        _, ue_events, _ = run([pub])
+        events = [UECollaboration(*ev) for ev in sorted(ue_events)]
         assert [(e.university_id, e.enterprise_id) for e in events] == [
             ("U1", "E1"), ("U1", "E2"), ("U2", "E1"), ("U2", "E2"),
         ]
@@ -41,7 +42,8 @@ class TestUEEvents:
             "Universita di Roma", "Univ. Roma", "UNIVERSITA DI ROMA",
             "Acme Research", "Acme Research",
         ])
-        assert len(run([pub]).ue_events) == 1
+        _, ue_events, _ = run([pub])
+        assert len(ue_events) == 1
 
 
 class TestSDSEvents:
@@ -51,7 +53,8 @@ class TestSDSEvents:
             ["Universita di Roma", "Politecnico di Milano", "Acme Research", "Borg Devices"],
             authors=[("bianchi", "G")],   # unique at U2: FIS/01
         )
-        events = [SDSCollaboration(*ev) for ev in sorted(run([pub]).sds_events)]
+        _, _, sds_events = run([pub])
+        events = [SDSCollaboration(*ev) for ev in sorted(sds_events)]
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),
         ]
@@ -68,9 +71,9 @@ class TestSDSEvents:
                        authors=[("rossi", "M"), ("bruno", "M")])
 
         def events(split):
-            result = run_pass(tmp_path / split, [pub], organizations, roster, taxonomy,
-                              sds_region_split=split)
-            return sorted((e[1], e[3]) for e in result.sds_events)
+            _, _, sds_events = run_pass(tmp_path / split, [pub], organizations, roster, taxonomy,
+                                        sds_region_split=split)
+            return sorted((e[1], e[3]) for e in sds_events)
 
         assert events("per-region") == [("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily")]
         assert events("single") == [("ING-INF/01", "Lombardy")]
@@ -127,7 +130,7 @@ class TestSortingAndExport:
             ["Universita di Roma", "Acme Research", "Borg Devices"],
             authors=[("rossi", "M")],
         )
-        cube = run([pub]).cube
+        cube = run([pub])[0].cube
         totals = corpus_totals(cube)
         assert (totals.ue_events, totals.sds_events) == (2, 2)
         assert (totals.universities, totals.enterprises, totals.active_sds) == (1, 2, 1)
@@ -136,11 +139,11 @@ class TestSortingAndExport:
     def test_export_csv_shape(self, run, tmp_path):
         pub = make_pub("P1", ["Universita di Roma", "Acme Research"],
                        authors=[("rossi", "M")])
-        result = run([pub])
+        _, ue_events, sds_events = run([pub])
         ue_path = tmp_path / "ue.csv"
         sds_path = tmp_path / "sds.csv"
-        export_ue_events(result.ue_events, ue_path)
-        export_sds_events(result.sds_events, sds_path)
+        export_ue_events(ue_events, ue_path)
+        export_sds_events(sds_events, sds_path)
         assert ue_path.read_text(encoding="utf-8") == (
             "pub_id,university_id,u_region,enterprise_id,e_region,year\n"
             "P1,U1,Lazio,E1,Lazio,2002\n"

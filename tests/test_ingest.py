@@ -681,7 +681,7 @@ class TestFilters:
     """Report rows: pub_id, exact, alias, unresolved, unique, ambiguous."""
 
     def test_partition_drops_fully_unresolvable_publications(self, run, capsys):
-        result = run([
+        result, _, _ = run([
             make_pub("P1", ["Universita di Roma", "Acme Research"]),
             make_pub("P2", ["Universita di Roma"]),               # one side resolves
             make_pub("P3", ["Nowhere Institute"]),                # nothing resolves
@@ -694,7 +694,7 @@ class TestFilters:
         ]
 
     def test_hard_science_filter_needs_attribution_and_enterprise(self, run):
-        result = run([
+        result, ue_events, sds_events = run([
             # attributed author + enterprise: kept
             make_pub("P1", ["Universita di Roma", "Acme Research"], authors=[("rossi", "M")]),
             # no roster author: dropped
@@ -705,4 +705,4 @@ class TestFilters:
             make_pub("P4", ["Acme Research"], authors=[("rossi", "M")]),
         ])
         assert result.retained == 1
-        assert {event[0] for event in result.ue_events + result.sds_events} == {"P1"}
+        assert {event[0] for event in ue_events + sds_events} == {"P1"}

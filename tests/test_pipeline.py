@@ -12,13 +12,16 @@ relabeling oracle maps the regions by a bijection that reverses their sorted
 order, so every table's rows come in another order; the renaming oracle
 prefixes every org id: ``analyze`` writes the same tables, once mapped back.
 The respelling oracle writes every affiliation and author name of the corpus
-another way that normalizes alike: ``analyze`` writes the same bytes.
+another way that normalizes alike: ``analyze`` writes the same bytes. The
+sink test runs the pass as ``validate`` and as ``analyze`` call it: the same
+counts, and only the caller that hands it sinks gets the events.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -39,7 +42,7 @@ from hypothesis import strategies as st
 
 import collabmarket
 from collabmarket import cli
-from collabmarket.cli import run_pipeline
+from collabmarket.cli import PipelineResult, run_pipeline
 from collabmarket.collab import FlowCube, corpus_totals
 from collabmarket.config import RunConfig, apply_setting, load_config
 from collabmarket.demo import SECTOR, demo_corpus, write_demo_corpus
@@ -218,9 +221,11 @@ def test_one_pass_equals_the_per_publication_reference(corpus, ambiguity, split)
             for i, (authors, affiliations, year) in enumerate(publications)]
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        result = run_pass(directory, [make_pub(p, a, authors=n, year=y) for p, n, a, y in pubs],
-                          organizations, roster, dict(TAXONOMY), window=WINDOW, regions=REGIONS,
-                          ambiguity=ambiguity, sds_region_split=split)
+        result, got_ue, got_sds = run_pass(
+            directory, [make_pub(p, a, authors=n, year=y) for p, n, a, y in pubs], organizations,
+            roster, dict(TAXONOMY), window=WINDOW, regions=REGIONS, ambiguity=ambiguity,
+            sds_region_split=split,
+        )
         registry = load_registries(*(directory / f"{name}.csv"
                                      for name in ("organizations", "roster", "taxonomy")))
     table = Resolver.build(registry).table
@@ -241,8 +246,8 @@ def test_one_pass_equals_the_per_publication_reference(corpus, ambiguity, split)
     assert warned[:cli.MAX_DIAGNOSTICS] == orphans[:cli.MAX_DIAGNOSTICS]
     assert len(warned) == min(len(orphans), cli.MAX_DIAGNOSTICS + 1)
     assert result.retained == len({event[0] for event in ue_events})
-    assert Counter(result.ue_events) == Counter(ue_events)
-    assert Counter(result.sds_events) == Counter(sds_events)
+    assert Counter(got_ue) == Counter(ue_events)
+    assert Counter(got_sds) == Counter(sds_events)
 
     cube = result.cube
     assert cube.ue_flows == Counter((ev[2], ev[4]) for ev in ue_events)
@@ -289,6 +294,29 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
     assert seen_at_yield == list(range(in_window))
     assert list(processed) == [pub.pub_id for pub in iter_publications(config.publications,
                                                                        config.window)]
+
+
+@pytest.mark.parametrize("ambiguity", ["strict", "all"])
+def test_only_a_caller_that_hands_the_pass_sinks_keeps_events(tmp_path, ambiguity):
+    """``validate`` calls ``run_pipeline`` without ``events``, as ``sector``
+    and ``region`` do, and ``analyze`` with two lists: both calls count the
+    same cube, report rows and retained publications, and no result holds
+    an event."""
+    config = load_config(write_demo_corpus(tmp_path)["config"])
+    config = apply_setting(config, "ambiguity", ambiguity)
+    diagnostics: list[str] = []
+    counted = run_pipeline(config, diagnostics)
+    ue_events, sds_events = [], []
+    kept = run_pipeline(config, events=(ue_events, sds_events))
+    assert diagnostics == []
+    assert counted.cube == kept.cube
+    assert counted.report_rows == kept.report_rows
+    assert counted.retained == kept.retained
+    totals = corpus_totals(kept.cube)
+    assert len(ue_events) == totals.ue_events > 0
+    assert len(sds_events) == totals.sds_events > 0
+    assert len({event[0] for event in ue_events}) == kept.retained
+    assert [f.name for f in dataclasses.fields(PipelineResult) if "event" in f.name] == []
 
 
 def test_analyze_writes_the_same_bytes_under_two_hash_seeds(tmp_path):

@@ -19,7 +19,6 @@ from collabmarket.resolve import (
     normalize_name,
     resolve_publication,
     _initials_unicode,
-    _normalize_once,
     _normalize_unicode,
 )
 
@@ -53,7 +52,7 @@ def _reference_initials(raw):
 
 @given(st.text(max_size=60) | st.text(alphabet=ASCII, max_size=60))
 def test_translate_passes_match_the_per_character_reference(raw):
-    assert _normalize_once(raw) == _reference_once(raw)
+    assert _normalize_unicode.__wrapped__(raw) == _reference_once(raw)
     assert _initials_unicode.__wrapped__(raw) == _reference_initials(raw)
 
 
@@ -67,8 +66,24 @@ def test_every_code_point_matches_the_per_character_reference(monkeypatch):
             monkeypatch.setattr(resolve, "_INITIALS_TABLE",
                                 resolve._CodePointTable(resolve._initials_rule))
         raw = "".join(map(chr, range(start, start + 64)))
-        assert _normalize_once(raw) == _reference_once(raw), hex(start)
+        assert _normalize_unicode.__wrapped__(raw) == _reference_once(raw), hex(start)
         assert _initials_unicode.__wrapped__(raw) == _reference_initials(raw), hex(start)
+
+
+def test_one_pass_is_a_fixpoint_on_every_code_point(monkeypatch):
+    """A second pass changes nothing in the output of any code point, 0 to
+    0x10FFFF but the surrogates, under this Python's Unicode database. The
+    rule maps each character on its own and drops exactly the marks that
+    canonical reordering moves, so one pass is then a fixpoint on every
+    string. Each plane starts from an empty code-point table."""
+    once = _normalize_unicode.__wrapped__
+    for code in range(0x110000):
+        if code % 0x10000 == 0:
+            monkeypatch.setattr(resolve, "_NAME_TABLE", resolve._CodePointTable(resolve._name_rule))
+        if 0xD800 <= code <= 0xDFFF:
+            continue
+        out = once(chr(code))
+        assert once(out) == out, hex(code)
 
 
 class TestNormalizeName:
@@ -105,11 +120,11 @@ class TestNormalizeName:
     @settings(max_examples=1000)
     @given(st.text(max_size=60))
     def test_general_path_matches_fixpoint_loop(self, raw):
-        """Returning after one pass when the result is ASCII gives what
-        iterating to the fixpoint gives."""
-        text = _normalize_once(raw)
+        """One pass of the general path gives what iterating the reference
+        pass to its fixpoint gives."""
+        text = _reference_once(raw)
         for _ in range(3):
-            again = _normalize_once(text)
+            again = _reference_once(text)
             if again == text:
                 break
             text = again
@@ -214,9 +229,9 @@ def test_table_resolves_canonical_first_then_alias_at_the_lowest_id(organization
     }
 
 
-def _ue_pairs(result):
+def _ue_pairs(ue_events):
     """(university, enterprise) of each university-enterprise event."""
-    return sorted((u, e) for _, u, _, e, _, _ in result.ue_events)
+    return sorted((u, e) for _, u, _, e, _, _ in ue_events)
 
 
 class TestResolveAffiliation:
@@ -226,14 +241,14 @@ class TestResolveAffiliation:
     only the benchmark's tracer still wraps."""
 
     def test_exact_match(self, run):
-        result = run([make_pub("P1", ["UNIVERSITA DI ROMA", "Acme Research"])])
+        result, ue_events, _ = run([make_pub("P1", ["UNIVERSITA DI ROMA", "Acme Research"])])
         assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
-        assert _ue_pairs(result) == [("U1", "E1")]
+        assert _ue_pairs(ue_events) == [("U1", "E1")]
 
     def test_alias_match(self, run):
-        result = run([make_pub("P1", ["Borg", "Universita di Roma"])])
+        result, ue_events, _ = run([make_pub("P1", ["Borg", "Universita di Roma"])])
         assert result.report_rows == [("P1", 1, 1, 0, 1, 0)]
-        assert _ue_pairs(result) == [("U1", "E2")]
+        assert _ue_pairs(ue_events) == [("U1", "E2")]
 
     def test_exact_beats_alias(self, taxonomy, tmp_path):
         organizations = (
@@ -241,15 +256,15 @@ class TestResolveAffiliation:
             make_org("A2", ENTERPRISE, "Veneto", "Other Firm", aliases=("Target Name",)),
             make_org("U1", UNIVERSITY, "Lazio", "Uni"),
         )
-        result = run_pass(tmp_path, [make_pub("P1", ["Target Name", "Uni"])], organizations,
-                          [make_roster("rossi", "M", "U1")], taxonomy)
+        result, ue_events, _ = run_pass(tmp_path, [make_pub("P1", ["Target Name", "Uni"])],
+                                        organizations, [make_roster("rossi", "M", "U1")], taxonomy)
         assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
-        assert _ue_pairs(result) == [("U1", "A1")]
+        assert _ue_pairs(ue_events) == [("U1", "A1")]
 
     def test_unresolved(self, run):
-        result = run([make_pub("P1", ["Nowhere Institute"])])
+        result, ue_events, _ = run([make_pub("P1", ["Nowhere Institute"])])
         assert result.report_rows == [("P1", 0, 0, 1, 0, 0)]
-        assert (result.retained, result.ue_events) == (0, [])
+        assert (result.retained, ue_events) == (0, [])
 
     def test_resolve_publication_preserves_order(self, registry):
         resolver = Resolver.build(registry)
@@ -270,15 +285,15 @@ class TestResolveAffiliation:
 
     def test_split_org_ids_dedup_and_kind(self, run):
         pub = make_pub("P1", ["Borg", "Borg Devices", "Univ. Roma", "Acme Research", "Nowhere"])
-        result = run([pub])
+        result, ue_events, _ = run([pub])
         assert result.report_rows == [("P1", 2, 2, 1, 1, 0)]
-        assert _ue_pairs(result) == [("U1", "E1"), ("U1", "E2")]
+        assert _ue_pairs(ue_events) == [("U1", "E1"), ("U1", "E2")]
         assert (result.cube.universities, result.cube.enterprises) == ({"U1"}, {"E1", "E2"})
 
 
-def _sds_events(result):
+def _sds_events(sds_events):
     """(sector, area, supply region, enterprise) of each sector event."""
-    return sorted((sds, uda, region, e) for _, sds, uda, region, e, _, _ in result.sds_events)
+    return sorted((sds, uda, region, e) for _, sds, uda, region, e, _, _ in sds_events)
 
 
 class TestAttribution:
@@ -286,53 +301,53 @@ class TestAttribution:
     attributed author's sector shows in its events."""
 
     def test_unique_match(self, run):
-        result = run([make_pub("P1", ["Politecnico di Milano", "Acme Research"],
-                               authors=[("bianchi", "G")])])
+        pub = make_pub("P1", ["Politecnico di Milano", "Acme Research"], authors=[("bianchi", "G")])
+        result, ue_events, sds_events = run([pub])
         assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
-        assert _sds_events(result) == [("FIS/01", "02", "Lombardy", "E1")]
-        assert _ue_pairs(result) == [("U2", "E1")]
+        assert _sds_events(sds_events) == [("FIS/01", "02", "Lombardy", "E1")]
+        assert _ue_pairs(ue_events) == [("U2", "E1")]
 
     def test_year_outside_active_years_blocks(self, run):
-        result = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
-                               authors=[("verdi", "A")], year=2002)])
+        result, _, _ = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                                     authors=[("verdi", "A")], year=2002)])
         assert result.report_rows == [("P1", 2, 0, 0, 0, 0)]
         assert result.retained == 0
 
     def test_unmatched_author_produces_nothing(self, run):
-        result = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
-                               authors=[("neri", "Z")])])
+        result, _, _ = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                                     authors=[("neri", "Z")])])
         assert result.report_rows == [("P1", 2, 0, 0, 0, 0)]
         assert result.retained == 0
 
     def test_university_not_in_publication_blocks(self, run):
-        result = run([make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])])
+        result, _, _ = run([make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])])
         assert result.report_rows == [("P1", 1, 0, 0, 0, 0)]
         assert result.retained == 0
 
     def test_ambiguous_strict_skips_with_no_sds(self, run):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano", "Acme Research"],
                        authors=[("rossi", "M")])
-        result = run([pub], ambiguity="strict")
+        result, _, sds_events = run([pub], ambiguity="strict")
         assert result.report_rows == [("P1", 3, 0, 0, 0, 1)]
-        assert (result.retained, result.sds_events) == (0, [])
+        assert (result.retained, sds_events) == (0, [])
 
     def test_ambiguous_all_one_per_distinct_sds(self, run):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano", "Acme Research"],
                        authors=[("rossi", "M")])
-        result = run([pub], ambiguity="all")
+        result, _, sds_events = run([pub], ambiguity="all")
         assert result.report_rows == [("P1", 3, 0, 0, 0, 1)]
         # both candidates share ING-INF/01, so one attribution at the lowest
         # id, U1, whose region supplies the sector
-        assert _sds_events(result) == [("ING-INF/01", "09", "Lazio", "E1")]
+        assert _sds_events(sds_events) == [("ING-INF/01", "09", "Lazio", "E1")]
 
     def test_single_candidate_from_many_entries_is_unique(self, run):
-        result = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
-                               authors=[("rossi", "M")])])
+        result, _, sds_events = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                                              authors=[("rossi", "M")])])
         assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
-        assert _sds_events(result) == [("ING-INF/01", "09", "Lazio", "E1")]
+        assert _sds_events(sds_events) == [("ING-INF/01", "09", "Lazio", "E1")]
 
     def test_report_rows(self, run):
-        result = run([make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
-                               authors=[("rossi", "M"), ("neri", "Z")])])
+        result, _, _ = run([make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
+                                     authors=[("rossi", "M"), ("neri", "Z")])])
         # exact=1 (Acme), alias=1 (Univ. Roma), unresolved=1, unique=1, ambiguous=0
         assert result.report_rows == [("P1", 1, 1, 1, 1, 0)]
