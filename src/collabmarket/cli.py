@@ -18,12 +18,15 @@ universities and enterprises by region; from them it resolves, attributes,
 tallies the resolution-report row, filters, derives the events as plain
 tuples and counts them into a ``collab.FlowCube``, with no record per mention
 or author. Its docstring states the resolution, attribution and retention
-rules. Every indicator reads the cube's counts; only ``analyze`` keeps event
-tuples, in the two sinks it hands the pass for its event exports. No list of
-the corpus is kept, so memory follows the registries, the report rows and
-``analyze``'s events, not the corpus. ``validate`` and the run subcommands
-print the same warnings, the publications with no resolved affiliation capped
-at ``MAX_DIAGNOSTICS`` lines and a count of the rest.
+rules. Every indicator reads the cube's counts. The pass hands back counts and
+the pub_ids of the publications with no resolved affiliation; a
+per-publication row goes only into a list that the caller hands it to write:
+the resolution report's rows for ``validate`` and ``analyze``, the event
+tuples for ``analyze``'s exports. No list of the corpus is kept, so memory
+follows the registries and the cube, plus the rows that a command writes.
+``validate`` and the run subcommands print the same warnings: shared aliases,
+the publications with no resolved affiliation capped at ``MAX_DIAGNOSTICS``
+lines and a count of the rest, and an empty window.
 
 Before anything is written, the run subcommands and ``validate`` go through one
 refusal stage (``_indicator_rows``): file-name stems (shared, or too long for a
@@ -59,7 +62,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .collab import (
     FlowCube,
@@ -116,26 +119,23 @@ from .resolve import EXACT, NO_MATCH, Resolver, normalize_name
 MAX_DIAGNOSTICS = 20
 
 RESOLUTION_REPORT_COLUMNS = ("pub_id", "exact", "alias", "unresolved", "unique", "ambiguous")
-
-
-class EventSink(Protocol):
-    """Where the pass puts event tuples: anything with ``extend``, a list today."""
-
-    def extend(self, events: Iterable[tuple], /) -> None: ...
+ReportRow = tuple[str, int, int, int, int, int]  # a resolution-report line, as its columns
 
 
 @dataclass(frozen=True)
 class PipelineResult:
     """What the subcommands read once the corpus has been through one pass.
 
-    ``report_rows`` holds one resolution-report row per in-window
-    publication; the cube holds every count an indicator reads. Only a caller
-    that hands ``run_pipeline`` its ``events`` sinks gets the event tuples.
+    ``publications`` counts the in-window publications, ``orphans`` lists
+    the pub_ids of those with no resolved affiliation in pass order, and the
+    cube holds every count an indicator reads. Only a caller that hands
+    ``run_pipeline`` its ``report`` or ``events`` lists gets those rows.
     """
 
     registry: Registry
     ambiguous_aliases: Mapping[str, tuple[str, ...]]
-    report_rows: list[tuple[str, int, int, int, int, int]]
+    publications: int
+    orphans: list[str]
     retained: int
     cube: FlowCube
 
@@ -160,17 +160,20 @@ def _collector_paused() -> Iterator[None]:
 @_collector_paused()
 def run_pipeline(
     config: RunConfig, diagnostics: list[str] | None = None, sector: str | None = None,
-    events: tuple[EventSink, EventSink] | None = None,
+    report: list[ReportRow] | None = None,
+    events: tuple[list[tuple], list[tuple]] | None = None,
 ) -> PipelineResult:
     """Load the registries, then take each in-window publication through one
     flat pass as the parser yields it. A ``capacity.<sds>`` setting or a
     requested ``sector`` that the taxonomy lacks is a ``UsageError`` before
     the pass.
 
-    Given ``events``, a (UE, SDS) pair of sinks, the pass extends them with
-    each retained publication's event tuples, in the column order of
-    ``events_ue.csv`` and ``events_sds.csv``, in pass order. Without it the
-    events are only counted into the cube.
+    Given ``report``, a list, the pass appends each in-window publication's
+    report row to it. Given ``events``, a (UE, SDS) pair of lists, it extends
+    them with each retained publication's event tuples, in the column order
+    of ``events_ue.csv`` and ``events_sds.csv``. Both are in pass order.
+    Without them the pass keeps only counts, the cube's among them, and the
+    pub_ids of the publications with no resolved affiliation.
 
     The rules of the pass (the staged functions of ``resolve`` and ``ingest``,
     which no command calls, build the same as records):
@@ -223,8 +226,8 @@ def run_pipeline(
     table, roster = resolver.table, registry.roster
     spread_ambiguous = config.ambiguity == "all"
     seen: dict[str, tuple[str, str | None, bool, str | None]] = {}
-    report_rows = []
-    retained = 0
+    orphans: list[str] = []
+    publications = retained = 0
     if events is not None:
         ue_sink, sds_sink = events
     cube = FlowCube()
@@ -276,8 +279,12 @@ def run_pipeline(
                         for university_id, sds in sorted(candidates):
                             lowest.setdefault(sds, university_id)
                         pairs.update((sds, universities[u]) for sds, u in lowest.items())
-        unresolved = len(affiliations) - exact - alias
-        report_rows.append((pub.pub_id, exact, alias, unresolved, unique, ambiguous))
+        publications += 1
+        if not (exact or alias):
+            orphans.append(pub.pub_id)
+        if report is not None:
+            unresolved = len(affiliations) - exact - alias
+            report.append((pub.pub_id, exact, alias, unresolved, unique, ambiguous))
         if enterprises and pairs:
             retained += 1
             ue = derive_ue_events(pub, universities.items(), enterprises.items())
@@ -296,11 +303,13 @@ def run_pipeline(
                 flows[supply_region, e_region] += 1
             cube.universities.update(universities)
             cube.enterprises.update(enterprises)
-    return PipelineResult(registry, resolver.ambiguous_aliases, report_rows, retained, cube)
+    return PipelineResult(
+        registry, resolver.ambiguous_aliases, publications, orphans, retained, cube
+    )
 
 
-def _write_resolution_report(result: PipelineResult, out_dir: Path) -> None:
-    write_csv(out_dir / "resolution_report.csv", RESOLUTION_REPORT_COLUMNS, result.report_rows)
+def _write_resolution_report(out_dir: Path, rows: Sequence[ReportRow]) -> None:
+    write_csv(out_dir / "resolution_report.csv", RESOLUTION_REPORT_COLUMNS, rows)
 
 
 def _write_table(out_dir: Path, table: RenderedTable) -> None:
@@ -324,24 +333,27 @@ def _print_diagnostics(diagnostics: Sequence[str]) -> None:
 def _warn(result: PipelineResult) -> None:
     """Print each alias that several organizations share, then the first
     ``MAX_DIAGNOSTICS`` in-window publications none of whose affiliations
-    resolved and a count of the rest; the resolution report lists them all."""
+    resolved and a count of the rest (the resolution report lists them all),
+    then whether no publication fell inside the window."""
     for alias, org_ids in result.ambiguous_aliases.items():
         print(
             f"warning: alias {alias!r} is shared by {', '.join(org_ids)}; "
             f"resolving to {min(org_ids)}",
             file=sys.stderr,
         )
-    orphans = [pub_id for pub_id, exact, alias, *_ in result.report_rows if not exact and not alias]
     _print_capped(
-        "warning: publication {!r}: no affiliation resolved", orphans,
+        "warning: publication {!r}: no affiliation resolved", result.orphans,
         "warning: ... and {} more publications with no affiliation resolved",
     )
+    if not result.publications:
+        print("warning: no publications fall inside the configured window", file=sys.stderr)
 
 
 def cmd_validate(config: RunConfig) -> int:
     diagnostics: list[str] = []
+    report: list[ReportRow] = []
     try:
-        result = run_pipeline(config, diagnostics)
+        result = run_pipeline(config, diagnostics, report=report)
     except UsageError:
         raise
     except CollabMarketError as exc:  # it ends the pass: print what came before, then it
@@ -351,13 +363,11 @@ def cmd_validate(config: RunConfig) -> int:
     _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions, diagnostics)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolution_report(result, out_dir)
+    _write_resolution_report(out_dir, report)
     _warn(result)
-    if not result.report_rows:
-        print("warning: no publications fall inside the configured window", file=sys.stderr)
     totals = corpus_totals(result.cube)
     print(
-        f"validate: {len(result.report_rows)} publications read, "
+        f"validate: {result.publications} publications read, "
         f"{result.retained} retained by the collaboration filter, "
         f"{totals.ue_events} university-enterprise events, "
         f"{totals.sds_events} sector events",
@@ -481,14 +491,15 @@ def _write_indicators(
 
 
 def cmd_analyze(config: RunConfig) -> int:
+    report: list[ReportRow] = []
     ue_events, sds_events = [], []  # the tuples of events_ue.csv and events_sds.csv
-    result = run_pipeline(config, events=(ue_events, sds_events))
+    result = run_pipeline(config, report=report, events=(ue_events, sds_events))
     _warn(result)
     active = sorted(result.cube.sds_flows)
     stems, correspondence, flows = _write_indicators(config, result, active, config.regions)
     out_dir = Path(config.out)
     (out_dir / "effective_config.txt").write_text(dump_config(config), encoding="utf-8")
-    _write_resolution_report(result, out_dir)
+    _write_resolution_report(out_dir, report)
     export_ue_events(ue_events, out_dir / "events_ue.csv")
     export_sds_events(sds_events, out_dir / "events_sds.csv")
     summary = regional_summary(result.cube, config.regions)

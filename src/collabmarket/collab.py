@@ -46,7 +46,7 @@ def derive_sds_events(
     pairs: Iterable[tuple[str, str]],
     enterprises: Iterable[tuple[str, str]],
     parent_uda: Mapping[str, str],
-    region_split: str = "per-region",
+    region_split: str,
 ) -> list[tuple[str, str, str, str, str, str, int]]:
     """Sector-enterprise events for one retained publication, as plain tuples
     in ``SDSCollaboration`` field order: the caller passes only one with an
@@ -55,10 +55,10 @@ def derive_sds_events(
     ``pairs`` are the distinct (sector, supply region) pairs its attributed
     authors carry, and ``enterprises`` its distinct resolved (id, region)
     enterprise pairs, each in any order; the events come out in export-key
-    order. With ``region_split="per-region"`` (default) a sector attributed
-    through universities in several regions supplies one event per (sector,
-    region, enterprise) triple. With ``"single"`` each (sector, enterprise)
-    pair yields one event, attributed to the alphabetically first supplying
+    order. With ``region_split="per-region"`` a sector attributed through
+    universities in several regions supplies one event per (sector, region,
+    enterprise) triple. With ``"single"`` each (sector, enterprise) pair
+    yields one event, attributed to the alphabetically first supplying
     region.
     """
     pairs = sorted(pairs)

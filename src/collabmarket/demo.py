@@ -16,30 +16,12 @@ from pathlib import Path
 from typing import Mapping
 
 from .collab import write_csv
+from .config import ITALIAN_REGIONS
 from .ingest import ORG_COLUMNS, ROSTER_COLUMNS, TAXONOMY_COLUMNS, write_publications
 from .model import AuthorName, PublicationRecord
 
-REGIONS: tuple[str, ...] = (
-    "Abruzzo",
-    "Basilicata",
-    "Calabria",
-    "Campania",
-    "Emilia Romagna",
-    "Friuli Venezia Giulia",
-    "Lazio",
-    "Liguria",
-    "Lombardy",
-    "Marche",
-    "Molise",
-    "Piedmont",
-    "Puglia",
-    "Sardinia",
-    "Sicily",
-    "Trentino Alto Adige",
-    "Tuscany",
-    "Umbria",
-    "Veneto",
-)
+# The demo country: every region of ``config.ITALIAN_REGIONS`` but Aosta Valley.
+REGIONS: tuple[str, ...] = tuple(r for r in ITALIAN_REGIONS if r != "Aosta Valley")
 
 # region -> (intra events, outgoing extra-regional, incoming extra-regional)
 REGIONAL_FLOWS: Mapping[str, tuple[int, int, int]] = {

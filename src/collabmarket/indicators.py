@@ -263,7 +263,7 @@ def sector_correspondence(
     headcounts: Mapping[str, float],
     cube: FlowCube,
     regions: Sequence[str],
-    capacity_multiplier: float = 1.0,
+    capacity_multiplier: float,
 ) -> list[SectorCorrespondenceRow]:
     """Capacity-versus-demand table of one sector.
 
@@ -341,7 +341,7 @@ def sector_flows(
 
 
 def quadrant_classify(
-    surplus: float, market_share: float | None, share_threshold: float = 0.5
+    surplus: float, market_share: float | None, share_threshold: float
 ) -> str:
     """Quadrant of one region: I deficit/high-share, II surplus/high-share,
     III surplus/low-share, IV deficit/low-share.
@@ -362,7 +362,7 @@ def quadrant_positions(
     sds: str,
     correspondence: Sequence[SectorCorrespondenceRow],
     flows: Sequence[SectorFlowsRow],
-    share_threshold: float = 0.5,
+    share_threshold: float,
 ) -> list[QuadrantPosition]:
     """Positions of every demand-bearing region of one sector, from its
     table2 and table3 rows, which pair up by position (see the module)."""
@@ -483,15 +483,16 @@ def aggregate_regions(
     flows: Mapping[str, Sequence[SectorFlowsRow]],
     weights: Mapping[str, float],
     regions: Sequence[str],
-    na_policy: str = "coerce-zero",
+    na_policy: str,
 ) -> list[AggregateRow]:
     """Weight per-sector indicators into one cross-sector row per region.
 
     ``weights`` covers exactly the sectors being aggregated: the caller
     passes those of ``sds_weights``, which sum to one; their table2 and
-    table3 rows are read by position (see the module). The default NA policy
-    coerces undefined sector values to zero; ``renormalize`` instead averages
-    over the defined sectors only. ``RunConfig`` has checked ``na_policy``.
+    table3 rows are read by position (see the module). NA policy
+    ``coerce-zero`` counts an undefined sector value as zero; ``renormalize``
+    instead averages over the defined sectors only. ``RunConfig`` has
+    checked ``na_policy``.
     """
     sds_list = sorted(weights)
     ordered_regions = sorted(regions)

@@ -405,7 +405,7 @@ _MARGIN_BOTTOM = 58
 
 
 def emit_quadrant_svg(
-    positions: Sequence[QuadrantPosition], sds: str, share_threshold: float = 0.5
+    positions: Sequence[QuadrantPosition], sds: str, share_threshold: float
 ) -> str:
     """Scatter of demand-bearing regions with the two quadrant dividers.
 

@@ -98,13 +98,13 @@ def make_registry(organizations, roster, taxonomy):
 
 
 def run_pass(directory: Path, publications, organizations, roster, taxonomy,
-             **settings) -> tuple[PipelineResult, list[tuple], list[tuple]]:
+             **settings) -> tuple[PipelineResult, list[tuple], list[tuple], list[tuple]]:
     """``run_pipeline`` over a small written corpus, as ``analyze`` calls
     it: the organizations, roster rows and taxonomy as the three registry
     files, and the publication records as the corpus, all in ``directory``.
-    Returns the result, then the UE and SDS event lists that the pass
-    extended. ``settings`` are ``RunConfig`` fields; the region set defaults
-    to the organizations' regions."""
+    Returns the result, then the report rows and the UE and SDS events that
+    the pass appended to its lists. ``settings`` are ``RunConfig`` fields;
+    the region set defaults to the organizations' regions."""
     directory.mkdir(parents=True, exist_ok=True)
     tables = {
         "organizations": (ORG_COLUMNS, [
@@ -123,9 +123,10 @@ def run_pass(directory: Path, publications, organizations, roster, taxonomy,
     paths["publications"] = directory / "publications.jsonl"
     write_publications(publications, paths["publications"])
     settings.setdefault("regions", tuple(sorted({org.region for org in organizations})))
-    ue_events, sds_events = [], []
+    report, ue_events, sds_events = [], [], []
     config = RunConfig(**paths, out=directory / "out", **settings)
-    return run_pipeline(config, events=(ue_events, sds_events)), ue_events, sds_events
+    result = run_pipeline(config, report=report, events=(ue_events, sds_events))
+    return result, report, ue_events, sds_events
 
 
 def with_regions(org_ids, registry):

@@ -111,7 +111,8 @@ class TestCriterion2SectorCorrespondence:
         headcounts = sector_headcounts()
         events = sector_sds_events()
         started = time.perf_counter()
-        rows = sector_correspondence(SECTOR, headcounts, flow_cube(sds_events=events), REGIONS)
+        rows = sector_correspondence(SECTOR, headcounts, flow_cube(sds_events=events), REGIONS,
+                                     1.0)
         elapsed = time.perf_counter() - started
         by = {r.region: r for r in rows}
 
@@ -179,9 +180,9 @@ class TestCriterion4Quadrants:
         failures: list[str] = []
         headcounts = sector_headcounts()
         events = flow_cube(sds_events=sector_sds_events())
-        corr = sector_correspondence(SECTOR, headcounts, events, REGIONS)
+        corr = sector_correspondence(SECTOR, headcounts, events, REGIONS, 1.0)
         flows = sector_flows(SECTOR, headcounts, events, REGIONS)
-        positions = quadrant_positions(SECTOR, corr, flows)
+        positions = quadrant_positions(SECTOR, corr, flows, 0.5)
         grouped: dict[str, set[str]] = {
             QUADRANT_I: set(), QUADRANT_II: set(),
             QUADRANT_III: set(), QUADRANT_IV: set(),
@@ -240,8 +241,8 @@ class TestCriterion5ProductRule:
                 {(f"U{u}", f"E{e}") for u in unis for e in ents},
                 {(sds_codes[k], regions[i % 4], f"E{e}") for k, i in attributed for e in ents},
             )
-        result, ue_events, sds_events = run_pass(tmp_path, publications, organizations, roster,
-                                                 taxonomy)
+        result, _, ue_events, sds_events = run_pass(tmp_path, publications, organizations, roster,
+                                                    taxonomy)
 
         got = {pub_id: ([], []) for pub_id in wanted}
         for pub_id, u, _, e, _, _ in ue_events:
@@ -309,7 +310,7 @@ class TestCriterion7Aggregation:
         # identity: one sector with weight one
         values = {"S1": {r: rng.uniform(0, 9) for r in regions}}
         corr, flows = self._tables(values)
-        for row in aggregate_regions(corr, flows, {"S1": 1.0}, regions):
+        for row in aggregate_regions(corr, flows, {"S1": 1.0}, regions, "coerce-zero"):
             for metric in ("demand_per_scientist", "national_supply_per_scientist",
                            "intra_supply_per_scientist", "market_share_per_scientist",
                            "intra_over_national_supply"):
@@ -320,7 +321,7 @@ class TestCriterion7Aggregation:
         shared = {r: rng.uniform(0, 9) for r in regions}
         weights = {"S1": 0.25, "S2": 0.35, "S3": 0.4}
         corr, flows = self._tables({s: dict(shared) for s in weights})
-        for row in aggregate_regions(corr, flows, weights, regions):
+        for row in aggregate_regions(corr, flows, weights, regions, "coerce-zero"):
             if abs(row.demand_per_scientist - shared[row.region]) > 1e-9:
                 failures.append(f"convexity breaks at {row.region}")
 
@@ -333,7 +334,7 @@ class TestCriterion7Aggregation:
             corr, flows = self._tables(table)
             results[name] = {
                 row.region: row.demand_per_scientist
-                for row in aggregate_regions(corr, flows, weights, regions)
+                for row in aggregate_regions(corr, flows, weights, regions, "coerce-zero")
             }
         for region in regions:
             want = 1.5 * results["x"][region] - 0.5 * results["y"][region]

@@ -211,6 +211,26 @@ class TestNotUtf8:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_file_that_decodes_on_the_second_read(self, corpus, tmp_path, capsys, monkeypatch,
+                                                  command):
+        """``ingest.not_utf8`` reads the file again to find the bad line. A
+        file that changed in between and now decodes is named at line 1,
+        without the byte."""
+        copied = _copy_corpus(corpus, tmp_path)
+        publications = copied["publications"]
+        clean = publications.read_bytes()
+        publications.write_bytes(clean.replace(b"\n", b"\n\xff", 1))
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda path: clean if path == publications else read_bytes(path)
+        )
+        assert main([command, "--config", str(copied["config"]),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {publications}:1: not valid UTF-8" in err.splitlines()
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
     def test_pub_id_with_a_lone_surrogate(self, corpus, tmp_path, capsys, command):
         """A JSON \\ud800 escape decodes to text no file can hold: the line
         is refused like any bad record, and validate lists it once."""
@@ -1495,8 +1515,9 @@ def test_demo_outputs_match_recorded_digests(corpus, tmp_path):
 
 def test_run_commands_print_the_warnings_of_validate(corpus, tmp_path, capsys):
     """With an alias that two organizations share and a publication none of
-    whose affiliations resolve, analyze, sector and region print the warning
-    lines that validate prints."""
+    whose affiliations resolve, and again with a window that holds no
+    publication, analyze, sector and region print the warning lines that
+    validate prints."""
     copied = _copy_corpus(corpus, tmp_path)
     path = copied["organizations"]
     rows = path.read_text(encoding="utf-8").splitlines()
@@ -1515,20 +1536,23 @@ def test_run_commands_print_the_warnings_of_validate(corpus, tmp_path, capsys):
         assert main([*command, "--config", str(copied["config"]), "--out", str(out)]) == 0
         return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
 
-    expected = warnings("validate")
-    assert expected == [
-        "warning: alias 'shared lab' is shared by E-ABR, E-BAS; resolving to E-ABR",
-        "warning: publication 'ORPHAN': no affiliation resolved",
-    ]
-    assert warnings("analyze") == expected
-    assert warnings("sector", "--sds", "ING-INF/01") == expected
-    assert warnings("region", "--name", "Lombardy") == expected
+    shared = "warning: alias 'shared lab' is shared by E-ABR, E-BAS; resolving to E-ABR"
+    for window, expected in (
+        ((), [shared, "warning: publication 'ORPHAN': no affiliation resolved"]),
+        (("--window", "1980:1981"),
+         [shared, "warning: no publications fall inside the configured window"]),
+    ):
+        assert warnings("validate", *window) == expected
+        assert warnings("analyze", *window) == expected
+        assert warnings("sector", "--sds", "ING-INF/01", *window) == expected
+        assert warnings("region", "--name", "Lombardy", *window) == expected
 
 
-@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("command", ["validate", "analyze", "sector", "region"])
 def test_unresolved_publication_warnings_are_capped(corpus, tmp_path, capsys, command):
     """Past ``MAX_DIAGNOSTICS`` publications with no resolved affiliation,
-    one line counts the rest; the resolution report still lists them all."""
+    one line counts the rest; the resolution report of validate and analyze
+    still lists them all."""
     copied = _copy_corpus(corpus, tmp_path)
     orphans = [f"ORPHAN{i:02d}" for i in range(MAX_DIAGNOSTICS + 5)]
     with copied["publications"].open("a", encoding="utf-8") as handle:
@@ -1536,12 +1560,17 @@ def test_unresolved_publication_warnings_are_capped(corpus, tmp_path, capsys, co
             handle.write(json.dumps({"pub_id": pub_id, "year": 2002, "affiliations": ["Nowhere"],
                                      "authors": [{"surname": "nobody", "initials": "A"}]}) + "\n")
     out = tmp_path / "out"
-    assert main([command, "--config", str(copied["config"]), "--out", str(out)]) == 0
+    selected = {"sector": ["--sds", "ING-INF/01"], "region": ["--name", "Lombardy"]}
+    argv = [command, *selected.get(command, ()), "--config", str(copied["config"])]
+    assert main([*argv, "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("warning: ")] == [
         f"warning: publication {pub_id!r}: no affiliation resolved"
         for pub_id in orphans[:MAX_DIAGNOSTICS]
     ] + ["warning: ... and 5 more publications with no affiliation resolved"]
+    if command in selected:
+        assert not (out / "resolution_report.csv").exists()
+        return
     report = (out / "resolution_report.csv").read_text(encoding="utf-8").splitlines()
     assert report[-len(orphans):] == [f"{pub_id},0,0,1,0,0" for pub_id in orphans]
 
@@ -1657,7 +1686,8 @@ class TestPipeline:
         out = tmp_path / "out"
         assert main(["validate", "--config", str(corpus["config"]), "--publications", str(path),
                      "--out", str(out)]) == 0
-        rows = run_pipeline(load_config(corpus["config"])).report_rows
+        rows = []
+        run_pipeline(load_config(corpus["config"]), report=rows)
         assert any(alias for _, _, alias, *_ in rows)
         with (out / "resolution_report.csv").open(encoding="utf-8", newline="") as handle:
             written = list(csv.reader(handle))[1:]

@@ -28,7 +28,7 @@ class TestUEEvents:
             "Universita di Roma", "Politecnico di Milano",
             "Acme Research", "Borg Devices",
         ], authors=[("bianchi", "G")])
-        _, ue_events, _ = run([pub])
+        _, _, ue_events, _ = run([pub])
         events = [UECollaboration(*ev) for ev in sorted(ue_events)]
         assert [(e.university_id, e.enterprise_id) for e in events] == [
             ("U1", "E1"), ("U1", "E2"), ("U2", "E1"), ("U2", "E2"),
@@ -42,7 +42,7 @@ class TestUEEvents:
             "Universita di Roma", "Univ. Roma", "UNIVERSITA DI ROMA",
             "Acme Research", "Acme Research",
         ])
-        _, ue_events, _ = run([pub])
+        _, _, ue_events, _ = run([pub])
         assert len(ue_events) == 1
 
 
@@ -53,7 +53,7 @@ class TestSDSEvents:
             ["Universita di Roma", "Politecnico di Milano", "Acme Research", "Borg Devices"],
             authors=[("bianchi", "G")],   # unique at U2: FIS/01
         )
-        _, _, sds_events = run([pub])
+        _, _, _, sds_events = run([pub])
         events = [SDSCollaboration(*ev) for ev in sorted(sds_events)]
         assert [(e.sds, e.supply_region, e.enterprise_id) for e in events] == [
             ("FIS/01", "Lombardy", "E1"), ("FIS/01", "Lombardy", "E2"),
@@ -71,8 +71,8 @@ class TestSDSEvents:
                        authors=[("rossi", "M"), ("bruno", "M")])
 
         def events(split):
-            _, _, sds_events = run_pass(tmp_path / split, [pub], organizations, roster, taxonomy,
-                                        sds_region_split=split)
+            _, _, _, sds_events = run_pass(tmp_path / split, [pub], organizations, roster, taxonomy,
+                                           sds_region_split=split)
             return sorted((e[1], e[3]) for e in sds_events)
 
         assert events("per-region") == [("ING-INF/01", "Lombardy"), ("ING-INF/01", "Sicily")]
@@ -115,7 +115,8 @@ class TestRandomizedOracle:
 
             sds_events = [
                 SDSCollaboration(*ev)
-                for ev in derive_sds_events(pub, pairs, enterprises, registry.taxonomy)
+                for ev in derive_sds_events(pub, pairs, enterprises, registry.taxonomy,
+                                            "per-region")
             ]
             expected_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
             got = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}
@@ -139,7 +140,7 @@ class TestSortingAndExport:
     def test_export_csv_shape(self, run, tmp_path):
         pub = make_pub("P1", ["Universita di Roma", "Acme Research"],
                        authors=[("rossi", "M")])
-        _, ue_events, sds_events = run([pub])
+        _, _, ue_events, sds_events = run([pub])
         ue_path = tmp_path / "ue.csv"
         sds_path = tmp_path / "sds.csv"
         export_ue_events(ue_events, ue_path)

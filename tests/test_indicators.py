@@ -133,7 +133,7 @@ class TestSectorCorrespondence:
         # demand counts enterprises' regions: Lazio 8, others 0
         rows = {r.region: r
                 for r in sector_correspondence(
-                    "S1", self.HEADCOUNTS, sds_cube(events), REGIONS
+                    "S1", self.HEADCOUNTS, sds_cube(events), REGIONS, 1.0
                 )}
         lazio = rows["Lazio"]
         assert (lazio.scientists, lazio.national_demand, lazio.surplus) == (4.0, 8, -4.0)
@@ -164,7 +164,7 @@ class TestSectorCorrespondence:
             events = []
             for r in REGIONS:
                 events += sds_ev("Lazio", r, rng.randint(0, 4))
-            rows = sector_correspondence("S1", headcounts, sds_cube(events), REGIONS)
+            rows = sector_correspondence("S1", headcounts, sds_cube(events), REGIONS, 1.0)
             eligible = [r for r in REGIONS if headcounts[r] > 0]
             demand = {r.region: r.national_demand for r in rows}
             oracle = (
@@ -191,7 +191,7 @@ class TestSectorCorrespondence:
             events = []
             for r in REGIONS:
                 events += sds_ev("Lazio", r, rng.randint(0, 4))
-            rows = sector_correspondence("S1", headcounts, sds_cube(events), REGIONS)
+            rows = sector_correspondence("S1", headcounts, sds_cube(events), REGIONS, 1.0)
             eligible = [r for r in REGIONS if headcounts[r] > 0]
             dps = {r.region: r.demand_per_scientist for r in rows}
             mean = distribution_mean(dps, eligible)
@@ -243,23 +243,23 @@ class TestSectorFlows:
 
 class TestQuadrants:
     def test_four_corners(self):
-        assert quadrant_classify(-1.0, 0.9) == QUADRANT_I
-        assert quadrant_classify(5.0, 0.9) == QUADRANT_II
-        assert quadrant_classify(5.0, 0.1) == QUADRANT_III
-        assert quadrant_classify(-1.0, 0.1) == QUADRANT_IV
+        assert quadrant_classify(-1.0, 0.9, 0.5) == QUADRANT_I
+        assert quadrant_classify(5.0, 0.9, 0.5) == QUADRANT_II
+        assert quadrant_classify(5.0, 0.1, 0.5) == QUADRANT_III
+        assert quadrant_classify(-1.0, 0.1, 0.5) == QUADRANT_IV
 
     def test_boundaries(self):
         # zero surplus counts as self-sufficient; threshold share counts as high
-        assert quadrant_classify(0.0, 0.5) == QUADRANT_II
-        assert quadrant_classify(0.0, 0.49999) == QUADRANT_III
-        assert quadrant_classify(-0.0001, 0.5) == QUADRANT_I
+        assert quadrant_classify(0.0, 0.5, 0.5) == QUADRANT_II
+        assert quadrant_classify(0.0, 0.49999, 0.5) == QUADRANT_III
+        assert quadrant_classify(-0.0001, 0.5, 0.5) == QUADRANT_I
 
     def test_custom_threshold(self):
         assert quadrant_classify(1.0, 0.3, share_threshold=0.25) == QUADRANT_II
 
     def test_none_share_rejected(self):
         with pytest.raises(ValueError):
-            quadrant_classify(1.0, None)
+            quadrant_classify(1.0, None, 0.5)
 
     def test_positions_exclude_zero_demand_and_na(self):
         corr = [
@@ -272,7 +272,7 @@ class TestQuadrants:
             SectorFlowsRow("Lombardy", 0, 1, 0, 1.0, None, 0.0, None, None, None, 0.0),
             SectorFlowsRow("Sicily", 3, 0, 0, None, None, None, None, 0.0, None, None),
         ]
-        positions = quadrant_positions("S1", corr, flows)
+        positions = quadrant_positions("S1", corr, flows, 0.5)
         got = {(p.region, p.quadrant) for p in positions}
         # Lombardy: zero demand -> excluded; Sicily: share defined (0.0) -> IV;
         # Lazio: deficit capacity but dominant share -> I
@@ -386,7 +386,7 @@ def _tables(values_by_sds):
 class TestAggregation:
     def test_single_sector_identity(self):
         corr, flows = _tables({"S1": {"Lazio": 2.0, "Lombardy": 0.5}})
-        rows = aggregate_regions(corr, flows, {"S1": 1.0}, ("Lazio", "Lombardy"))
+        rows = aggregate_regions(corr, flows, {"S1": 1.0}, ("Lazio", "Lombardy"), "coerce-zero")
         by = {r.region: r for r in rows}
         assert by["Lazio"].demand_per_scientist == pytest.approx(2.0, abs=1e-12)
         assert by["Lazio"].intra_over_national_supply == pytest.approx(2.0, abs=1e-12)
@@ -397,7 +397,7 @@ class TestAggregation:
             "S1": {"Lazio": 3.0}, "S2": {"Lazio": 3.0}, "S3": {"Lazio": 3.0}
         })
         (row,) = aggregate_regions(
-            corr, flows, {"S1": 0.2, "S2": 0.5, "S3": 0.3}, ("Lazio",)
+            corr, flows, {"S1": 0.2, "S2": 0.5, "S3": 0.3}, ("Lazio",), "coerce-zero"
         )
         assert row.demand_per_scientist == pytest.approx(3.0, abs=1e-9)
 
@@ -413,7 +413,7 @@ class TestAggregation:
             corr, flows = _tables(table)
             out[name] = {
                 r.region: r.demand_per_scientist
-                for r in aggregate_regions(corr, flows, weights, regions)
+                for r in aggregate_regions(corr, flows, weights, regions, "coerce-zero")
             }
         for region in regions:
             assert out["combo"][region] == pytest.approx(
@@ -424,7 +424,7 @@ class TestAggregation:
         corr, flows = _tables({"S1": {"Lazio": 2.0}, "S2": {"Lazio": 4.0}})
         corr["S2"] = [_corr_row("Lazio", None)]
         weights = {"S1": 0.5, "S2": 0.5}
-        (coerced,) = aggregate_regions(corr, flows, weights, ("Lazio",))
+        (coerced,) = aggregate_regions(corr, flows, weights, ("Lazio",), "coerce-zero")
         assert coerced.demand_per_scientist == pytest.approx(1.0)   # (2*0.5 + 0*0.5)
         (renorm,) = aggregate_regions(corr, flows, weights, ("Lazio",),
                                       na_policy="renormalize")
@@ -442,7 +442,7 @@ class TestAggregation:
         assert row.demand_per_scientist is None
 
     def test_empty_weights_zero_rows(self):
-        rows = aggregate_regions({}, {}, {}, ("Lazio", "Lombardy"))
+        rows = aggregate_regions({}, {}, {}, ("Lazio", "Lombardy"), "coerce-zero")
         assert [r.region for r in rows] == ["Lazio", "Lombardy"]
         assert all(r.demand_per_scientist == 0.0 for r in rows)
         assert all(r.demand_per_scientist_rank == 1 for r in rows)
@@ -450,7 +450,7 @@ class TestAggregation:
     def test_ranks_follow_values(self):
         corr, flows = _tables({"S1": {"Lazio": 2.0, "Lombardy": 0.5, "Sicily": 2.0}})
         rows = aggregate_regions(corr, flows, {"S1": 1.0},
-                                 ("Lazio", "Lombardy", "Sicily"))
+                                 ("Lazio", "Lombardy", "Sicily"), "coerce-zero")
         by = {r.region: r for r in rows}
         assert by["Lazio"].demand_per_scientist_rank == 1
         assert by["Sicily"].demand_per_scientist_rank == 1

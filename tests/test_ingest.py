@@ -681,20 +681,20 @@ class TestFilters:
     """Report rows: pub_id, exact, alias, unresolved, unique, ambiguous."""
 
     def test_partition_drops_fully_unresolvable_publications(self, run, capsys):
-        result, _, _ = run([
+        result, report, _, _ = run([
             make_pub("P1", ["Universita di Roma", "Acme Research"]),
             make_pub("P2", ["Universita di Roma"]),               # one side resolves
             make_pub("P3", ["Nowhere Institute"]),                # nothing resolves
         ])
-        kept = [pub_id for pub_id, exact, alias, *_ in result.report_rows if exact + alias]
-        assert (len(result.report_rows), kept) == (3, ["P1", "P2"])
+        kept = [pub_id for pub_id, exact, alias, *_ in report if exact + alias]
+        assert (len(report), kept) == (3, ["P1", "P2"])
         cli._warn(result)
         assert capsys.readouterr().err.splitlines() == [
             "warning: publication 'P3': no affiliation resolved"
         ]
 
     def test_hard_science_filter_needs_attribution_and_enterprise(self, run):
-        result, ue_events, sds_events = run([
+        result, _, ue_events, sds_events = run([
             # attributed author + enterprise: kept
             make_pub("P1", ["Universita di Roma", "Acme Research"], authors=[("rossi", "M")]),
             # no roster author: dropped

@@ -13,8 +13,8 @@ order, so every table's rows come in another order; the renaming oracle
 prefixes every org id: ``analyze`` writes the same tables, once mapped back.
 The respelling oracle writes every affiliation and author name of the corpus
 another way that normalizes alike: ``analyze`` writes the same bytes. The
-sink test runs the pass as ``validate`` and as ``analyze`` call it: the same
-counts, and only the caller that hands it sinks gets the events.
+sink test runs the pass as each command calls it: the same counts, and only
+a caller that hands it lists gets the report rows and the events.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def test_one_pass_equals_the_per_publication_reference(corpus, ambiguity, split)
             for i, (authors, affiliations, year) in enumerate(publications)]
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        result, got_ue, got_sds = run_pass(
+        result, report, got_ue, got_sds = run_pass(
             directory, [make_pub(p, a, authors=n, year=y) for p, n, a, y in pubs], organizations,
             roster, dict(TAXONOMY), window=WINDOW, regions=REGIONS, ambiguity=ambiguity,
             sds_region_split=split,
@@ -237,7 +237,8 @@ def test_one_pass_equals_the_per_publication_reference(corpus, ambiguity, split)
             ue_events += ue
             sds_events += sds
 
-    assert result.report_rows == rows
+    assert report == rows
+    assert result.orphans == [row[0] for row in rows if not row[1] + row[2]]
     with contextlib.redirect_stderr(io.StringIO()) as err:
         cli._warn(result)
     warned = [line for line in err.getvalue().splitlines() if "no affiliation resolved" in line]
@@ -289,7 +290,7 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "iter_publications", counting_parse)
     result = run_pipeline(config)
-    in_window = len(result.report_rows)
+    in_window = result.publications
     assert in_window > 1
     assert seen_at_yield == list(range(in_window))
     assert list(processed) == [pub.pub_id for pub in iter_publications(config.publications,
@@ -298,25 +299,39 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("ambiguity", ["strict", "all"])
 def test_only_a_caller_that_hands_the_pass_sinks_keeps_events(tmp_path, ambiguity):
-    """``validate`` calls ``run_pipeline`` without ``events``, as ``sector``
-    and ``region`` do, and ``analyze`` with two lists: both calls count the
-    same cube, report rows and retained publications, and no result holds
-    an event."""
-    config = load_config(write_demo_corpus(tmp_path)["config"])
-    config = apply_setting(config, "ambiguity", ambiguity)
+    """``sector`` and ``region`` call ``run_pipeline`` without sinks,
+    ``validate`` with a report list and ``analyze`` with a report list and
+    two event lists: all three calls count the same cube, publications,
+    publications with no resolved affiliation and retained publications, and
+    no result holds a row. The corpus is the demo's and one publication none
+    of whose affiliations resolve."""
+    paths = write_demo_corpus(tmp_path)
+    orphan = {"pub_id": "ORPHAN", "year": 2002, "affiliations": ["Nowhere Institute"],
+              "authors": [{"surname": "nobody", "initials": "A"}]}
+    with paths["publications"].open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(orphan) + "\n")
+    config = apply_setting(load_config(paths["config"]), "ambiguity", ambiguity)
     diagnostics: list[str] = []
-    counted = run_pipeline(config, diagnostics)
-    ue_events, sds_events = [], []
-    kept = run_pipeline(config, events=(ue_events, sds_events))
+    counted = run_pipeline(config)
+    reported: list[tuple] = []
+    validated = run_pipeline(config, diagnostics, report=reported)
+    report, ue_events, sds_events = [], [], []
+    kept = run_pipeline(config, report=report, events=(ue_events, sds_events))
     assert diagnostics == []
-    assert counted.cube == kept.cube
-    assert counted.report_rows == kept.report_rows
-    assert counted.retained == kept.retained
+    counts = (kept.cube, kept.publications, kept.orphans, kept.retained)
+    for result in (counted, validated):
+        assert (result.cube, result.publications, result.orphans, result.retained) == counts
+    assert reported == report
+    assert len(report) == kept.publications > 1
+    assert kept.orphans == [pub_id for pub_id, exact, alias, *_ in report if not exact + alias]
+    assert kept.orphans == ["ORPHAN"]
     totals = corpus_totals(kept.cube)
     assert len(ue_events) == totals.ue_events > 0
     assert len(sds_events) == totals.sds_events > 0
     assert len({event[0] for event in ue_events}) == kept.retained
-    assert [f.name for f in dataclasses.fields(PipelineResult) if "event" in f.name] == []
+    assert [f.name for f in dataclasses.fields(PipelineResult)] == [
+        "registry", "ambiguous_aliases", "publications", "orphans", "retained", "cube"
+    ]
 
 
 def test_analyze_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
@@ -561,7 +576,7 @@ def _sum_cubes(a: FlowCube, b: FlowCube) -> FlowCube:
 def _count_columns(config: RunConfig, headcounts, cube: FlowCube) -> dict[str, list[int]]:
     """The count columns of table2, table3 and the regional summary."""
     regions = config.regions
-    correspondence = sector_correspondence(SECTOR, headcounts[SECTOR], cube, regions)
+    correspondence = sector_correspondence(SECTOR, headcounts[SECTOR], cube, regions, 1.0)
     flows = sector_flows(SECTOR, headcounts[SECTOR], cube, regions)
     summary = regional_summary(cube, regions)
     columns = {"table2.national_demand": [row.national_demand for row in correspondence]}

@@ -298,7 +298,7 @@ class TestQuadrantSvg:
     ]
 
     def test_one_point_per_position_and_two_dividers(self):
-        svg = emit_quadrant_svg(self.POSITIONS, "S1")
+        svg = emit_quadrant_svg(self.POSITIONS, "S1", 0.5)
         assert svg.count('class="point"') == 4
         assert svg.count('<line class="divider"') == 2
         assert svg.count('class="label"') == 4
@@ -309,7 +309,7 @@ class TestQuadrantSvg:
 
     def test_point_on_both_dividers(self):
         svg = emit_quadrant_svg(
-            [QuadrantPosition("Lazio", "S1", 0.0, 0.5, "II")], "S1"
+            [QuadrantPosition("Lazio", "S1", 0.0, 0.5, "II")], "S1", 0.5
         )
         (circle,) = re.findall(r'<circle class="point" cx="([\d.]+)" cy="([\d.]+)"', svg)
         dividers = re.findall(r'<line class="divider" x1="([\d.]+)" y1="([\d.]+)" '
@@ -322,14 +322,14 @@ class TestQuadrantSvg:
 
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):
-            emit_quadrant_svg([], "S1")
+            emit_quadrant_svg([], "S1", 0.5)
 
     def test_markup_in_names_is_escaped(self):
         positions = [
             QuadrantPosition("Trentino & Alto", "A&B<1>", 1.0, 0.75, "II"),
             QuadrantPosition("<Lazio>", "A&B<1>", -1.0, 0.25, "IV"),
         ]
-        document = minidom.parseString(emit_quadrant_svg(positions, "A&B<1>"))
+        document = minidom.parseString(emit_quadrant_svg(positions, "A&B<1>", 0.5))
         labels = [
             node.firstChild.data
             for node in document.getElementsByTagName("text")

@@ -241,13 +241,13 @@ class TestResolveAffiliation:
     only the benchmark's tracer still wraps."""
 
     def test_exact_match(self, run):
-        result, ue_events, _ = run([make_pub("P1", ["UNIVERSITA DI ROMA", "Acme Research"])])
-        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        _, report, ue_events, _ = run([make_pub("P1", ["UNIVERSITA DI ROMA", "Acme Research"])])
+        assert report == [("P1", 2, 0, 0, 1, 0)]
         assert _ue_pairs(ue_events) == [("U1", "E1")]
 
     def test_alias_match(self, run):
-        result, ue_events, _ = run([make_pub("P1", ["Borg", "Universita di Roma"])])
-        assert result.report_rows == [("P1", 1, 1, 0, 1, 0)]
+        _, report, ue_events, _ = run([make_pub("P1", ["Borg", "Universita di Roma"])])
+        assert report == [("P1", 1, 1, 0, 1, 0)]
         assert _ue_pairs(ue_events) == [("U1", "E2")]
 
     def test_exact_beats_alias(self, taxonomy, tmp_path):
@@ -256,14 +256,15 @@ class TestResolveAffiliation:
             make_org("A2", ENTERPRISE, "Veneto", "Other Firm", aliases=("Target Name",)),
             make_org("U1", UNIVERSITY, "Lazio", "Uni"),
         )
-        result, ue_events, _ = run_pass(tmp_path, [make_pub("P1", ["Target Name", "Uni"])],
-                                        organizations, [make_roster("rossi", "M", "U1")], taxonomy)
-        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        _, report, ue_events, _ = run_pass(tmp_path, [make_pub("P1", ["Target Name", "Uni"])],
+                                           organizations, [make_roster("rossi", "M", "U1")],
+                                           taxonomy)
+        assert report == [("P1", 2, 0, 0, 1, 0)]
         assert _ue_pairs(ue_events) == [("U1", "A1")]
 
     def test_unresolved(self, run):
-        result, ue_events, _ = run([make_pub("P1", ["Nowhere Institute"])])
-        assert result.report_rows == [("P1", 0, 0, 1, 0, 0)]
+        result, report, ue_events, _ = run([make_pub("P1", ["Nowhere Institute"])])
+        assert report == [("P1", 0, 0, 1, 0, 0)]
         assert (result.retained, ue_events) == (0, [])
 
     def test_resolve_publication_preserves_order(self, registry):
@@ -285,8 +286,8 @@ class TestResolveAffiliation:
 
     def test_split_org_ids_dedup_and_kind(self, run):
         pub = make_pub("P1", ["Borg", "Borg Devices", "Univ. Roma", "Acme Research", "Nowhere"])
-        result, ue_events, _ = run([pub])
-        assert result.report_rows == [("P1", 2, 2, 1, 1, 0)]
+        result, report, ue_events, _ = run([pub])
+        assert report == [("P1", 2, 2, 1, 1, 0)]
         assert _ue_pairs(ue_events) == [("U1", "E1"), ("U1", "E2")]
         assert (result.cube.universities, result.cube.enterprises) == ({"U1"}, {"E1", "E2"})
 
@@ -302,52 +303,52 @@ class TestAttribution:
 
     def test_unique_match(self, run):
         pub = make_pub("P1", ["Politecnico di Milano", "Acme Research"], authors=[("bianchi", "G")])
-        result, ue_events, sds_events = run([pub])
-        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        _, report, ue_events, sds_events = run([pub])
+        assert report == [("P1", 2, 0, 0, 1, 0)]
         assert _sds_events(sds_events) == [("FIS/01", "02", "Lombardy", "E1")]
         assert _ue_pairs(ue_events) == [("U2", "E1")]
 
     def test_year_outside_active_years_blocks(self, run):
-        result, _, _ = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
-                                     authors=[("verdi", "A")], year=2002)])
-        assert result.report_rows == [("P1", 2, 0, 0, 0, 0)]
+        result, report, _, _ = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                                             authors=[("verdi", "A")], year=2002)])
+        assert report == [("P1", 2, 0, 0, 0, 0)]
         assert result.retained == 0
 
     def test_unmatched_author_produces_nothing(self, run):
-        result, _, _ = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
-                                     authors=[("neri", "Z")])])
-        assert result.report_rows == [("P1", 2, 0, 0, 0, 0)]
+        result, report, _, _ = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                                             authors=[("neri", "Z")])])
+        assert report == [("P1", 2, 0, 0, 0, 0)]
         assert result.retained == 0
 
     def test_university_not_in_publication_blocks(self, run):
-        result, _, _ = run([make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])])
-        assert result.report_rows == [("P1", 1, 0, 0, 0, 0)]
+        result, report, _, _ = run([make_pub("P1", ["Acme Research"], authors=[("rossi", "M")])])
+        assert report == [("P1", 1, 0, 0, 0, 0)]
         assert result.retained == 0
 
     def test_ambiguous_strict_skips_with_no_sds(self, run):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano", "Acme Research"],
                        authors=[("rossi", "M")])
-        result, _, sds_events = run([pub], ambiguity="strict")
-        assert result.report_rows == [("P1", 3, 0, 0, 0, 1)]
+        result, report, _, sds_events = run([pub], ambiguity="strict")
+        assert report == [("P1", 3, 0, 0, 0, 1)]
         assert (result.retained, sds_events) == (0, [])
 
     def test_ambiguous_all_one_per_distinct_sds(self, run):
         pub = make_pub("P1", ["Universita di Roma", "Politecnico di Milano", "Acme Research"],
                        authors=[("rossi", "M")])
-        result, _, sds_events = run([pub], ambiguity="all")
-        assert result.report_rows == [("P1", 3, 0, 0, 0, 1)]
+        _, report, _, sds_events = run([pub], ambiguity="all")
+        assert report == [("P1", 3, 0, 0, 0, 1)]
         # both candidates share ING-INF/01, so one attribution at the lowest
         # id, U1, whose region supplies the sector
         assert _sds_events(sds_events) == [("ING-INF/01", "09", "Lazio", "E1")]
 
     def test_single_candidate_from_many_entries_is_unique(self, run):
-        result, _, sds_events = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
-                                              authors=[("rossi", "M")])])
-        assert result.report_rows == [("P1", 2, 0, 0, 1, 0)]
+        _, report, _, sds_events = run([make_pub("P1", ["Universita di Roma", "Acme Research"],
+                                                 authors=[("rossi", "M")])])
+        assert report == [("P1", 2, 0, 0, 1, 0)]
         assert _sds_events(sds_events) == [("ING-INF/01", "09", "Lazio", "E1")]
 
     def test_report_rows(self, run):
-        result, _, _ = run([make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
-                                     authors=[("rossi", "M"), ("neri", "Z")])])
+        _, report, _, _ = run([make_pub("P1", ["Univ. Roma", "Nowhere", "Acme Research"],
+                                        authors=[("rossi", "M"), ("neri", "Z")])])
         # exact=1 (Acme), alias=1 (Univ. Roma), unresolved=1, unique=1, ambiguous=0
-        assert result.report_rows == [("P1", 1, 1, 1, 1, 0)]
+        assert report == [("P1", 1, 1, 1, 1, 0)]
