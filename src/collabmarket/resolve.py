@@ -3,11 +3,11 @@ attribution functions.
 
 The same normalization pipeline is used for organization names, aliases and
 author surnames so that registry matching and roster matching cannot drift
-apart. Each normalizer makes one table-driven ``str.translate`` per pass:
-ASCII input through a complete table of the 128 ASCII characters, any other
-input, after NFKD, through a code-point table that applies the character rule
-to each code point once. The code-point tables are module-level memos, one
-entry per distinct code point seen; no result depends on what they hold.
+apart. Each normalizer is one ``str.translate`` through a table whose entry
+for a code point is its NFKD decomposition with the character rule applied.
+The tables fill themselves on demand, a module-level memo of one entry per
+distinct code point seen that no result depends on; ASCII input goes
+through plain copies of their 128 ASCII entries.
 
 ``Resolver.build`` makes the one table the pass (``cli.run_pipeline``) looks
 each affiliation string up in; the pass's docstring states the rules.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .model import UNIVERSITY, AffiliationResolution, AuthorAttribution, PublicationRecord, Registry
@@ -34,10 +33,6 @@ UNRESOLVED = "unresolved"
 UNIQUE = "unique"
 AMBIGUOUS_SKIPPED = "ambiguous_skipped"
 AMBIGUOUS_ALL = "ambiguous_all"
-
-
-# Distinct non-ASCII names and initials per run are a few thousand.
-_UNICODE_CACHE_SIZE = 1 << 14
 
 
 def _name_rule(ch: str) -> str | None:
@@ -56,80 +51,51 @@ def _initials_rule(ch: str) -> str | None:
 
 
 class _CodePointTable(dict):
-    """A ``str.translate`` table filled on demand: the entry of a code point
-    is ``rule(chr(code))``, computed the first time ``translate`` looks it up
-    and kept. It is a memo, one entry per distinct code point seen; no
-    result depends on what it holds."""
+    """A ``str.translate`` table that fills itself: a code point's entry is
+    its NFKD decomposition with ``rule`` applied to each character (None if
+    nothing is left), computed at the first lookup and kept. One translate
+    through it equals NFKD of the whole string, then the rule: NFKD
+    decomposes each code point on its own, and its canonical reordering
+    moves only marks of non-zero combining class, which both rules drop."""
 
     def __init__(self, rule: Callable[[str], str | None]):
         super().__init__()
         self.rule = rule
 
     def __missing__(self, code: int) -> str | None:
-        value = self[code] = self.rule(chr(code))
+        decomposed = unicodedata.normalize("NFKD", chr(code))
+        value = self[code] = "".join(filter(None, map(self.rule, decomposed))) or None
         return value
 
 
 _NAME_TABLE = _CodePointTable(_name_rule)
 _INITIALS_TABLE = _CodePointTable(_initials_rule)
 
-# On ASCII input NFKD is the identity, so the rules' values for all 128
-# characters make a complete table, the case fold built in, and one translate
-# does the whole pass. The rules delete by None, not "": an empty string takes
-# ASCII input off CPython's fast translate path.
-_ASCII_NAME = {code: _name_rule(chr(code)) for code in range(128)}
-_ASCII_INITIALS = {code: _initials_rule(chr(code)) for code in range(128)}
-
-
-@lru_cache(maxsize=_UNICODE_CACHE_SIZE)
-def _normalize_unicode(raw: str) -> str:
-    """The general path, correct for any input: NFKD, so that accents split
-    off as combining marks and compatibility characters flatten out, then one
-    translate. One pass is a fixpoint: it is one on the output of each code
-    point, which a test checks, and the rule maps each character on its own
-    and drops exactly the marks that canonical reordering moves."""
-    return " ".join(unicodedata.normalize("NFKD", raw).translate(_NAME_TABLE).split())
+# Plain-dict copies of the first 128 entries: ASCII input translates faster
+# through a plain dict than through the subclass. Deletions are None, not "":
+# an empty string takes ASCII input off CPython's fast translate path.
+_ASCII_NAME = {code: _NAME_TABLE[code] for code in range(128)}
+_ASCII_INITIALS = {code: _INITIALS_TABLE[code] for code in range(128)}
 
 
 def normalize_name(raw: str) -> str:
     """Return the canonical matching form of a name.
 
     Compatibility-decompose, strip diacritics, casefold, replace punctuation
-    with spaces, collapse whitespace. The result is idempotent: normalizing an
-    already-normalized string changes nothing.
-
-    Each pass is one table-driven ``str.translate``. ASCII input goes through
-    a table of all 128 characters with the case fold built in; any other
-    input is NFKD-decomposed, then goes through the code-point table. That
-    table is a module-level memo, one entry per distinct code point seen,
-    and no result depends on what it holds. On ASCII input both paths give
-    the same string, so which one ran never shows in the result.
+    with spaces, collapse whitespace, in one ``str.translate`` through the
+    code-point table (its ASCII copy for ASCII input). The result is
+    idempotent: normalizing an already-normalized string changes nothing.
 
     >>> normalize_name("Università  di ROMA “Tor Vergata”")
     'universita di roma tor vergata'
     """
-    if raw.isascii():
-        return " ".join(raw.translate(_ASCII_NAME).split())
-    return _normalize_unicode(raw)
-
-
-@lru_cache(maxsize=_UNICODE_CACHE_SIZE)
-def _initials_unicode(raw: str) -> str:
-    return unicodedata.normalize("NFKD", raw).translate(_INITIALS_TABLE)
+    return " ".join(raw.translate(_ASCII_NAME if raw.isascii() else _NAME_TABLE).split())
 
 
 def normalize_initials(raw: str) -> str:
-    """Uppercase the letters of an initials string, dropping punctuation.
-
-    Like ``normalize_name``, one table-driven ``translate``: ASCII input goes
-    through a table of all 128 characters with the uppercasing built in, any
-    other input is NFKD-decomposed and goes through a code-point table, a
-    module-level memo of one entry per distinct code point seen that no
-    result depends on. Both paths give the same result on ASCII input.
-    """
-    if raw.isascii():
-        return raw.translate(_ASCII_INITIALS)
-    return _initials_unicode(raw)
+    """Uppercase the letters of an initials string, dropping punctuation and
+    diacritics, in one ``str.translate`` like ``normalize_name``."""
+    return raw.translate(_ASCII_INITIALS if raw.isascii() else _INITIALS_TABLE)
 
 
 # What the table gives every name it lacks: one shared entry.
