@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 NORMALIZE = "tests/test_resolve.py"
 RESPELLING = "tests/test_pipeline.py::test_respelling_the_names_leaves_the_outputs_unchanged"
+ORACLE = "tests/test_pipeline.py::test_one_pass_equals_the_per_publication_reference"
 EVENT_TABLES = (
     "tests/test_event_tables.py::test_demo_tables_agree_with_its_event_files",
     "tests/test_event_tables.py::test_generated_tables_agree_with_their_event_files",
@@ -94,6 +95,27 @@ _SECTOR_CHECK = """\
                     )
 """
 
+# The single split of the pass, then what it runs before counting the SDS
+# cube, for the mutant that counts the cube from the pairs before the split.
+_SPLIT = """\
+            if single_region:  # each sector at its alphabetically first supply region
+                pairs = {sds: region for sds, region in sorted(pairs, reverse=True)}.items()
+"""
+_BEFORE_SDS_CUBE = """\
+        publications += 1
+        if not (exact or alias):
+            orphans.append(pub.pub_id)
+        if report is not None:
+            unresolved = len(affiliations) - exact - alias
+            report.append((pub.pub_id, exact, alias, unresolved, unique, ambiguous))
+        if enterprises and pairs:
+            retained += 1
+            e_regions = enterprises.values()
+            for u_region in universities.values():
+                for e_region in e_regions:
+                    ue_flows[u_region, e_region] += 1
+"""
+
 MUTANTS = (
     Mutant(
         "code-point table without NFKD",
@@ -135,9 +157,33 @@ MUTANTS = (
     Mutant(
         "SDS export drops one event the cube keeps",
         "cli.py",
-        "                sds_sink.extend(sds)\n",
-        "                sds_sink.extend(sds[1:] if retained == 1 else sds)\n",
+        "sds_sink.extend(derive_sds_events(pub, pairs, enterprises.items(), taxonomy))",
+        "sds_sink.extend(derive_sds_events(pub, pairs, enterprises.items(), taxonomy)"
+        "[retained == 1:])",
         EVENT_TABLES,
+    ),
+    Mutant(
+        "SDS cube counted before the single split",
+        "cli.py",
+        _SPLIT + _BEFORE_SDS_CUBE + "            for sds, supply_region in pairs:\n",
+        "            unsplit = pairs\n" + _SPLIT + _BEFORE_SDS_CUBE
+        + "            for sds, supply_region in unsplit:\n",
+        (EVENT_TABLES[0],
+         "tests/test_pipeline.py::test_only_a_caller_that_hands_the_pass_sinks_keeps_events"),
+    ),
+    Mutant(
+        "UE cube counts each university region once per publication",
+        "cli.py",
+        "for u_region in universities.values():",
+        "for u_region in set(universities.values()):",
+        (EVENT_TABLES[0], ORACLE),
+    ),
+    Mutant(
+        "SDS cube counts each enterprise region once per pair",
+        "cli.py",
+        "for e_region in e_regions:\n                    flows[supply_region",
+        "for e_region in set(e_regions):\n                    flows[supply_region",
+        (EVENT_TABLES[0], ORACLE),
     ),
     Mutant(
         "SDS cube keyed by the demand region at both ends",
@@ -162,18 +208,25 @@ MUTANTS = (
         ("tests/test_cli.py::test_run_commands_print_the_warnings_of_validate",),
     ),
     Mutant(
+        "the shared-alias warning names the lowest id sharing the alias",
+        "cli.py",
+        "(ids, table[name][1])",
+        "(ids, min(ids))",
+        ("tests/test_cli.py::test_shared_alias_warning_names_the_organization_it_resolves_to",),
+    ),
+    Mutant(
         "orphans taken as not exact",
         "cli.py",
         "        if not (exact or alias):\n            orphans.append(pub.pub_id)\n",
         "        if not exact:\n            orphans.append(pub.pub_id)\n",
-        ("tests/test_pipeline.py::test_one_pass_equals_the_per_publication_reference",),
+        (ORACLE,),
     ),
     Mutant(
         "the highest university id wins under ambiguity = all",
         "cli.py",
         "for university_id, sds in sorted(candidates):",
         "for university_id, sds in sorted(candidates, reverse=True):",
-        ("tests/test_pipeline.py::test_one_pass_equals_the_per_publication_reference",),
+        (ORACLE,),
     ),
     Mutant(
         "a roster row outside its active years is accepted",
@@ -181,7 +234,7 @@ MUTANTS = (
         "if university_id in universities and year in years",
         "if university_id in universities",
         ("tests/test_resolve.py::TestAttribution::test_year_outside_active_years_blocks",
-         "tests/test_pipeline.py::test_one_pass_equals_the_per_publication_reference"),
+         ORACLE),
     ),
     Mutant(
         "diff's reader checks finiteness before type",

@@ -15,15 +15,17 @@ parses it. The pass reads a per-run table of each distinct affiliation
 string's entry in the affiliation table that ``Resolver.build`` makes once,
 the registry's roster triples and the publication's own tables of
 universities and enterprises by region; from them it resolves, attributes,
-tallies the resolution-report row, filters, derives the events as plain
-tuples and counts them into a ``collab.FlowCube``, with no record per mention
-or author. Its docstring states the resolution, attribution and retention
-rules. Every indicator reads the cube's counts. The pass hands back counts and
-the pub_ids of the publications with no resolved affiliation; a
-per-publication row goes only into a list that the caller hands it to write:
-the resolution report's rows for ``validate`` and ``analyze``, the event
-tuples for ``analyze``'s exports. No list of the corpus is kept, so memory
-follows the registries and the cube, plus the rows that a command writes.
+tallies the resolution-report row, filters, and counts each retained
+publication's products of regions into a ``collab.FlowCube``, with no record
+per mention, author or event. Its docstring states the resolution,
+attribution and retention rules. Every indicator reads the cube's counts. The
+pass hands back counts and the pub_ids of the publications with no resolved
+affiliation; a per-publication row goes only into a list that the caller
+hands it to write: the resolution report's rows for ``validate`` and
+``analyze``, the event tuples, derived only then, for ``analyze``'s exports.
+No list of the corpus is kept, so memory follows the registries and the cube,
+plus the rows that a command writes. The cyclic garbage collector stays
+paused for the whole of a command (``main``).
 ``validate`` and the run subcommands print the same warnings: shared aliases,
 the publications with no resolved affiliation capped at ``MAX_DIAGNOSTICS``
 lines and a count of the rest, and an empty window.
@@ -126,14 +128,16 @@ ReportRow = tuple[str, int, int, int, int, int]  # a resolution-report line, as 
 class PipelineResult:
     """What the subcommands read once the corpus has been through one pass.
 
-    ``publications`` counts the in-window publications, ``orphans`` lists
-    the pub_ids of those with no resolved affiliation in pass order, and the
-    cube holds every count an indicator reads. Only a caller that hands
+    ``ambiguous_aliases`` maps each alias that several organizations share
+    to their sorted ids and the id that the resolver's table resolves it to.
+    ``publications`` counts the in-window publications, ``orphans`` lists the
+    pub_ids of those with no resolved affiliation in pass order, and the cube
+    holds every count an indicator reads. Only a caller that hands
     ``run_pipeline`` its ``report`` or ``events`` lists gets those rows.
     """
 
     registry: Registry
-    ambiguous_aliases: Mapping[str, tuple[str, ...]]
+    ambiguous_aliases: Mapping[str, tuple[tuple[str, ...], str]]
     publications: int
     orphans: list[str]
     retained: int
@@ -144,9 +148,10 @@ class PipelineResult:
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore its state.
 
-    The pipeline and the refusal stage allocate their records in bulk and
-    keep them: immutable tuples that form no reference cycles, yet tuple
-    subclasses are never untracked, so every full collection walks them all.
+    ``main`` runs each command under it. A command allocates its records in
+    bulk and keeps them until it exits: immutable tuples that form no
+    reference cycles, yet tuple subclasses are never untracked, so every
+    collection of the older generations walks them all.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -157,7 +162,6 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@_collector_paused()
 def run_pipeline(
     config: RunConfig, diagnostics: list[str] | None = None, sector: str | None = None,
     report: list[ReportRow] | None = None,
@@ -169,11 +173,12 @@ def run_pipeline(
     the pass.
 
     Given ``report``, a list, the pass appends each in-window publication's
-    report row to it. Given ``events``, a (UE, SDS) pair of lists, it extends
-    them with each retained publication's event tuples, in the column order
-    of ``events_ue.csv`` and ``events_sds.csv``. Both are in pass order.
-    Without them the pass keeps only counts, the cube's among them, and the
-    pub_ids of the publications with no resolved affiliation.
+    report row to it. Given ``events``, a (UE, SDS) pair of lists, it derives
+    each retained publication's event tuples (``collab.derive_ue_events`` and
+    ``derive_sds_events``) and extends the lists with them, in the column
+    order of ``events_ue.csv`` and ``events_sds.csv``. Both are in pass
+    order. Without them the pass keeps only counts, the cube's among them,
+    and the pub_ids of the publications with no resolved affiliation.
 
     The rules of the pass (the staged functions of ``resolve`` and ``ingest``,
     which no command calls, build the same as records):
@@ -191,21 +196,23 @@ def run_pipeline(
       attributes the author to it. With several the author is ambiguous:
       policy ``strict`` attributes nothing, policy ``all`` attributes each
       candidate sector at its lowest university id. Each attribution carries
-      a (sector, supply region) pair, the region of its university.
+      a (sector, supply region) pair, the region of its university. Under
+      ``sds_region_split = single`` a sector keeps only its pair of the
+      alphabetically first supply region.
     * Report row: the pub_id, the affiliation mentions resolved exact, by
       alias and not at all, the authors attributed to one candidate, and the
       ambiguous authors under either policy.
     * Retention. A publication with a resolved enterprise and an attributed
       (sector, supply region) pair is retained; only a retained one has
-      events (``collab.derive_ue_events`` and ``derive_sds_events``) and
-      cube counts.
+      events. It counts one ``ue_flows`` event for each of its universities
+      and enterprises, and one ``sds_flows`` event for each of its pairs and
+      enterprises, keyed by the regions.
 
     The pass reads three tables: ``seen``, each raw affiliation string's entry
     in the resolver's table, filled the first time the string appears; the
     roster triples; and the publication's universities and enterprises by id.
     A bad line raises (or, given ``diagnostics``, is reported) when the parse
-    reaches it; the caller writes nothing before this returns. The cyclic
-    garbage collector stays paused meanwhile (see ``_collector_paused``).
+    reaches it; the caller writes nothing before this returns.
     """
     config.require_inputs()
     registry = load_registries(
@@ -223,8 +230,9 @@ def run_pipeline(
     if sector is not None and sector not in registry.taxonomy:
         raise UsageError(f"sds {sector!r} is not in the taxonomy")
     resolver = Resolver.build(registry)
-    table, roster = resolver.table, registry.roster
+    table, roster, taxonomy = resolver.table, registry.roster, registry.taxonomy
     spread_ambiguous = config.ambiguity == "all"
+    single_region = config.sds_region_split == "single"
     seen: dict[str, tuple[str, str | None, bool, str | None]] = {}
     orphans: list[str] = []
     publications = retained = 0
@@ -279,6 +287,8 @@ def run_pipeline(
                         for university_id, sds in sorted(candidates):
                             lowest.setdefault(sds, university_id)
                         pairs.update((sds, universities[u]) for sds, u in lowest.items())
+            if single_region:  # each sector at its alphabetically first supply region
+                pairs = {sds: region for sds, region in sorted(pairs, reverse=True)}.items()
         publications += 1
         if not (exact or alias):
             orphans.append(pub.pub_id)
@@ -287,25 +297,23 @@ def run_pipeline(
             report.append((pub.pub_id, exact, alias, unresolved, unique, ambiguous))
         if enterprises and pairs:
             retained += 1
-            ue = derive_ue_events(pub, universities.items(), enterprises.items())
-            sds = derive_sds_events(
-                pub, pairs, enterprises.items(), registry.taxonomy, config.sds_region_split
-            )
-            if events is not None:
-                ue_sink.extend(ue)
-                sds_sink.extend(sds)
-            for _, _, u_region, _, e_region, _ in ue:
-                ue_flows[u_region, e_region] += 1
-            for _, code, _, supply_region, _, e_region, _ in sds:
-                flows = sds_flows.get(code)
+            e_regions = enterprises.values()
+            for u_region in universities.values():
+                for e_region in e_regions:
+                    ue_flows[u_region, e_region] += 1
+            for sds, supply_region in pairs:
+                flows = sds_flows.get(sds)
                 if flows is None:
-                    flows = sds_flows[code] = Counter()
-                flows[supply_region, e_region] += 1
+                    flows = sds_flows[sds] = Counter()
+                for e_region in e_regions:
+                    flows[supply_region, e_region] += 1
+            if events is not None:
+                ue_sink.extend(derive_ue_events(pub, universities.items(), enterprises.items()))
+                sds_sink.extend(derive_sds_events(pub, pairs, enterprises.items(), taxonomy))
             cube.universities.update(universities)
             cube.enterprises.update(enterprises)
-    return PipelineResult(
-        registry, resolver.ambiguous_aliases, publications, orphans, retained, cube
-    )
+    shared = {name: (ids, table[name][1]) for name, ids in resolver.ambiguous_aliases.items()}
+    return PipelineResult(registry, shared, publications, orphans, retained, cube)
 
 
 def _write_resolution_report(out_dir: Path, rows: Sequence[ReportRow]) -> None:
@@ -335,10 +343,9 @@ def _warn(result: PipelineResult) -> None:
     ``MAX_DIAGNOSTICS`` in-window publications none of whose affiliations
     resolved and a count of the rest (the resolution report lists them all),
     then whether no publication fell inside the window."""
-    for alias, org_ids in result.ambiguous_aliases.items():
+    for alias, (org_ids, winner) in result.ambiguous_aliases.items():
         print(
-            f"warning: alias {alias!r} is shared by {', '.join(org_ids)}; "
-            f"resolving to {min(org_ids)}",
+            f"warning: alias {alias!r} is shared by {', '.join(org_ids)}; resolving to {winner}",
             file=sys.stderr,
         )
     _print_capped(
@@ -411,7 +418,6 @@ def _check_rows(
                 )
 
 
-@_collector_paused()
 def _indicator_rows(
     config: RunConfig,
     result: PipelineResult,
@@ -796,6 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused()
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:

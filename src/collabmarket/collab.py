@@ -1,11 +1,13 @@
-"""Derivation of collaboration events from resolved, attributed publications,
-and the flow-count cube the indicators read.
+"""The flow-count cube the indicators read, and the collaboration events
+that ``analyze`` exports.
 
 A publication listing m distinct universities and n distinct enterprises
 witnesses m*n university-enterprise events; repeated mentions of the same
 organization within one publication never inflate the count. Sector-level
 events pair each attributed (sector, supply region) with each distinct
-enterprise.
+enterprise. The pass (``cli.run_pipeline``) counts these products straight
+into a ``FlowCube``; ``derive_ue_events`` and ``derive_sds_events`` list
+them as event tuples only for the exports.
 """
 
 from __future__ import annotations
@@ -46,32 +48,21 @@ def derive_sds_events(
     pairs: Iterable[tuple[str, str]],
     enterprises: Iterable[tuple[str, str]],
     parent_uda: Mapping[str, str],
-    region_split: str,
 ) -> list[tuple[str, str, str, str, str, str, int]]:
     """Sector-enterprise events for one retained publication, as plain tuples
     in ``SDSCollaboration`` field order: the caller passes only one with an
     enterprise and an author attributed to a sector.
 
-    ``pairs`` are the distinct (sector, supply region) pairs its attributed
-    authors carry, and ``enterprises`` its distinct resolved (id, region)
-    enterprise pairs, each in any order; the events come out in export-key
-    order. With ``region_split="per-region"`` a sector attributed through
-    universities in several regions supplies one event per (sector, region,
-    enterprise) triple. With ``"single"`` each (sector, enterprise) pair
-    yields one event, attributed to the alphabetically first supplying
-    region.
+    ``pairs`` are the (sector, supply region) pairs its attributed authors
+    carry, after the pass applied ``sds_region_split``, and ``enterprises``
+    its distinct resolved (id, region) enterprise pairs, each in any order;
+    one event per pair and enterprise comes out, in export-key order.
     """
-    pairs = sorted(pairs)
-    if region_split == "single":
-        first_region: dict[str, str] = {}
-        for sds, region in pairs:
-            first_region.setdefault(sds, region)
-        pairs = first_region.items()
     pub_id, year = pub.pub_id, pub.year
     enterprises = sorted(enterprises)
     return [
         (pub_id, sds, parent_uda[sds], supply_region, e, e_region, year)
-        for sds, supply_region in pairs
+        for sds, supply_region in sorted(pairs)
         for e, e_region in enterprises
     ]
 
@@ -79,7 +70,8 @@ def derive_sds_events(
 @dataclass
 class FlowCube:
     """Event counts of a corpus, all that the indicators read; the pass
-    (``cli.run_pipeline``) counts each retained publication's events into it.
+    (``cli.run_pipeline``) counts each retained publication's events into it
+    from the publication's regions, with no event tuple.
 
     ``ue_flows`` counts university-enterprise events by (university region,
     enterprise region); ``sds_flows`` counts sector events by sector, then by

@@ -44,6 +44,20 @@ def make_org(org_id, kind, region, name=None, aliases=()):
     return Organization(org_id, name or f"{org_id} {kind}", tuple(aliases), kind, region)
 
 
+def joined_publications(publications):
+    """One publication for each of the first half of ``publications`` and
+    its partner in the second half, with both authors and affiliations under
+    the first's pub_id prefixed ``J``. Each demo publication carries one
+    (sector, supply region) pair; a joined one may carry one sector from two
+    regions, the case that ``sds_region_split`` decides."""
+    half = len(publications) // 2
+    return [
+        PublicationRecord(f"J{a.pub_id}", a.year, a.authors + b.authors,
+                          a.affiliations + b.affiliations)
+        for a, b in zip(publications, publications[half:])
+    ]
+
+
 def make_pub(pub_id, affiliations, authors=(("rossi", "M"),), year=2002):
     return PublicationRecord(
         pub_id,

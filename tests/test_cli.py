@@ -15,7 +15,6 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -24,10 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collabmarket import cli
 from collabmarket.cli import MAX_DIAGNOSTICS, _check_rows, _write_delta_report, main, run_pipeline
 from collabmarket.config import load_config
 from collabmarket.demo import demo_corpus, write_demo_corpus
-from collabmarket.errors import CollabMarketError
 from collabmarket.indicators import (
     MetricDelta,
     SectorCorrespondenceRow,
@@ -35,7 +34,6 @@ from collabmarket.indicators import (
     SnapshotDelta,
 )
 from collabmarket.ingest import iter_publications, load_registries, write_publications
-from collabmarket.model import PublicationRecord
 from collabmarket.report import (
     NUM6,
     delta_table,
@@ -45,6 +43,8 @@ from collabmarket.report import (
     sector_correspondence_table,
     sector_flows_table,
 )
+
+from conftest import joined_publications
 
 DIGESTS = Path(__file__).resolve().parent / "demo_output_digests.json"
 
@@ -1549,6 +1549,39 @@ def test_run_commands_print_the_warnings_of_validate(corpus, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "sector", "region"])
+def test_shared_alias_warning_names_the_organization_it_resolves_to(
+    corpus, tmp_path, capsys, command
+):
+    """E-LAZ lists E-LOM's canonical name as an alias. A canonical name
+    beats any alias, so the name resolves to E-LOM, the higher id: the
+    warning says so, and every file is the one written without the alias."""
+    copied = _copy_corpus(corpus, tmp_path)
+    path = copied["organizations"]
+    rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(
+        "".join(f"{row}|Lombardy Innovazione S.p.A.\n" if row.startswith("E-LAZ,")
+                else f"{row}\n" for row in rows),
+        encoding="utf-8",
+    )
+    selected = {"sector": ["--sds", "ING-INF/01"], "region": ["--name", "Lombardy"]}
+    outputs = []
+    for config in (copied["config"], corpus["config"]):
+        out = tmp_path / f"out-{len(outputs)}"
+        assert main([command, *selected.get(command, ()), "--config", str(config),
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "effective_config.txt"})
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warn")]
+    assert warnings == [
+        "warning: alias 'lombardy innovazione s p a' is shared by E-LAZ, E-LOM; "
+        "resolving to E-LOM"
+    ]
+    assert outputs[0] == outputs[1]
+    if command == "analyze":
+        assert b"E-LOM,Lombardy" in outputs[0]["events_ue.csv"]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "sector", "region"])
 def test_unresolved_publication_warnings_are_capped(corpus, tmp_path, capsys, command):
     """Past ``MAX_DIAGNOSTICS`` publications with no resolved affiliation,
     one line counts the rest; the resolution report of validate and analyze
@@ -1584,11 +1617,7 @@ def test_event_exports_are_in_sort_key_order(corpus, tmp_path, split, ambiguity)
     as numbers (P10 before P9). Half of them join two demo publications, so
     one publication has several events of each kind."""
     publications = demo_corpus()[0]
-    half = len(publications) // 2
-    joined = [
-        PublicationRecord(a.pub_id, a.year, a.authors + b.authors, a.affiliations + b.affiliations)
-        for a, b in zip(publications, publications[half:])
-    ]
+    joined = joined_publications(publications)
     records = [pub._replace(pub_id=f"P{i}") for i, pub in enumerate(joined + publications)]
     random.Random(5).shuffle(records)
     copied = _copy_corpus(corpus, tmp_path)
@@ -1697,16 +1726,24 @@ class TestPipeline:
         ]
 
 
-def test_pipeline_leaves_the_garbage_collector_as_it_found_it(corpus, tmp_path):
-    config = load_config(corpus["config"])
-    missing = replace(config, roster=tmp_path / "absent.csv")
+def test_pipeline_leaves_the_garbage_collector_as_it_found_it(corpus, tmp_path, monkeypatch):
+    """``main`` pauses the cyclic collector for the whole command, the
+    writing stage included, then restores its state, also when the command
+    stops on a bad publication line."""
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("{broken\n", encoding="utf-8")
+    argv = ["analyze", "--config", str(corpus["config"]), "--out", str(tmp_path / "out")]
+    paused = []
+    write_table = cli._write_table
+    monkeypatch.setattr(cli, "_write_table",
+                        lambda *args: paused.append(not gc.isenabled()) or write_table(*args))
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
         try:
-            run_pipeline(config)
+            assert main(argv) == 0
             assert gc.isenabled() is enabled
-            with pytest.raises(CollabMarketError):
-                run_pipeline(missing)
+            assert main([*argv, "--publications", str(broken)]) == 1
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+    assert paused and all(paused)

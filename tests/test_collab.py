@@ -115,8 +115,7 @@ class TestRandomizedOracle:
 
             sds_events = [
                 SDSCollaboration(*ev)
-                for ev in derive_sds_events(pub, pairs, enterprises, registry.taxonomy,
-                                            "per-region")
+                for ev in derive_sds_events(pub, pairs, enterprises, registry.taxonomy)
             ]
             expected_sds = {(s, r, e) for (s, r) in pairs for e in set(ents)}
             got = {(ev.sds, ev.supply_region, ev.enterprise_id) for ev in sds_events}

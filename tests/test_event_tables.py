@@ -24,10 +24,12 @@ from pathlib import Path
 import pytest
 
 from collabmarket.cli import main
-from collabmarket.demo import write_demo_corpus
+from collabmarket.demo import demo_corpus, write_demo_corpus
 from collabmarket.indicators import RegionalSummary, SectorCorrespondenceRow, SectorFlowsRow
-from collabmarket.ingest import ORG_COLUMNS, ROSTER_COLUMNS
+from collabmarket.ingest import ORG_COLUMNS, ROSTER_COLUMNS, write_publications
 from collabmarket.model import CorpusTotals, SDSCollaboration, UECollaboration
+
+from conftest import joined_publications
 
 TABLE1_COUNTS = RegionalSummary._fields[1:7]
 TABLE2_COUNTS = SectorCorrespondenceRow._fields[1:3]
@@ -121,10 +123,36 @@ def _analyze(config: Path, out: Path, *flags: str) -> None:
     assert main(["analyze", "--config", str(config), "--out", str(out), *flags]) == 0
 
 
+# A second university and enterprise in Lombardy, a scientist at the one,
+# and a publication listing both of each kind: the demo has one of each kind
+# per region, so no publication of its own has two of a kind in one region.
+TWIN_ORGANIZATIONS = (
+    "U-LOM2,university,Lombardy,Politecnico di Lombardy,\n"
+    "E-LOM2,enterprise,Lombardy,Lombardy Devices S.r.l.,\n"
+)
+TWIN_ROSTER = "lomsecondo,A,U-LOM2,ING-INF/01,09,2001|2002|2003,1\n"
+TWIN_PUBLICATION = {
+    "pub_id": "TWIN", "year": 2002,
+    "authors": [{"surname": "lomini01", "initials": "A"}, {"surname": "lomsecondo", "initials": "A"}],
+    "affiliations": ["Università di Lombardy", "Politecnico di Lombardy", "Lombardy Labs",
+                     "Lombardy Devices S.r.l."],
+}
+
+
 @pytest.mark.parametrize("split", ["per-region", "single"])
 @pytest.mark.parametrize("ambiguity", ["strict", "all"])
 def test_demo_tables_agree_with_its_event_files(tmp_path, ambiguity, split):
+    """The demo's publications, their joined pairs, some of which take one
+    sector from two regions, so that the split decides what the cube counts,
+    and one publication with two universities and two enterprises of one
+    region."""
     paths = write_demo_corpus(tmp_path / "corpus")
+    publications = demo_corpus()[0]
+    write_publications(publications + joined_publications(publications), paths["publications"])
+    for name, text in (("organizations", TWIN_ORGANIZATIONS), ("roster", TWIN_ROSTER),
+                       ("publications", json.dumps(TWIN_PUBLICATION) + "\n")):
+        with paths[name].open("a", encoding="utf-8") as handle:
+            handle.write(text)
     config = paths["config"]
     with config.open("a", encoding="utf-8") as handle:
         handle.write(f"sds_region_split = {split}\n")

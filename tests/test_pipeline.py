@@ -52,7 +52,7 @@ from collabmarket.model import ENTERPRISE, UNIVERSITY, CorpusTotals, Publication
 from collabmarket.report import sanitize_code
 from collabmarket.resolve import Resolver, normalize_name
 
-from conftest import make_org, make_pub, make_roster, run_pass
+from conftest import joined_publications, make_org, make_pub, make_roster, run_pass
 
 REGIONS = ("Lazio", "Lombardy", "Sicily")
 TAXONOMY = (("S1", "01"), ("S2", "02"), ("S3", "02"))
@@ -301,34 +301,43 @@ def test_the_pass_pulls_publications_one_at_a_time(tmp_path, monkeypatch):
 def test_only_a_caller_that_hands_the_pass_sinks_keeps_events(tmp_path, ambiguity):
     """``sector`` and ``region`` call ``run_pipeline`` without sinks,
     ``validate`` with a report list and ``analyze`` with a report list and
-    two event lists: all three calls count the same cube, publications,
-    publications with no resolved affiliation and retained publications, and
-    no result holds a row. The corpus is the demo's and one publication none
-    of whose affiliations resolve."""
+    two event lists: under either ``sds_region_split``, all three calls count
+    the same cube, publications, publications with no resolved affiliation
+    and retained publications, and no result holds a row. The corpus is the
+    demo's, their joined pairs, some of which take one sector from two
+    regions, and one publication none of whose affiliations resolve."""
     paths = write_demo_corpus(tmp_path)
+    publications = demo_corpus()[0]
+    write_publications(publications + joined_publications(publications), paths["publications"])
     orphan = {"pub_id": "ORPHAN", "year": 2002, "affiliations": ["Nowhere Institute"],
               "authors": [{"surname": "nobody", "initials": "A"}]}
     with paths["publications"].open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(orphan) + "\n")
-    config = apply_setting(load_config(paths["config"]), "ambiguity", ambiguity)
-    diagnostics: list[str] = []
-    counted = run_pipeline(config)
-    reported: list[tuple] = []
-    validated = run_pipeline(config, diagnostics, report=reported)
-    report, ue_events, sds_events = [], [], []
-    kept = run_pipeline(config, report=report, events=(ue_events, sds_events))
-    assert diagnostics == []
-    counts = (kept.cube, kept.publications, kept.orphans, kept.retained)
-    for result in (counted, validated):
-        assert (result.cube, result.publications, result.orphans, result.retained) == counts
-    assert reported == report
-    assert len(report) == kept.publications > 1
-    assert kept.orphans == [pub_id for pub_id, exact, alias, *_ in report if not exact + alias]
-    assert kept.orphans == ["ORPHAN"]
-    totals = corpus_totals(kept.cube)
-    assert len(ue_events) == totals.ue_events > 0
-    assert len(sds_events) == totals.sds_events > 0
-    assert len({event[0] for event in ue_events}) == kept.retained
+    sds_counts = []
+    for split in ("per-region", "single"):
+        config = apply_setting(load_config(paths["config"]), "ambiguity", ambiguity)
+        config = apply_setting(config, "sds_region_split", split)
+        diagnostics: list[str] = []
+        counted = run_pipeline(config)
+        reported: list[tuple] = []
+        validated = run_pipeline(config, diagnostics, report=reported)
+        report, ue_events, sds_events = [], [], []
+        kept = run_pipeline(config, report=report, events=(ue_events, sds_events))
+        assert diagnostics == []
+        counts = (kept.cube, kept.publications, kept.orphans, kept.retained)
+        for result in (counted, validated):
+            assert (result.cube, result.publications, result.orphans, result.retained) == counts
+        assert reported == report
+        assert len(report) == kept.publications > 1
+        assert kept.orphans == [pub_id for pub_id, exact, alias, *_ in report if not exact + alias]
+        assert kept.orphans == ["ORPHAN"]
+        totals = corpus_totals(kept.cube)
+        assert len(ue_events) == totals.ue_events > 0
+        assert len(sds_events) == totals.sds_events > 0
+        assert len({event[0] for event in ue_events}) == kept.retained
+        sds_counts.append(totals.sds_events)
+    per_region, single = sds_counts
+    assert per_region > single  # some sector is supplied from two regions at once
     assert [f.name for f in dataclasses.fields(PipelineResult)] == [
         "registry", "ambiguous_aliases", "publications", "orphans", "retained", "cube"
     ]
@@ -343,13 +352,7 @@ def test_analyze_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
     also holds publications that join two of them from different regions."""
     paths = write_demo_corpus(tmp_path / "corpus")
     publications = demo_corpus()[0]
-    half = len(publications) // 2
-    joined = [
-        PublicationRecord(f"J{a.pub_id}", a.year, a.authors + b.authors,
-                          a.affiliations + b.affiliations)
-        for a, b in zip(publications, publications[half:])
-    ]
-    write_publications(publications + joined, paths["publications"])
+    write_publications(publications + joined_publications(publications), paths["publications"])
     config = paths["config"]
     src = str(Path(collabmarket.__file__).resolve().parents[1])
     outputs = []

@@ -265,6 +265,9 @@ def test_table_resolves_canonical_first_then_alias_at_the_lowest_id(organization
     assert resolver.ambiguous_aliases == {
         alias: tuple(sorted(ids)) for alias, ids in sorted(sharing.items()) if len(ids) > 1
     }
+    # The org id the shared-alias warning names is the one the alias resolves to.
+    for alias in resolver.ambiguous_aliases:
+        assert resolver.table[alias][:2] == _reference_resolution(organizations, alias)
 
 
 def _ue_pairs(ue_events):
