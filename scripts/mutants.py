@@ -62,37 +62,53 @@ _TYPE_CHECK = """\
                     for name, value in zip(compared, values):
                         if type(value) not in _NUMBER_OR_NULL:
                             kind = _JSON_TYPE_NAMES[type(value)]
-                            raise DiffError(
-                                f"{path}:{line_no}: {name} is {kind}, expected a number or null"
+                            raise DataError(
+                                f"{name} is {kind}, expected a number or null", path, line_no
                             )
 """
 _FINITE_CHECK = """\
                     for name, value in zip(compared, values):
                         if value is not None and not _is_finite(value):
-                            raise DiffError(f"{path}:{line_no}: {name} is not a finite number")
+                            raise DataError(f"{name} is not a finite number", path, line_no)
 """
 _UNIVERSITY_CHECK = """\
                 university = universities.get(university_id)
                 if university is None:
                     org = by_id.get(university_id)
                     if org is None:
-                        raise ReferentialError(
-                            f"{path}:{line_no}: roster row for {surname!r} references "
-                            f"unknown university_id {university_id!r}"
+                        raise DataError(
+                            f"roster row for {surname!r} references "
+                            f"unknown university_id {university_id!r}", path, line_no
                         )
-                    raise ReferentialError(
-                        f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
-                        "roster entries must point at universities"
+                    raise DataError(
+                        f"org {university_id!r} is a {org.kind}, "
+                        "roster entries must point at universities", path, line_no
                     )
 """
 _SECTOR_CHECK = """\
                 sector = sectors.get(sds)
                 if sector is None:
-                    raise ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy")
+                    raise DataError(f"sds {sds!r} is not in the taxonomy", path, line_no)
                 if sector[1] != uda:
-                    raise ReferentialError(
-                        f"{path}:{line_no}: sds {sds!r} belongs to uda {sector[1]!r}, row says {uda!r}"
+                    raise DataError(
+                        f"sds {sds!r} belongs to uda {sector[1]!r}, row says {uda!r}", path, line_no
                     )
+"""
+
+# The taxonomy loader up to its first check, for the mutant that raises a
+# class of its own there.
+_TAXONOMY_CHECK = """\
+path: Path, diagnostics: list[str] | None) -> dict[str, str]:
+    parent: dict[str, str] = {}
+    # Hundreds of sectors share a handful of areas; keep one string per area.
+    areas: dict[str, str] = {}
+    with _csv_rows(path, TAXONOMY_COLUMNS) as rows:
+        for line_no, (sds, uda) in rows:
+            sds = sds.strip()
+            uda = uda.strip()
+            try:
+                if not sds or not uda:
+                    raise DataError("sds and uda must be non-empty", path, line_no)
 """
 
 # The single split of the pass, then what it runs before counting the SDS
@@ -249,6 +265,15 @@ MUTANTS = (
         _UNIVERSITY_CHECK + _SECTOR_CHECK,
         _SECTOR_CHECK + _UNIVERSITY_CHECK,
         ("tests/test_ingest.py::test_roster_load_matches_dict_reader_reference",),
+    ),
+    Mutant(
+        "a loader raises an error class of its own",
+        "ingest.py",
+        "def _load_taxonomy(" + _TAXONOMY_CHECK,
+        "class RowError(DataError):\n"
+        '    """A CSV row that a loader refuses."""\n\n\n'
+        "def _load_taxonomy(" + _TAXONOMY_CHECK.replace("DataError", "RowError"),
+        ("tests/test_error_classes.py::test_one_error_class_per_exit_code",),
     ),
 )
 

@@ -46,10 +46,12 @@ reader, and each line goes through one chain of checks, the first failing
 one naming its problem. The delta report goes to its two files a bounded
 chunk of cells at a time, rendered column by column.
 
-Diagnostics go to stderr, data to files; the exit code is 0 exactly when the
-run completed without hard errors, 1 for data errors and 2 for usage problems,
-an output path that cannot be a directory or an input that cannot be read
-among them.
+Diagnostics go to stderr, data to files. The exit code is 0 exactly when the
+run completed without hard errors, 1 for a ``DataError`` and 2 for a
+``UsageError`` or an ``OSError`` (an output path that cannot be a directory,
+an input that cannot be read). ``main`` alone turns an error into its
+``error:`` line and exit code; ``validate`` first prints the diagnostics it
+collected before the error ended it.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ from .collab import (
     export_ue_events,
     write_csv,
 )
-from .config import AMBIGUITY_POLICIES, RunConfig, apply_setting, dump_config, load_config
-from .errors import CollabMarketError, ComputationError, DiffError, UsageError, ValidationError
+from .config import POLICIES, RunConfig, apply_setting, dump_config, load_config
+from .errors import DataError, UsageError
 from .indicators import (
     IndicatorSnapshot,
     SectorCorrespondenceRow,
@@ -361,16 +363,13 @@ def cmd_validate(config: RunConfig) -> int:
     report: list[ReportRow] = []
     try:
         result = run_pipeline(config, diagnostics, report=report)
-    except UsageError:
-        raise
-    except CollabMarketError as exc:  # it ends the pass: print what came before, then it
+        _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions, diagnostics)
+        out_dir = Path(config.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_resolution_report(out_dir, report)
+    except (DataError, UsageError, OSError):  # print what came before it; main prints it
         _print_diagnostics(diagnostics)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _indicator_rows(config, result, sorted(result.cube.sds_flows), config.regions, diagnostics)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolution_report(out_dir, report)
+        raise
     _warn(result)
     totals = corpus_totals(result.cube)
     print(
@@ -380,10 +379,8 @@ def cmd_validate(config: RunConfig) -> int:
         f"{totals.sds_events} sector events",
         file=sys.stderr,
     )
-    if diagnostics:
-        _print_diagnostics(diagnostics)
-        return 1
-    return 0
+    _print_diagnostics(diagnostics)
+    return 1 if diagnostics else 0
 
 
 def _check_rows(
@@ -440,11 +437,11 @@ def _indicator_rows(
     cube = result.cube
     try:
         output_stems(config.regions, "regions")
-    except ValidationError as exc:
+    except DataError as exc:
         _report(exc, diagnostics)
     try:
         stems = output_stems({*cube.sds_flows, *sectors}, "sectors")
-    except ValidationError as exc:
+    except DataError as exc:
         _report(exc, diagnostics)
         stems = {}
     headcounts = result.registry.headcounts
@@ -460,7 +457,7 @@ def _indicator_rows(
     }
     flows = {sds: sector_flows(sds, headcounts[sds], cube, config.regions) for sds in sectors}
     for message in _check_rows(correspondence, flows):
-        _report(ComputationError(message), diagnostics)
+        _report(DataError(message), diagnostics)
     return stems, correspondence, flows
 
 
@@ -588,14 +585,14 @@ def _read_compared(
                 try:
                     obj = _json_line(line)
                 except json.JSONDecodeError as exc:
-                    raise DiffError(f"{path}:{line_no}: bad JSON: {exc.msg}") from None
+                    raise DataError(f"bad JSON: {exc.msg}", path, line_no) from None
                 if type(obj) is not dict or tuple(obj) != fields:
                     keys = ", ".join(fields)
-                    raise DiffError(f"{path}:{line_no}: expected an object with the keys {keys}")
+                    raise DataError(f"expected an object with the keys {keys}", path, line_no)
                 region = obj["region"]
                 if type(region) is not str:
                     kind = _JSON_TYPE_NAMES[type(region)]
-                    raise DiffError(f"{path}:{line_no}: region is {kind}, expected a string")
+                    raise DataError(f"region is {kind}, expected a string", path, line_no)
                 values = a, b = obj[first], obj[second]
                 if not (a is None or type(a) is float and math.isfinite(a)) or not (
                     b is None or type(b) is float and math.isfinite(b)
@@ -603,56 +600,56 @@ def _read_compared(
                     for name, value in zip(compared, values):
                         if type(value) not in _NUMBER_OR_NULL:
                             kind = _JSON_TYPE_NAMES[type(value)]
-                            raise DiffError(
-                                f"{path}:{line_no}: {name} is {kind}, expected a number or null"
+                            raise DataError(
+                                f"{name} is {kind}, expected a number or null", path, line_no
                             )
                     for name, value in zip(compared, values):
                         if value is not None and not _is_finite(value):
-                            raise DiffError(f"{path}:{line_no}: {name} is not a finite number")
+                            raise DataError(f"{name} is not a finite number", path, line_no)
                 if region not in regions:
-                    raise DiffError(
-                        f"{path}:{line_no}: region {region!r} is not in the snapshot's regions"
+                    raise DataError(
+                        f"region {region!r} is not in the snapshot's regions", path, line_no
                     )
                 if region in cells:
-                    raise DiffError(f"{path}:{line_no}: region {region!r} is listed twice")
+                    raise DataError(f"region {region!r} is listed twice", path, line_no)
                 cells[regions[region]] = values
     except OSError as exc:
-        raise DiffError(f"{path}: cannot read: {exc}") from None
+        raise DataError(f"cannot read: {exc}", path) from None
     except UnicodeDecodeError:
         line_no, message = not_utf8(path)
-        raise DiffError(f"{path}:{line_no}: {message}") from None
+        raise DataError(message, path, line_no) from None
     if len(cells) < len(regions):
         missing = [region for region in regions if region not in cells]
-        raise DiffError(f"{path}: no row for region {', '.join(map(repr, missing))}")
+        raise DataError(f"no row for region {', '.join(map(repr, missing))}", path)
     return cells
 
 
 def _read_manifest(path: Path) -> dict:
     if not path.exists():
-        raise DiffError(f"{path} is missing; not a complete analyze output")
+        raise DataError(f"{path} is missing; not a complete analyze output")
     try:
         manifest = _json_line(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise DiffError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from None
+        raise DataError(f"bad JSON: {exc.msg}", path, exc.lineno) from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise DiffError(f"{path}: cannot read: {exc}") from None
+        raise DataError(f"cannot read: {exc}", path) from None
     if not isinstance(manifest, dict):
-        raise DiffError(f"{path}: expected a JSON object")
+        raise DataError("expected a JSON object", path)
     regions = manifest.get("regions")
     if not isinstance(regions, list) or not all(isinstance(r, str) for r in regions):
-        raise DiffError(f"{path}: 'regions' is missing or not an array of strings")
+        raise DataError("'regions' is missing or not an array of strings", path)
     if len(set(regions)) < len(regions):
-        raise DiffError(f"{path}: 'regions' lists a region twice")
+        raise DataError("'regions' lists a region twice", path)
     for key in ("taxonomy", "active_sds"):
         value = manifest.get(key)
         if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-            raise DiffError(f"{path}: {key!r} is missing or not an object of strings")
+            raise DataError(f"{key!r} is missing or not an object of strings", path)
     # The delta report and the table file names hold these; no file can hold a lone surrogate.
     active = manifest["active_sds"]
     for key, texts in (("regions", regions), ("active_sds", chain(active, active.values()))):
         for text in texts:
             if LONE_SURROGATE.search(text):
-                raise DiffError(f"{path}: {key!r} holds {text!r}, a lone surrogate, not text")
+                raise DataError(f"{key!r} holds {text!r}, a lone surrogate, not text", path)
     return manifest
 
 
@@ -670,7 +667,7 @@ def _read_snapshot(directory: Path) -> IndicatorSnapshot:
         flow_path = directory / f"table3_{stem}.jsonl"
         for path in (corr_path, flow_path):
             if not path.exists():
-                raise DiffError(f"{path} is missing; snapshot {directory} is incomplete")
+                raise DataError(f"{path} is missing; snapshot {directory} is incomplete")
         demand = _read_compared(
             corr_path, SectorCorrespondenceRow._fields, SnapshotCell._fields[:2], regions
         )
@@ -692,10 +689,11 @@ def _write_delta_report(out_dir: Path, deltas: Sequence[SnapshotDelta]) -> None:
 def _compared_settings(directory: Path) -> dict[str, str]:
     """The settings of the run that wrote ``directory`` that change the
     compared columns, each as ``effective_config.txt`` writes it."""
-    config = load_config(directory / "effective_config.txt")
-    settings = {"ambiguity": config.ambiguity, "sds_region_split": config.sds_region_split}
-    for sds, multiplier in config.capacity_multipliers.items():
-        settings[f"capacity.{sds}"] = repr(multiplier)
+    settings = {}
+    for line in dump_config(load_config(directory / "effective_config.txt")).splitlines():
+        key, _, value = line.partition(" = ")
+        if key in ("ambiguity", "sds_region_split") or key.startswith("capacity."):
+            settings[key] = value
     return settings
 
 
@@ -742,7 +740,7 @@ _RUN_FLAGS = (
     ("--out", "out", "output directory"),
     ("--window", "window", "inclusive year window, e.g. 2001:2003"),
     ("--regions", "regions", "|-separated region set override"),
-    ("--ambiguity", "ambiguity", f"ambiguous author policy: {' or '.join(AMBIGUITY_POLICIES)}"),
+    ("--ambiguity", "ambiguity", f"ambiguous author policy: {' or '.join(POLICIES['ambiguity'])}"),
     ("--share-threshold", "quadrant_share_threshold", "quadrant share divider, between 0 and 1"),
 )
 
@@ -807,18 +805,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except DataError as exc:
+        message, code = exc, 1
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CollabMarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = exc, 2
     except OSError as exc:
         # An output path that cannot be a directory, or an input that exists
         # but cannot be read.
         where = f"{exc.filename}: " if exc.filename is not None else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 2
+        message, code = f"{where}{exc.strerror or exc}", 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -21,10 +21,13 @@ from typing import Mapping
 from .errors import UsageError
 from .ingest import LONE_SURROGATE, not_utf8
 
-# The analyst policies: ``RunConfig`` refuses an unknown one, and no stage checks it again.
-AMBIGUITY_POLICIES = ("strict", "all")
-SDS_REGION_SPLITS = ("per-region", "single")
-AGGREGATION_NA_POLICIES = ("coerce-zero", "renormalize")
+# The analyst policies, each key's values with its default first: ``RunConfig``
+# refuses an unknown one, and no stage checks it again.
+POLICIES: dict[str, tuple[str, ...]] = {
+    "ambiguity": ("strict", "all"),
+    "sds_region_split": ("per-region", "single"),
+    "aggregation_na_policy": ("coerce-zero", "renormalize"),
+}
 
 ITALIAN_REGIONS: tuple[str, ...] = (
     "Abruzzo",
@@ -63,21 +66,16 @@ class RunConfig:
     out: Path = Path("out")
     window: tuple[int, int] | None = None
     regions: tuple[str, ...] = ITALIAN_REGIONS
-    ambiguity: str = "strict"
-    sds_region_split: str = "per-region"
+    ambiguity: str = POLICIES["ambiguity"][0]
+    sds_region_split: str = POLICIES["sds_region_split"][0]
     quadrant_share_threshold: float = 0.5
-    aggregation_na_policy: str = "coerce-zero"
+    aggregation_na_policy: str = POLICIES["aggregation_na_policy"][0]
     capacity_multipliers: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.ambiguity not in AMBIGUITY_POLICIES:
-            raise UsageError(f"ambiguity must be one of {', '.join(AMBIGUITY_POLICIES)}")
-        if self.sds_region_split not in SDS_REGION_SPLITS:
-            raise UsageError(f"sds_region_split must be one of {', '.join(SDS_REGION_SPLITS)}")
-        if self.aggregation_na_policy not in AGGREGATION_NA_POLICIES:
-            raise UsageError(
-                f"aggregation_na_policy must be one of {', '.join(AGGREGATION_NA_POLICIES)}"
-            )
+        for key, values in POLICIES.items():
+            if getattr(self, key) not in values:
+                raise UsageError(f"{key} must be one of {', '.join(values)}")
         if not 0.0 < self.quadrant_share_threshold < 1.0:
             raise UsageError("quadrant_share_threshold must lie strictly between 0 and 1")
         if self.window is not None and self.window[0] > self.window[1]:
@@ -129,7 +127,7 @@ def apply_setting(config: RunConfig, key: str, value: str, base: Path = Path()) 
                 parsed = (base / value).resolve()
         elif key == "regions":
             parsed = tuple(r.strip() for r in value.split("|") if r.strip())
-        elif key in ("ambiguity", "sds_region_split", "aggregation_na_policy"):
+        elif key in POLICIES:
             parsed = value
         elif key == "quadrant_share_threshold":
             parsed = float(value)

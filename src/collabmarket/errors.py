@@ -1,36 +1,31 @@
-"""Exception hierarchy shared across the pipeline."""
+"""The two errors the package raises deliberately, one per exit code.
+
+A ``DataError`` (exit 1) is a problem of the inputs or of what the run
+computes from them: a line that does not parse, a record that breaks an
+invariant or points at nothing, a number past the float range, a snapshot
+that cannot be compared. A ``UsageError`` (exit 2) is a request the interface
+does not offer: a bad setting, a missing input path, an unknown sector or
+region. The two are siblings, so catching one never catches the other;
+``cli.main`` alone turns either into its ``error:`` line and exit code.
+"""
 
 from __future__ import annotations
 
 
-class CollabMarketError(Exception):
-    """Base class for every error this package raises deliberately."""
+class DataError(Exception):
+    """An input or computed value the run cannot accept (exit 1).
 
+    Given a ``path``, the message starts with ``path:line_no:``, or with
+    ``path:`` when there is no line number.
+    """
 
-class ParseError(CollabMarketError):
-    """A line or row of an input file could not be parsed."""
-
-    def __init__(self, path: object, line_no: int, message: str) -> None:
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
+    def __init__(self, message: str, path: object = None, line_no: int | None = None) -> None:
+        if path is not None:
+            where = path if line_no is None else f"{path}:{line_no}"
+            message = f"{where}: {message}"
+        super().__init__(message)
         self.line_no = line_no
 
 
-class ValidationError(CollabMarketError):
-    """A record violates a structural invariant (duplicate id, bad value)."""
-
-
-class ReferentialError(CollabMarketError):
-    """A record points at an entity that does not exist in its registry."""
-
-
-class ComputationError(CollabMarketError):
-    """An indicator computation received inconsistent numeric inputs."""
-
-
-class DiffError(CollabMarketError):
-    """Two snapshots cannot be compared."""
-
-
-class UsageError(CollabMarketError):
-    """The caller asked for something the interface does not offer."""
+class UsageError(Exception):
+    """The caller asked for something the interface does not offer (exit 2)."""

@@ -34,7 +34,7 @@ from math import isfinite, sqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .collab import FlowCube
-from .errors import DiffError
+from .errors import DataError
 from .model import Registry
 
 _LARGEST_FLOAT = sys.float_info.max
@@ -527,15 +527,15 @@ def snapshot_diff(t0: IndicatorSnapshot, t1: IndicatorSnapshot) -> list[Snapshot
     Both snapshots must be computed over the same region set and taxonomy.
     A sector with tables in only one snapshot shows up flagged emergent (only
     in t1) or vanished (only in t0) for every region. A change past the float
-    range raises a ``DiffError`` naming the sector, the region and the metric.
+    range raises a ``DataError`` naming the sector, the region and the metric.
     """
     if t0.taxonomy != t1.taxonomy:
         codes = {*t0.taxonomy, *t1.taxonomy}
         mismatched = sorted(s for s in codes if t0.taxonomy.get(s) != t1.taxonomy.get(s))
-        raise DiffError(f"taxonomies differ; mismatched sds codes: {', '.join(mismatched)}")
+        raise DataError(f"taxonomies differ; mismatched sds codes: {', '.join(mismatched)}")
     if tuple(sorted(t0.regions)) != tuple(sorted(t1.regions)):
         difference = sorted(set(t0.regions) ^ set(t1.regions))
-        raise DiffError(f"region sets differ: {', '.join(difference)}")
+        raise DataError(f"region sets differ: {', '.join(difference)}")
 
     all_sds = sorted(set(t0.cells) | set(t1.cells))
     sectors = [(sds, t0.cells.get(sds, {}), t1.cells.get(sds, {})) for sds in all_sds]
@@ -548,7 +548,7 @@ def snapshot_diff(t0: IndicatorSnapshot, t1: IndicatorSnapshot) -> list[Snapshot
             # Finite values can still differ by more than the float range.
             for metric, entry in zip(SnapshotCell._fields, cell[2:]):
                 if entry.delta is not None and abs(entry.delta) > _LARGEST_FLOAT:
-                    raise DiffError(
+                    raise DataError(
                         f"sector {sds!r}, region {region!r}: {metric} changes from "
                         f"{entry.value_t0!r} to {entry.value_t1!r}, past the float range"
                     )

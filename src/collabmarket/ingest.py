@@ -13,16 +13,17 @@ taxonomy      CSV with header ``sds,uda``.
 
 CSV columns are found by header name, in any order, and extra columns are
 ignored; blank lines are skipped and short rows read as empty cells. Every
-input must be UTF-8: a byte that is not raises a ``ParseError`` naming the
+input must be UTF-8: a byte that is not raises a ``DataError`` naming the
 file and the line. A CSV file or the corpus may start with a UTF-8
 byte-order mark, as spreadsheet and text tools save it; the mark is dropped.
 
-Each loader raises a record's problem and hands it to ``_report``, which
-alone decides, here and in ``cli``, whether to stop at the first problem or to
-list them all: it raises without a ``diagnostics`` list; with one it appends
-the message and the loader skips the record. Every JSON reader goes through
-``_json_line``, which raises ``json.JSONDecodeError`` on any text it cannot
-read, an integer too long to convert among them.
+Each loader raises a record's problem as ``DataError(message, path,
+line_no)``, which writes the ``path:line:`` prefix itself, and hands it to
+``_report``. That alone decides, here and in ``cli``, whether to stop at the
+first problem or to list them all: it raises without a ``diagnostics`` list;
+with one it appends the message and the loader skips the record. Every JSON
+reader goes through ``_json_line``, which raises ``json.JSONDecodeError`` on
+any text it cannot read, an integer too long to convert among them.
 
 ``iter_publications`` yields the corpus one record at a time, so a run holds
 no list of it. A bad line is raised or reported when the iteration reaches
@@ -48,7 +49,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CollabMarketError, ParseError, ReferentialError, ValidationError
+from .errors import DataError
 from .model import (
     ENTERPRISE,
     ORG_KINDS,
@@ -75,7 +76,7 @@ ROSTER_COLUMNS = (
 TAXONOMY_COLUMNS = ("sds", "uda")
 
 
-def _report(exc: CollabMarketError, diagnostics: list[str] | None) -> None:
+def _report(exc: DataError, diagnostics: list[str] | None) -> None:
     """Raise ``exc`` when there is no ``diagnostics`` list, else append its message."""
     if diagnostics is None:
         raise exc
@@ -167,28 +168,28 @@ def _parse_publication(line: str, path: Path, line_no: int) -> PublicationRecord
     try:
         obj = _json_line(line)
     except json.JSONDecodeError as exc:
-        raise ParseError(path, line_no, f"bad JSON: {exc.msg}") from exc
+        raise DataError(f"bad JSON: {exc.msg}", path, line_no) from exc
     if not isinstance(obj, dict):
-        raise ParseError(path, line_no, "record must be an object")
+        raise DataError("record must be an object", path, line_no)
     pub_id = obj.get("pub_id")
     year = obj.get("year")
     authors = obj.get("authors")
     affiliations = obj.get("affiliations")
     if not isinstance(pub_id, str) or not pub_id:
-        raise ParseError(path, line_no, "pub_id must be a non-empty string")
+        raise DataError("pub_id must be a non-empty string", path, line_no)
     if not pub_id.isascii() and LONE_SURROGATE.search(pub_id):
-        raise ParseError(path, line_no, f"pub_id {pub_id!r} holds a lone surrogate, not text")
+        raise DataError(f"pub_id {pub_id!r} holds a lone surrogate, not text", path, line_no)
     if not isinstance(year, int) or isinstance(year, bool):
-        raise ParseError(path, line_no, "year must be an integer")
+        raise DataError("year must be an integer", path, line_no)
     if not isinstance(authors, list):
-        raise ParseError(path, line_no, "authors must be an array")
+        raise DataError("authors must be an array", path, line_no)
     if not isinstance(affiliations, list) or not all(isinstance(a, str) for a in affiliations):
-        raise ParseError(path, line_no, "affiliations must be an array of strings")
+        raise DataError("affiliations must be an array of strings", path, line_no)
     if not authors:
-        raise ValidationError(f"{path}:{line_no}: publication {pub_id!r} has an empty author list")
+        raise DataError(f"publication {pub_id!r} has an empty author list", path, line_no)
     if not affiliations or any(not a.strip() for a in affiliations):
-        raise ValidationError(
-            f"{path}:{line_no}: publication {pub_id!r} needs at least one non-blank affiliation"
+        raise DataError(
+            f"publication {pub_id!r} needs at least one non-blank affiliation", path, line_no
         )
     parsed_authors = []
     for raw in authors:
@@ -197,13 +198,13 @@ def _parse_publication(line: str, path: Path, line_no: int) -> PublicationRecord
         else:
             surname = initials = None
         if not isinstance(surname, str) or not isinstance(initials, str):
-            raise ParseError(path, line_no, "author entries need string surname and initials")
+            raise DataError("author entries need string surname and initials", path, line_no)
         key = normalize_name(surname)
         letters = normalize_initials(initials)
         if not key:
-            raise ParseError(path, line_no, f"author surname {surname!r} is empty once normalized")
+            raise DataError(f"author surname {surname!r} is empty once normalized", path, line_no)
         if not 1 <= len(letters) <= 3:
-            raise ParseError(path, line_no, f"initials {initials!r} must yield 1-3 letters")
+            raise DataError(f"initials {initials!r} must yield 1-3 letters", path, line_no)
         parsed_authors.append(AuthorName(key, letters))
     return PublicationRecord(pub_id, year, tuple(parsed_authors), tuple(affiliations))
 
@@ -229,9 +230,8 @@ def iter_publications(
                 try:
                     record = _parse_publication(line, path, line_no)
                     if record.pub_id in seen:
-                        message = f"duplicate pub_id {record.pub_id!r}"
-                        raise ValidationError(f"{path}:{line_no}: {message}")
-                except CollabMarketError as exc:
+                        raise DataError(f"duplicate pub_id {record.pub_id!r}", path, line_no)
+                except DataError as exc:
                     _report(exc, diagnostics)
                     continue
                 seen.add(record.pub_id)
@@ -239,7 +239,8 @@ def iter_publications(
                     continue
                 yield record
         except UnicodeDecodeError:
-            raise ParseError(path, *not_utf8(path)) from None
+            line_no, message = not_utf8(path)
+            raise DataError(message, path, line_no) from None
 
 
 def load_publications(
@@ -277,23 +278,24 @@ def _csv_rows(
     same name the last wins and columns not asked for are ignored. Blank
     lines are skipped and short rows read as empty cells: ``csv.DictReader``
     reads a file the same way. Text that is not UTF-8, or that the csv module
-    cannot parse, raises a ``ParseError`` naming the line.
+    cannot parse, raises a ``DataError`` naming the line.
     """
     with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
             if header is None:
-                raise ParseError(path, 1, "missing header row")
+                raise DataError("missing header row", path, 1)
             index = {name: i for i, name in enumerate(header)}
             missing = [c for c in columns if c not in index]
             if missing:
-                raise ParseError(path, 1, f"header lacks columns: {', '.join(missing)}")
+                raise DataError(f"header lacks columns: {', '.join(missing)}", path, 1)
             yield _cells(reader, [index[c] for c in columns])
         except UnicodeDecodeError:
-            raise ParseError(path, *not_utf8(path)) from None
+            line_no, message = not_utf8(path)
+            raise DataError(message, path, line_no) from None
         except csv.Error as exc:
-            raise ParseError(path, reader.line_num, f"unreadable CSV row: {exc}") from None
+            raise DataError(f"unreadable CSV row: {exc}", path, reader.line_num) from None
 
 
 def _cells(reader, positions: list[int]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -317,13 +319,13 @@ def _load_taxonomy(path: Path, diagnostics: list[str] | None) -> dict[str, str]:
             uda = uda.strip()
             try:
                 if not sds or not uda:
-                    raise ParseError(path, line_no, "sds and uda must be non-empty")
+                    raise DataError("sds and uda must be non-empty", path, line_no)
                 if sds in parent:
-                    raise ValidationError(
-                        f"{path}:{line_no}: sds {sds!r} listed twice "
-                        f"(udas {parent[sds]!r} and {uda!r}); each sds has exactly one parent"
+                    raise DataError(
+                        f"sds {sds!r} listed twice (udas {parent[sds]!r} and {uda!r}); "
+                        "each sds has exactly one parent", path, line_no
                     )
-            except CollabMarketError as exc:
+            except DataError as exc:
                 _report(exc, diagnostics)
                 continue
             parent[sds] = areas.setdefault(uda, uda)
@@ -343,22 +345,22 @@ def _load_organizations(
             canonical = canonical.strip()
             try:
                 if not org_id:
-                    raise ParseError(path, line_no, "org_id must be non-empty")
+                    raise DataError("org_id must be non-empty", path, line_no)
                 if org_id in by_id:
-                    raise ValidationError(f"{path}:{line_no}: duplicate org_id {org_id!r}")
+                    raise DataError(f"duplicate org_id {org_id!r}", path, line_no)
                 if kind not in ORG_KINDS:
-                    raise ValidationError(
-                        f"{path}:{line_no}: org {org_id!r} has kind {kind!r}; "
-                        f"expected one of {', '.join(ORG_KINDS)}"
+                    raise DataError(
+                        f"org {org_id!r} has kind {kind!r}; expected one of {', '.join(ORG_KINDS)}",
+                        path, line_no,
                     )
                 if region_set is not None and region not in region_set:
-                    raise ValidationError(
-                        f"{path}:{line_no}: org {org_id!r} region {region!r} "
-                        "is not in the configured region set"
+                    raise DataError(
+                        f"org {org_id!r} region {region!r} is not in the configured region set",
+                        path, line_no,
                     )
                 if not normalize_name(canonical):
-                    raise ValidationError(f"{path}:{line_no}: org {org_id!r} canonical name is blank")
-            except CollabMarketError as exc:
+                    raise DataError(f"org {org_id!r} canonical name is blank", path, line_no)
+            except DataError as exc:
                 _report(exc, diagnostics)
                 continue
             names = [a.strip() for a in aliases.split("|") if a.strip()]
@@ -420,25 +422,25 @@ def _load_roster(
             uda = uda.strip()
             try:
                 if not surname or not 1 <= len(initials) <= 3:
-                    raise ParseError(path, line_no, "roster rows need a surname and 1-3 initials")
+                    raise DataError("roster rows need a surname and 1-3 initials", path, line_no)
                 university = universities.get(university_id)
                 if university is None:
                     org = by_id.get(university_id)
                     if org is None:
-                        raise ReferentialError(
-                            f"{path}:{line_no}: roster row for {surname!r} references "
-                            f"unknown university_id {university_id!r}"
+                        raise DataError(
+                            f"roster row for {surname!r} references "
+                            f"unknown university_id {university_id!r}", path, line_no
                         )
-                    raise ReferentialError(
-                        f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
-                        "roster entries must point at universities"
+                    raise DataError(
+                        f"org {university_id!r} is a {org.kind}, "
+                        "roster entries must point at universities", path, line_no
                     )
                 sector = sectors.get(sds)
                 if sector is None:
-                    raise ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy")
+                    raise DataError(f"sds {sds!r} is not in the taxonomy", path, line_no)
                 if sector[1] != uda:
-                    raise ReferentialError(
-                        f"{path}:{line_no}: sds {sds!r} belongs to uda {sector[1]!r}, row says {uda!r}"
+                    raise DataError(
+                        f"sds {sds!r} belongs to uda {sector[1]!r}, row says {uda!r}", path, line_no
                     )
                 if years not in years_of:
                     years_of[years] = _parse_years(years)
@@ -447,16 +449,16 @@ def _load_roster(
                 active_years = years_of[years]
                 headcount = weight_of[weight]
                 if active_years is None or headcount is None:
-                    raise ParseError(
-                        path, line_no, "active_years must be integers and headcount_weight a number"
+                    raise DataError(
+                        "active_years must be integers and headcount_weight a number", path, line_no
                     )
                 if not active_years:
-                    raise ParseError(path, line_no, "active_years must not be empty")
+                    raise DataError("active_years must not be empty", path, line_no)
                 if not headcount > 0:
-                    raise ValidationError(f"{path}:{line_no}: headcount_weight must be positive")
+                    raise DataError("headcount_weight must be positive", path, line_no)
                 if not math.isfinite(headcount):
-                    raise ValidationError(f"{path}:{line_no}: headcount_weight is not a finite number")
-            except CollabMarketError as exc:
+                    raise DataError("headcount_weight is not a finite number", path, line_no)
+            except DataError as exc:
                 _report(exc, diagnostics)
                 continue
             university_id, region = university

@@ -28,7 +28,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import DataError
 from .indicators import (
     AggregateRow,
     MetricDelta,
@@ -361,7 +361,7 @@ _LONGEST_NAME = "table2_{}.jsonl"
 def output_stems(codes: Iterable[str], what: str) -> dict[str, str]:
     """File-name stem of each code, in code order.
 
-    Raises a ``ValidationError`` naming the code when its longest file name
+    Raises a ``DataError`` naming the code when its longest file name
     would pass ``MAX_FILE_NAME_BYTES`` in UTF-8, which no file can be
     created under, or naming both codes when two codes share a stem, since
     their files would overwrite each other.
@@ -372,12 +372,12 @@ def output_stems(codes: Iterable[str], what: str) -> dict[str, str]:
         stem = sanitize_code(code)
         size = len(_LONGEST_NAME.format(stem).encode("utf-8"))
         if size > MAX_FILE_NAME_BYTES:
-            raise ValidationError(
+            raise DataError(
                 f"{what} {code!r} would write its outputs under a file name of {size} "
                 f"bytes, past the {MAX_FILE_NAME_BYTES} a file name may hold"
             )
         if stem in owners:
-            raise ValidationError(
+            raise DataError(
                 f"{what} {owners[stem]!r} and {code!r} would both write their "
                 f"outputs under the name {stem!r}"
             )

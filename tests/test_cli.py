@@ -144,6 +144,33 @@ class TestValidate:
             assert ("... and 5 more" in err) == (command == "validate" and rows == 25)
             assert not out.exists()
 
+    @pytest.mark.parametrize("ending", ["capacity", "out"])
+    def test_usage_error_keeps_the_collected_diagnostics(self, corpus, tmp_path, capsys,
+                                                         ending):
+        """A roster row naming no registered university, then a usage error
+        that ends validate: a ``capacity.`` key naming no sector, or an
+        ``--out`` at an existing file. validate prints the row, then the
+        error, and exits 2."""
+        copied = _copy_corpus(corpus, tmp_path)
+        row = copied["roster"].read_bytes().count(b"\n") + 1
+        with copied["roster"].open("a", encoding="utf-8") as handle:
+            handle.write("dangling,A,U-NOPE,ING-INF/01,09,2001|2002|2003,1\n")
+        out = tmp_path / "out"
+        if ending == "capacity":
+            with copied["config"].open("a", encoding="utf-8") as handle:
+                handle.write("capacity.XXX/01 = 2\n")
+            error = (f"error: config key capacity.XXX/01 names no sector of the taxonomy "
+                     f"{copied['taxonomy']}")
+        else:
+            out.write_text("", encoding="utf-8")
+            error = f"error: {out}: File exists"
+        assert main(["validate", "--config", str(copied["config"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {copied['roster']}:{row}: roster row for 'dangling' references unknown "
+            f"university_id 'U-NOPE'\n{error}\n"
+        )
+        assert out.is_file() if ending == "out" else not out.exists()
+
     def test_empty_window_warns_but_passes(self, corpus, tmp_path, capsys):
         rc = main([
             "validate", "--config", str(corpus["config"]),
@@ -309,6 +336,7 @@ class TestRowChecks:
     @pytest.mark.parametrize("field, value, message", [
         ("pub_id", "", "pub_id must be a non-empty string"),
         ("authors", "rossi", "authors must be an array"),
+        ("affiliations", "Somewhere", "affiliations must be an array of strings"),
     ])
     def test_publication_field(self, corpus, tmp_path, capsys, field, value, message):
         copied = _copy_corpus(corpus, tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collabmarket.errors import DiffError
+from collabmarket.errors import DataError
 from collabmarket.indicators import (
     QUADRANT_I,
     QUADRANT_II,
@@ -506,13 +506,13 @@ class TestSnapshotDiff:
     def test_taxonomy_mismatch(self):
         t0 = _snapshot({"S1": {"Lazio": 1.0}}, taxonomy={"S1": "09"})
         t1 = _snapshot({"S1": {"Lazio": 1.0}}, taxonomy={"S1": "02"})
-        with pytest.raises(DiffError):
+        with pytest.raises(DataError, match="taxonomies differ; mismatched sds codes: S1$"):
             snapshot_diff(t0, t1)
 
     def test_region_mismatch(self):
         t0 = _snapshot({"S1": {"Lazio": 1.0}}, regions=("Lazio",))
         t1 = _snapshot({"S1": {"Lazio": 1.0}}, regions=("Lazio", "Lombardy"))
-        with pytest.raises(DiffError):
+        with pytest.raises(DataError, match="region sets differ: Lombardy$"):
             snapshot_diff(t0, t1)
 
     def test_rows_ordered_by_region_then_sds(self):
@@ -555,8 +555,8 @@ def test_swapping_snapshots_swaps_the_diff(t0, t1):
     both raise, at the same cell with the values swapped."""
     try:
         forward = snapshot_diff(t0, t1)
-    except DiffError as error:
-        with pytest.raises(DiffError) as swapped_error:
+    except DataError as error:
+        with pytest.raises(DataError, match="past the float range$") as swapped_error:
             snapshot_diff(t1, t0)
         where, values = str(error).split(" changes from ")
         value_t0, value_t1 = values.removesuffix(", past the float range").split(" to ")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from collabmarket import cli
 from collabmarket.demo import write_demo_corpus
-from collabmarket.errors import CollabMarketError, ParseError, ReferentialError, ValidationError
+from collabmarket.errors import DataError
 from collabmarket.ingest import (
     ORG_COLUMNS,
     ROSTER_COLUMNS,
@@ -152,7 +152,7 @@ class TestLoadPublications:
     def test_bad_json_reports_path_and_line(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         path.write_text(json.dumps(_pub_record()) + "\n{not json\n", encoding="utf-8")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError, match="bad JSON") as err:
             list(iter_publications(path))
         assert err.value.line_no == 2
         assert str(path) in str(err.value)
@@ -162,31 +162,31 @@ class TestLoadPublications:
         record = _pub_record()
         del record["year"]
         _write_jsonl(path, [record])
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="year must be an integer"):
             list(iter_publications(path))
 
     def test_empty_authors_rejected(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record(authors=[])])
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="has an empty author list"):
             list(iter_publications(path))
 
     def test_blank_affiliation_rejected(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record(affiliations=["ok", "  "])])
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="needs at least one non-blank affiliation"):
             list(iter_publications(path))
 
     def test_long_initials_rejected(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record(authors=[_author("Rossi", "ABCD")])])
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="must yield 1-3 letters"):
             list(iter_publications(path))
 
     def test_duplicate_pub_id_rejected_even_across_window(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         _write_jsonl(path, [_pub_record("P1", year=1995), _pub_record("P1", year=2002)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="duplicate pub_id 'P1'"):
             list(iter_publications(path, window=(2001, 2003)))
 
     def test_window_filters_inclusively(self, tmp_path):
@@ -262,29 +262,29 @@ class TestLoadRegistries:
             tmp_path,
             orgs=("U1,university,Lazio,First,\n" "U1,university,Lazio,Second,\n"),
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="duplicate org_id 'U1'"):
             load_registries(*paths)
 
     def test_unknown_kind(self, tmp_path):
         paths = _write_registry_files(tmp_path, orgs="X1,ngo,Lazio,Some Org,\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="has kind 'ngo'"):
             load_registries(*paths)
 
     def test_region_outside_configured_set(self, tmp_path):
         paths = _write_registry_files(tmp_path, orgs="U1,university,Atlantis,Uni,\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="'Atlantis' is not in the configured region set"):
             load_registries(*paths, regions=("Lazio", "Veneto"))
 
     def test_blank_canonical_name(self, tmp_path):
         paths = _write_registry_files(tmp_path, orgs="U1,university,Lazio, ,\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="canonical name is blank"):
             load_registries(*paths)
 
     def test_roster_dangling_university(self, tmp_path):
         paths = _write_registry_files(
             tmp_path, roster="rossi,M,U9,ING-INF/01,09,2002,1.0\n"
         )
-        with pytest.raises(ReferentialError):
+        with pytest.raises(DataError, match="unknown university_id 'U9'"):
             load_registries(*paths)
 
     def test_roster_points_at_enterprise(self, tmp_path):
@@ -293,7 +293,7 @@ class TestLoadRegistries:
             orgs="E1,enterprise,Lazio,Acme,\n",
             roster="rossi,M,E1,ING-INF/01,09,2002,1.0\n",
         )
-        with pytest.raises(ReferentialError):
+        with pytest.raises(DataError, match="'E1' is a enterprise, roster entries must point"):
             load_registries(*paths)
 
     def test_roster_sds_not_in_taxonomy(self, tmp_path):
@@ -302,7 +302,7 @@ class TestLoadRegistries:
             orgs="U1,university,Lazio,Uni,\n",
             roster="rossi,M,U1,MAT/05,01,2002,1.0\n",
         )
-        with pytest.raises(ReferentialError):
+        with pytest.raises(DataError, match="sds 'MAT/05' is not in the taxonomy"):
             load_registries(*paths)
 
     def test_roster_uda_mismatch(self, tmp_path):
@@ -311,7 +311,7 @@ class TestLoadRegistries:
             orgs="U1,university,Lazio,Uni,\n",
             roster="rossi,M,U1,ING-INF/01,02,2002,1.0\n",
         )
-        with pytest.raises(ReferentialError):
+        with pytest.raises(DataError, match="belongs to uda '09', row says '02'"):
             load_registries(*paths)
 
     def test_bad_years_is_parse_error(self, tmp_path):
@@ -320,7 +320,7 @@ class TestLoadRegistries:
             orgs="U1,university,Lazio,Uni,\n",
             roster="rossi,M,U1,ING-INF/01,09,two-thousand,1.0\n",
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="active_years must be integers"):
             load_registries(*paths)
 
     def test_nonpositive_weight(self, tmp_path):
@@ -329,14 +329,14 @@ class TestLoadRegistries:
             orgs="U1,university,Lazio,Uni,\n",
             roster="rossi,M,U1,ING-INF/01,09,2002,0\n",
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="headcount_weight must be positive"):
             load_registries(*paths)
 
     def test_duplicate_taxonomy_sds(self, tmp_path):
         paths = _write_registry_files(
             tmp_path, taxonomy="ING-INF/01,09\nING-INF/01,09\n"
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="sds 'ING-INF/01' listed twice"):
             load_registries(*paths)
 
     def test_row_the_csv_module_cannot_read_is_parse_error(self, tmp_path):
@@ -346,7 +346,7 @@ class TestLoadRegistries:
             orgs="U1,university,Lazio,Uni,\n",
             roster=f"rossi,M,U1,ING-INF/01,09,2002,1.0\nbianchi,G,U1,ING-INF/01,09,2002,{field}\n",
         )
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError, match="unreadable CSV row") as err:
             load_registries(*paths, diagnostics=[])
         assert str(err.value).startswith(f"{paths[1]}:3: unreadable CSV row: field larger")
 
@@ -377,10 +377,10 @@ def _reference_load_roster(path, by_id, taxonomy, diagnostics):
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise ParseError(path, 1, "missing header row")
+            raise DataError("missing header row", path, 1)
         missing = [c for c in ROSTER_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise ParseError(path, 1, f"header lacks columns: {', '.join(missing)}")
+            raise DataError(f"header lacks columns: {', '.join(missing)}", path, 1)
         for row in reader:
             line_no = reader.line_num
             surname = normalize_name(row["surname"] or "")
@@ -389,26 +389,26 @@ def _reference_load_roster(path, by_id, taxonomy, diagnostics):
             sds = (row["sds"] or "").strip()
             uda = (row["uda"] or "").strip()
             if not surname or not 1 <= len(initials) <= 3:
-                report(ParseError(path, line_no, "roster rows need a surname and 1-3 initials"))
+                report(DataError("roster rows need a surname and 1-3 initials", path, line_no))
                 continue
             org = by_id.get(university_id)
             if org is None:
-                report(ReferentialError(
+                report(DataError(
                     f"{path}:{line_no}: roster row for {surname!r} references "
                     f"unknown university_id {university_id!r}"
                 ))
                 continue
             if org.kind != UNIVERSITY:
-                report(ReferentialError(
+                report(DataError(
                     f"{path}:{line_no}: org {university_id!r} is a {org.kind}, "
                     "roster entries must point at universities"
                 ))
                 continue
             if sds not in taxonomy:
-                report(ReferentialError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy"))
+                report(DataError(f"{path}:{line_no}: sds {sds!r} is not in the taxonomy"))
                 continue
             if uda != taxonomy[sds]:
-                report(ReferentialError(
+                report(DataError(
                     f"{path}:{line_no}: sds {sds!r} belongs to uda "
                     f"{taxonomy[sds]!r}, row says {uda!r}"
                 ))
@@ -419,18 +419,18 @@ def _reference_load_roster(path, by_id, taxonomy, diagnostics):
                 )
                 weight = float(row["headcount_weight"] or "")
             except ValueError:
-                report(ParseError(
-                    path, line_no, "active_years must be integers and headcount_weight a number"
+                report(DataError(
+                    "active_years must be integers and headcount_weight a number", path, line_no
                 ))
                 continue
             if not years:
-                report(ParseError(path, line_no, "active_years must not be empty"))
+                report(DataError("active_years must not be empty", path, line_no))
                 continue
             if not weight > 0:
-                report(ValidationError(f"{path}:{line_no}: headcount_weight must be positive"))
+                report(DataError(f"{path}:{line_no}: headcount_weight must be positive"))
                 continue
             if not math.isfinite(weight):
-                report(ValidationError(f"{path}:{line_no}: headcount_weight is not a finite number"))
+                report(DataError(f"{path}:{line_no}: headcount_weight is not a finite number"))
                 continue
             roster.append(
                 ScientistRosterEntry(surname, initials, university_id, sds, uda, years, weight)
@@ -512,7 +512,7 @@ def _roster_outcome(load, path, collect):
     diagnostics = [] if collect else None
     try:
         return load(path, by_id, taxonomy, diagnostics), diagnostics
-    except CollabMarketError as exc:
+    except DataError as exc:
         return type(exc), str(exc)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collabmarket.errors import ValidationError
+from collabmarket.errors import DataError
 from collabmarket.indicators import (
     AggregateRow,
     MetricDelta,
@@ -272,7 +272,7 @@ class TestSanitizeCode:
 
     @pytest.mark.parametrize("first, second", [("ING-INF/01", "ING-INF-01"), ("A B", "A-B")])
     def test_shared_stem_names_both_codes(self, first, second):
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(DataError, match="would both write their outputs under the name") as err:
             output_stems([second, first], "regions")
         message = str(err.value)
         assert repr(first) in message and repr(second) in message
@@ -284,7 +284,7 @@ class TestSanitizeCode:
             "A" * 242: "A" * 242, "é" * 121: "é" * 121,
         }
         for code in ("A" * 243, "é" * 122, "A/" * 122):
-            with pytest.raises(ValidationError) as err:
+            with pytest.raises(DataError, match="its outputs under a file name of") as err:
                 output_stems(["FIS/01", code], "sectors")
             assert repr(code) in str(err.value)
 

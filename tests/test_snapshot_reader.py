@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmarket.cli import _read_compared
-from collabmarket.errors import DiffError
+from collabmarket.errors import DataError
 from collabmarket.indicators import SectorCorrespondenceRow, SectorFlowsRow, SnapshotCell
 from collabmarket.ingest import _json_line, not_utf8
 from collabmarket.report import render_table, sector_correspondence_table, sector_flows_table
@@ -46,35 +46,35 @@ def reference_read_compared(
                 try:
                     obj = _json_line(line)
                 except json.JSONDecodeError as exc:
-                    raise DiffError(f"{where}: bad JSON: {exc.msg}") from None
+                    raise DataError(f"{where}: bad JSON: {exc.msg}") from None
                 if not isinstance(obj, dict) or tuple(obj) != fields:
                     keys = ", ".join(fields)
-                    raise DiffError(f"{where}: expected an object with the keys {keys}")
+                    raise DataError(f"{where}: expected an object with the keys {keys}")
                 region = obj["region"]
                 values = obj[compared[0]], obj[compared[1]]
                 if type(region) is not str:
                     kind = _JSON_TYPE_NAMES[type(region)]
-                    raise DiffError(f"{where}: region is {kind}, expected a string")
+                    raise DataError(f"{where}: region is {kind}, expected a string")
                 for name, value in zip(compared, values):
                     if type(value) not in _NUMBER_OR_NULL:
                         kind = _JSON_TYPE_NAMES[type(value)]
-                        raise DiffError(f"{where}: {name} is {kind}, expected a number or null")
+                        raise DataError(f"{where}: {name} is {kind}, expected a number or null")
                 for name, value in zip(compared, values):
                     if value is not None and not _is_finite(value):
-                        raise DiffError(f"{where}: {name} is not a finite number")
+                        raise DataError(f"{where}: {name} is not a finite number")
                 if region not in regions:
-                    raise DiffError(f"{where}: region {region!r} is not in the snapshot's regions")
+                    raise DataError(f"{where}: region {region!r} is not in the snapshot's regions")
                 if region in cells:
-                    raise DiffError(f"{where}: region {region!r} is listed twice")
+                    raise DataError(f"{where}: region {region!r} is listed twice")
                 cells[regions[region]] = values
     except OSError as exc:
-        raise DiffError(f"{path}: cannot read: {exc}") from None
+        raise DataError(f"{path}: cannot read: {exc}") from None
     except UnicodeDecodeError:
         line_no, message = not_utf8(path)
-        raise DiffError(f"{path}:{line_no}: {message}") from None
+        raise DataError(f"{path}:{line_no}: {message}") from None
     if len(cells) < len(regions):
         missing = [region for region in regions if region not in cells]
-        raise DiffError(f"{path}: no row for region {', '.join(map(repr, missing))}")
+        raise DataError(f"{path}: no row for region {', '.join(map(repr, missing))}")
     return cells
 
 
@@ -167,7 +167,7 @@ _STEPS = st.lists(st.tuples(
 def _outcome(read, *args):
     try:
         return "cells", repr(read(*args))
-    except DiffError as exc:
+    except DataError as exc:
         return "error", str(exc)
 
 
